@@ -7,6 +7,7 @@ enumeration oracles with hard size caps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -275,10 +276,12 @@ def string_trace_prob(s: SymbolString, trace: SymbolString, q: float) -> float:
     if m > n:
         return 0.0
     count = count_embeddings(s.symbols, trace.symbols)
-    if count == 0:
+    if count == 0 or (m < n and q == 0.0) or (m > 0 and q == 1.0):
         return 0.0
-    p = 1.0 - q
-    return count * (p ** m) * (q ** (n - m))
+    # In log space: count and the powers overflow separately for |s| ~ 1100.
+    log_p = m * math.log(1.0 - q) if m else 0.0
+    log_q = (n - m) * math.log(q) if m < n else 0.0
+    return math.exp(math.log(count) + log_p + log_q)
 
 
 def distinct_subsequences(s: str, cap: int = SUBSEQ_ENUM_CAP) -> set[str]:

@@ -2,7 +2,9 @@
 
 Subcommands: gen, trace, recon, enumerate, experiment, search, verify.
 Spec files for `experiment` and `search` are flat key=value text, one key
-per line, with keys named after the flags.
+per line, with keys named after the flags; flags given on the command line
+win.  Exit codes: 0 success, 1 a failed verify check, 2 an invalid spec or
+input (one line on stderr), 3 a search past its trace budget.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import channels, harness, instances, string_recon, tree_recon, trees
-from .trees import SymbolString
+from . import channels, harness, trees
+from .trees import SymbolString, Tree
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -24,7 +26,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--traces", default="64",
                    help="trace count; a comma-separated grid for `experiment`; "
                         "the deletion count k for `enumerate --model lp`")
-    p.add_argument("--family", choices=instances.FAMILIES, default="random")
+    p.add_argument("--family", choices=tuple(harness.FAMILIES), default="random")
     p.add_argument("--out", default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
@@ -37,115 +39,65 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _instance_rng(seed: int):
-    return harness.trial_rng(seed, 0, 0)
+def make_instance(args, planned_traces: int):
+    """Instance of trial (seed, 0, 0) and its generator, where its traces start.
 
-
-def make_instance(family: str, n: int, seed: int, q: float, delta: float,
-                  planned_traces: int):
-    """Instance for a family: (public knowledge, hidden truth, tree to trace).
-
-    The hidden part is what a reconstruction has to recover; the public part
-    is what the decoder may use.  Regenerating with the same arguments gives
-    the same instance, which is how `trace` and `recon` stay in sync.
+    An experiment with the same flags builds this instance for its first
+    trial, so `gen`, `trace` and `recon` agree with each other and with it.
     """
-    rng = _instance_rng(seed)
-    if family == "path":
-        # The bare construction A_n; experiment trials label it per trial.
-        tree = instances.path_tree(n)
-        return {"topology": tree}, tree, tree
-    if family == "forked":
-        tree = instances.forked_tree(n)
-        return {}, tree, tree
-    if family == "random":
-        topo = instances.random_tree(n, rng)
-        truth = instances.random_labels(topo, rng)
-        return {"topology": topo}, truth, truth
-    if family == "fuzzy":
-        m = instances.fuzzy_degree(n, planned_traces, delta, q)
-        truth = instances.random_fuzzy_tree(n, m, rng)
-        return {"m": m}, truth, truth
-    if family == "encoded":
-        ell = instances.buffer_length(delta, planned_traces, q)
-        rng_bits = rng.integers(0, 2, size=n)
-        s = SymbolString("".join(str(int(b)) for b in rng_bits), "01")
-        inst = instances.encode_string_as_tree(s, ell)
-        return {"ell": ell}, s, inst.tree
-    raise harness.UnknownFamilyError(family)
+    entry = harness.validate(args.family, args.model, args.n, args.q, args.delta,
+                             (planned_traces,))
+    rng = harness.trial_rng(args.seed, 0, 0)
+    return entry.build(args.n, args.q, args.delta, planned_traces, args.model, rng), rng
+
+
+def _render(value) -> str:
+    if isinstance(value, Tree):
+        return trees.format_tree(value)
+    if isinstance(value, bool):
+        return "forked" if value else "path"
+    return str(value)
 
 
 def _cmd_gen(args) -> int:
-    _, _, tree = make_instance(args.family, args.n, args.seed, args.q,
-                               args.delta, int(args.traces))
-    _emit(trees.format_tree(tree) + "\n", args.out)
+    inst, _ = make_instance(args, int(args.traces))
+    _emit(_render(inst.source) + "\n", args.out)
     return 0
 
 
 def _cmd_trace(args) -> int:
     count = int(args.traces)
-    rng = harness.trial_rng(args.seed, 1, 0)
-    if args.model == "string":
-        _, truth, _ = make_instance("random", args.n, args.seed, args.q,
-                                    args.delta, count)
-        if args.family != "random":
-            print("model=string uses family=random", file=sys.stderr)
-            return 2
-        s = truth if isinstance(truth, SymbolString) else trees.preorder_label_string(truth)
-        lines = [str(channels.string_trace(s, args.q, rng)) for _ in range(count)]
-    else:
-        _, _, tree = make_instance(args.family, args.n, args.seed, args.q,
-                                   args.delta, count)
-        sampler = channels.ted_trace if args.model == "ted" else channels.lp_trace
-        lines = [trees.format_tree(sampler(tree, args.q, rng)) for _ in range(count)]
-    _emit("\n".join(lines) + "\n", args.out)
+    inst, rng = make_instance(args, count)
+    sample = harness.SAMPLERS[args.model]
+    _emit("".join(_render(sample(inst.source, args.q, rng)) + "\n" for _ in range(count)),
+          args.out)
     return 0
 
 
 def _cmd_recon(args) -> int:
-    text = Path(args.tracefile).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    public, _, _ = make_instance(args.family, args.n, args.seed, args.q,
-                                 args.delta, max(len(lines), 1))
-    if args.model == "string":
-        traces = [SymbolString(ln) for ln in lines]
-        got = string_recon.ml_reconstruct(traces, args.n, args.q)
-        _emit(str(got) + "\n", args.out)
-        return 0
-    traces = [trees.parse_tree(ln) for ln in lines]
-    if args.family in ("path", "random"):
-        got = tree_recon.reconstruct_labels_known_topology(
-            public["topology"], traces, args.q
-        )
-        _emit(trees.format_tree(got) + "\n", args.out)
-    elif args.family == "fuzzy":
-        got = tree_recon.reconstruct_fuzzy(traces, args.n, public["m"], args.q)
-        _emit(trees.format_tree(got) + "\n", args.out)
-    elif args.family == "encoded":
-        got = tree_recon.reconstruct_encoded(traces, args.n, public["ell"], args.q)
-        _emit(str(got) + "\n", args.out)
-    else:
-        print(f"no reconstruction pipeline for family={args.family}", file=sys.stderr)
-        return 2
+    # One trace per line; an empty line is the empty string trace.
+    lines = Path(args.tracefile).read_text().splitlines()
+    inst, _ = make_instance(args, max(len(lines), 1))
+    parse = SymbolString if args.model == "string" else trees.parse_tree
+    got = harness.FAMILIES[args.family].decode(inst.public, [parse(ln) for ln in lines],
+                                               args.n, args.q)
+    _emit(_render(got) + "\n", args.out)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    _, _, tree = make_instance(args.family, args.n, args.seed, args.q,
-                               args.delta, int(args.traces))
+    if args.model == "string":
+        raise ValueError("enumerate expects --model lp or ted")
+    inst, _ = make_instance(args, int(args.traces))
     if args.model == "lp":
-        k = int(args.traces)
-        out = sorted(t.canonical() for t in channels.lp_trace_set(tree, k))
-        _emit("\n".join(out) + "\n", args.out)
-    elif args.model == "ted":
-        dist = channels.ted_trace_distribution(tree, args.q)
-        lines = [
+        out = sorted(t.canonical() for t in channels.lp_trace_set(inst.source, int(args.traces)))
+    else:
+        dist = channels.ted_trace_distribution(inst.source, args.q)
+        out = [
             f"{prob!r}\t{key}"
             for key, prob in sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        print("enumerate expects --model lp or ted", file=sys.stderr)
-        return 2
+    _emit("\n".join(out) + "\n", args.out)
     return 0
 
 
@@ -161,20 +113,6 @@ def load_spec_file(path: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def _merge_spec_file(args, parser: argparse.ArgumentParser):
-    """Spec-file values fill in flags the user left at their defaults."""
-    if not getattr(args, "specfile", None):
-        return
-    values = load_spec_file(args.specfile)
-    defaults = {a.dest: a.default for a in parser._actions}
-    casts = {"q": float, "n": int, "seed": int, "trials": int, "delta": float}
-    for key, raw in values.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown spec key {key!r}")
-        if getattr(args, key) == defaults.get(key):
-            setattr(args, key, casts.get(key, str)(raw))
 
 
 def _cmd_experiment(args) -> int:
@@ -236,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.set_defaults(fn=fn, _parser=p)
+        p.set_defaults(fn=fn)
         parsers[name] = p
     parsers["recon"].add_argument("tracefile", help="file of traces, one per line")
     parsers["experiment"].add_argument("specfile", nargs="?", default=None,
@@ -249,11 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an invalid spec or input exits 2 with one line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "specfile"):
-        _merge_spec_file(args, args._parser)
-    return args.fn(args)
+    try:
+        args = parser.parse_args(argv)
+        if getattr(args, "specfile", None):
+            # Each key=value becomes its flag, ahead of the user's own flags,
+            # so argparse checks it and an explicit flag wins.
+            flags = [f"--{k}={v}" for k, v in load_spec_file(args.specfile).items()]
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"treetrace {argv[0]}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

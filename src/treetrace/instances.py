@@ -14,8 +14,6 @@ from functools import lru_cache
 
 from .trees import Node, SymbolString, Tree, preorder, tree_from_dyck
 
-FAMILIES = ("path", "forked", "encoded", "fuzzy", "random")
-
 
 def buffer_length(delta: float, planned_traces: int, q: float) -> int:
     """Buffer size that keeps both path ends alive in all planned trials.
@@ -42,10 +40,6 @@ class EncodedInstance:
     source_string: SymbolString
     buffer_len: int
     tree: Tree
-
-    @property
-    def backbone_len(self) -> int:
-        return len(self.source_string) + 2 * self.buffer_len
 
 
 # Identifier layout of encode_string_as_tree: backbone position i (1-based,
@@ -148,6 +142,14 @@ def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
     return max(m, 2)
 
 
+def check_fuzzy_size(n: int, m: int) -> None:
+    """Raise ValueError unless a degree-m fuzzy tree on n nodes exists (n >= m + 1)."""
+    if m < 2:
+        raise ValueError("fuzzy degree m must be >= 2")
+    if n < m + 1:
+        raise ValueError(f"no fuzzy tree with n={n}, m={m}: needs n >= m + 1")
+
+
 def _feasible_leaf_counts(n: int, m: int) -> list[int]:
     """Skeleton leaf counts lam with a valid skeleton of n - m*lam nodes."""
     out = list(range(1, (n - 1) // (m + 1) + 1))
@@ -164,11 +166,8 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     always satisfies the degree-m invariant exactly; the distribution over
     shapes is not uniform.
     """
-    if m < 2:
-        raise ValueError("fuzzy degree m must be >= 2")
+    check_fuzzy_size(n, m)
     feasible = _feasible_leaf_counts(n, m)
-    if n < m + 1 or not feasible:
-        raise ValueError(f"no fuzzy tree with n={n}, m={m}")
     lam = int(feasible[rng.integers(len(feasible))])
     k = n - m * lam
     labels = {0: 0}

@@ -88,7 +88,10 @@ class CandidateSet:
 
     def strings(self) -> list[str]:
         if self._strings is None:
-            self._strings = [format(i, f"0{self.n}b") for i in range(1 << self.n)]
+            # format(0, "00b") is "0", not the empty string.
+            self._strings = (
+                [format(i, f"0{self.n}b") for i in range(1 << self.n)] if self.n else [""]
+            )
         return self._strings
 
     def __len__(self) -> int:

@@ -259,48 +259,51 @@ def format_tree(t: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
-    """Parse the tree grammar; whitespace between tokens is ignored."""
-    nodes: dict[int, Node] = {}
-    counter = 0
-    i = 0
+    """Parse the tree grammar; whitespace between tokens is ignored.
+
+    Iterative, so depth is bounded by memory, not the recursion limit.
+    """
+    labels: list[int] = []
+    parents: list[int | None] = []
+    kids: list[list[int]] = []
+    open_nodes: list[int] = []  # nodes whose child list is being read
     n = len(text)
 
-    def skip_ws():
-        nonlocal i
+    def skip_ws(i: int) -> int:
         while i < n and text[i].isspace():
             i += 1
+        return i
 
-    def parse_node(parent) -> int:
-        nonlocal i, counter
-        skip_ws()
+    i = skip_ws(0)
+    while True:
         if i >= n or text[i] not in "01":
             raise TreeTextError("expected label 0 or 1", i)
-        label = int(text[i])
-        i += 1
-        v = counter
-        counter += 1
-        nodes[v] = None
-        kids: list[int] = []
-        skip_ws()
+        v = len(labels)  # ids follow preorder
+        labels.append(int(text[i]))
+        parents.append(open_nodes[-1] if open_nodes else None)
+        kids.append([])
+        if open_nodes:
+            kids[open_nodes[-1]].append(v)
+        i = skip_ws(i + 1)
         if i < n and text[i] == "(":
-            i += 1
-            kids.append(parse_node(v))
-            skip_ws()
-            while i < n and text[i] == ",":
-                i += 1
-                kids.append(parse_node(v))
-                skip_ws()
+            open_nodes.append(v)
+            i = skip_ws(i + 1)
+            continue
+        # v is complete: close child lists until a sibling follows.
+        while open_nodes:
+            if i < n and text[i] == ",":
+                i = skip_ws(i + 1)
+                break
             if i >= n or text[i] != ")":
                 raise TreeTextError("expected ',' or ')'", i)
-            i += 1
-        nodes[v] = Node(label, tuple(kids), parent)
-        return v
-
-    root = parse_node(None)
-    skip_ws()
+            open_nodes.pop()
+            i = skip_ws(i + 1)
+        else:
+            break
     if i != n:
         raise TreeTextError("trailing input after tree", i)
-    return Tree(nodes, root, validate=False)
+    nodes = {v: Node(labels[v], tuple(kids[v]), parents[v]) for v in range(len(labels))}
+    return Tree(nodes, 0, validate=False)
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
@@ -320,13 +323,6 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
     for word in words(n - 1, 0):
         yield tree_from_dyck(word)
-
-
-def enumerate_labelings(t: Tree) -> Iterator[Tree]:
-    """All 2^n bit labelings of a topology."""
-    order = preorder(t)
-    for mask in range(1 << t.n):
-        yield t.with_labels({v: (mask >> i) & 1 for i, v in enumerate(order)})
 
 
 def is_fuzzy(t: Tree, m: int) -> bool:

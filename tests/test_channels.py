@@ -214,6 +214,20 @@ def test_count_embeddings_and_prob_examples():
     assert string_trace_prob(SymbolString("00"), SymbolString("1"), 0.5) == 0.0
 
 
+def test_string_trace_prob_long_strings_in_log_space():
+    # C(1100, 550) and 0.5^1100 each overflow a float; their product is ~0.024.
+    got = string_trace_prob(SymbolString("0" * 1100), SymbolString("0" * 550), 0.5)
+    assert got == pytest.approx(math.comb(1100, 550) / 2**1100, rel=1e-9)
+    assert 0.02 < got < 0.03
+
+
+def test_string_trace_prob_edge_rates():
+    s = SymbolString("0110")
+    assert string_trace_prob(s, SymbolString("011"), 0.0) == 0.0
+    assert string_trace_prob(s, SymbolString(""), 0.0) == 0.0
+    assert string_trace_prob(s, SymbolString(""), 0.3) == pytest.approx(0.3**4)
+
+
 def test_string_trace_prob_alphabet_check():
     with pytest.raises(ValueError):
         string_trace_prob(SymbolString("00"), SymbolString("2", "02"), 0.5)

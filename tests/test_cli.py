@@ -1,8 +1,10 @@
 import pytest
 
+from treetrace import harness
 from treetrace.cli import load_spec_file, main
-from treetrace.harness import CSV_HEADER
-from treetrace.trees import parse_tree
+from treetrace.harness import CSV_HEADER, trial_rng
+from treetrace.instances import forked_tree, path_tree, random_labels
+from treetrace.trees import dyck_string, format_tree, parse_tree, preorder_label_string
 
 
 def run(capsys, *argv):
@@ -12,9 +14,11 @@ def run(capsys, *argv):
 
 
 def test_gen_path(capsys):
+    # gen prints trial (0, 0, 0)'s instance: A_3 with the labels it hides.
     code, out = run(capsys, "gen", "--family", "path", "--n", "3")
     assert code == 0
-    assert out.strip() == "0(0(0(0)))"
+    assert str(dyck_string(parse_tree(out.strip()))) == "111000"
+    assert out.strip() == format_tree(random_labels(path_tree(3), trial_rng(0, 0, 0)))
 
 
 def test_gen_is_seed_deterministic(capsys):
@@ -40,21 +44,71 @@ def test_trace_and_recon_roundtrip(tmp_path, capsys):
     parse_tree(out.strip())
 
 
+def fork_coin(seed: int) -> bool:
+    """Whether trial (seed, 0, 0) of the forked family hides B_n."""
+    return bool(trial_rng(seed, 0, 0).random() < 0.5)
+
+
 def test_enumerate_lp(capsys):
+    # The lower-bound lemma: A_6 and B_6 share the 2-deletion trace set {A_4}.
+    seeds = [next(s for s in range(100) if fork_coin(s) == fork) for fork in (True, False)]
+    for seed, fork in zip(seeds, (True, False)):
+        _, tree = run(capsys, "gen", "--family", "forked", "--n", "6", "--seed", str(seed))
+        assert parse_tree(tree.strip()) == (forked_tree(6) if fork else path_tree(6))
+        code, out = run(capsys, "enumerate", "--model", "lp", "--family", "forked",
+                        "--n", "6", "--traces", "2", "--seed", str(seed))
+        assert code == 0
+        assert out.strip() == "0(0(0(0(0))))"
+    # On the labelled path, every trace still has A_4's shape.
     code, out = run(capsys, "enumerate", "--model", "lp", "--family", "path",
                     "--n", "6", "--traces", "2")
     assert code == 0
-    assert out.strip() == "0(0(0(0(0))))"
+    lines = out.split()
+    assert lines
+    assert all(str(dyck_string(parse_tree(ln))) == "11110000" for ln in lines)
 
 
 def test_enumerate_ted_distribution(capsys):
+    _, tree = run(capsys, "gen", "--family", "path", "--n", "2", "--q", "0.5")
+    _, l1, l2 = str(preorder_label_string(parse_tree(tree.strip())))
     code, out = run(capsys, "enumerate", "--model", "ted", "--family", "path",
                     "--n", "2", "--q", "0.5")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 3  # traces of the 3-node path: A_2, A_1, root only
+    # Traces of the 3-node path: A_2, root only, and A_1 labelled l1 or l2.
+    assert len(lines) == 3 + (l1 != l2)
     total = sum(float(ln.split("\t")[0]) for ln in lines)
     assert abs(total - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("family,model,n", [
+    ("random", "string", 6), ("random", "ted", 6), ("path", "lp", 6),
+    ("forked", "lp", 6), ("fuzzy", "ted", 20),
+])
+def test_trace_and_recon_replay_trial_zero(tmp_path, capsys, family, model, n):
+    # trace writes trial (seed, 0, 0)'s traces and recon decodes them, so
+    # recon prints the truth exactly when that trial succeeds.
+    traces = tmp_path / "traces.txt"
+    for seed in range(4):
+        flags = ["--family", family, "--model", model, "--n", str(n), "--q", "0.3",
+                 "--traces", "4", "--seed", str(seed)]
+        _, shown = run(capsys, "gen", *flags)
+        truth = shown.strip()
+        if family == "forked":
+            truth = "forked" if "," in truth else "path"
+        assert run(capsys, "trace", *flags, "--out", str(traces))[0] == 0
+        code, got = run(capsys, "recon", *flags, str(traces))
+        success = harness.run_trial(family, model, n, 0.3, 0.05, 4, trial_rng(seed, 0, 0))
+        assert (code == 0 and got.strip() == truth) == success
+
+
+def test_recon_reads_empty_string_traces(tmp_path, capsys):
+    # At q = 0.9 both traces of trial (0, 0, 0) lose every symbol.
+    traces = tmp_path / "traces.txt"
+    flags = ["--model", "string", "--n", "2", "--q", "0.9", "--traces", "2"]
+    assert run(capsys, "trace", *flags, "--out", str(traces))[0] == 0
+    assert traces.read_text() == "\n\n"
+    assert run(capsys, "recon", *flags, str(traces)) == (0, "00\n")
 
 
 def test_experiment_csv(tmp_path, capsys):
@@ -77,6 +131,24 @@ def test_experiment_spec_file(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == CSV_HEADER
     assert len(out.strip().splitlines()) == 3
+
+
+def test_spec_file_loses_to_explicit_flags(tmp_path, capsys):
+    spec = tmp_path / "exp.spec"
+    spec.write_text("family=random\nmodel=ted\nn=6\nq=0.1\ntraces=1\ntrials=2\n")
+    code, out = run(capsys, "experiment", str(spec), "--n", "8", "--family", "path")
+    assert code == 0
+    assert out.splitlines()[1].startswith("path-ted-n8-q0.1,path,8,0.1,ted,1,2,")
+
+
+@pytest.mark.parametrize("line", ["family=bogus", "timing=false", "colour=red", "n=six"])
+def test_spec_file_values_go_through_argparse(tmp_path, capsys, line):
+    spec = tmp_path / "exp.spec"
+    spec.write_text(f"n=6\ntraces=1\ntrials=2\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", str(spec)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_load_spec_file_rejects_garbage(tmp_path):

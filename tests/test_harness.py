@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from treetrace import harness
+from treetrace.cli import main
 from treetrace.harness import (
     CSV_HEADER,
     BudgetExceededError,
@@ -41,6 +43,55 @@ def test_spec_validation():
         ExperimentSpec("bogus", 6, 0.1, "ted", (1,), 5)
     with pytest.raises(ValueError):
         ExperimentSpec("random", 6, 0.1, "ted", (1,), 0)
+
+
+# Specs that used to be accepted and then crash partway through a sweep.
+REJECTED = {
+    "n=0": dict(family="random", n=0, q=0.1, model="ted", trace_grid=(4,)),
+    "q=1.5": dict(family="random", n=6, q=1.5, model="ted", trace_grid=(4,)),
+    "fuzzy+string": dict(family="fuzzy", n=12, q=0.1, model="string", trace_grid=(4,)),
+    "trace count 0": dict(family="random", n=6, q=0.1, model="ted", trace_grid=(0, 4)),
+    "fuzzy m=14": dict(family="fuzzy", n=8, q=0.5, model="ted", trace_grid=(64,)),
+    "random n=21": dict(family="random", n=21, q=0.1, model="ted", trace_grid=(4,)),
+    "path n=20": dict(family="path", n=20, q=0.1, model="ted", trace_grid=(4,)),
+}
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    def trial(*args):
+        raise AssertionError("a trial ran for a spec that should have been rejected")
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+
+
+@pytest.mark.parametrize("kw", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_spec_rejected_when_built(kw, capsys, no_trials):
+    with pytest.raises(ValueError):
+        ExperimentSpec(trials=2, **kw)
+    argv = ["experiment", "--family", kw["family"], "--model", kw["model"],
+            "--n", str(kw["n"]), "--q", str(kw["q"]), "--trials", "2",
+            "--traces", ",".join(map(str, kw["trace_grid"]))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_fuzzy_spec_accepted_where_a_tree_exists():
+    # At 4 traces and q = 0.5, m = 10 for n = 10 and n = 11: a fuzzy tree
+    # needs n >= m + 1.
+    ExperimentSpec("fuzzy", 11, 0.5, "ted", (4,), 1)
+    with pytest.raises(ValueError):
+        ExperimentSpec("fuzzy", 10, 0.5, "ted", (4,), 1)
+
+
+@pytest.mark.parametrize("family,n,model", [
+    ("random", 21, "ted"), ("path", 20, "lp"), ("forked", 1, "lp"), ("fuzzy", 6, "lp"),
+])
+def test_doubling_search_rejects_before_first_trial(family, n, model, no_trials):
+    with pytest.raises(ValueError):
+        doubling_search(family, n, 0.1, model, target_rate=0.9)
 
 
 def test_result_row_validation():

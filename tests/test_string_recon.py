@@ -159,6 +159,11 @@ def test_candidate_set():
         CandidateSet(25)
 
 
+def test_candidate_set_of_length_zero():
+    assert CandidateSet(0).strings() == [""]
+    assert len(CandidateSet(0)) == 1
+
+
 def test_mean_reconstruct_examples():
     assert str(mean_reconstruct(["101"] * 10, 3, 0.0)) == "101"
     rng = make_rng("mean-pair")

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from treetrace.trees import (
     DyckStringError,
+    Node,
     SymbolString,
+    Tree,
     TreeTextError,
     build_tree,
     dyck_string,
@@ -119,6 +121,39 @@ def test_parse_format_roundtrip_random():
         n = int(rng.integers(1, 51))
         t = random_labels(random_tree(n, rng), rng)
         assert trees_equal(parse_tree(format_tree(t)), t)
+
+
+def test_parse_deep_path_roundtrip():
+    text = "0(" * 3000 + "1" + ")" * 3000
+    t = parse_tree(text)
+    assert t.n == 3001
+    assert format_tree(t) == text
+
+
+@st.composite
+def deep_and_wide_trees(draw):
+    """A path up to 3000 deep with a fan of up to 2000 leaves at one node."""
+    depth = draw(st.integers(0, 3000))
+    width = draw(st.integers(0, 2000))
+    at = draw(st.integers(0, depth))
+    fan_first = draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=False))
+    path_kids = {v: [v + 1] if v < depth else [] for v in range(depth + 1)}
+    fan = list(range(depth + 1, depth + 1 + width))
+    path_kids[at] = fan + path_kids[at] if fan_first else path_kids[at] + fan
+    nodes = {v: Node(rnd.randint(0, 1), tuple(kids), v - 1 if v else None)
+             for v, kids in path_kids.items()}
+    nodes.update({v: Node(rnd.randint(0, 1), (), at) for v in fan})
+    return Tree(nodes, 0)
+
+
+@given(deep_and_wide_trees())
+@settings(max_examples=40, deadline=None)
+def test_deep_and_wide_trees_survive_format_parse(t):
+    back = parse_tree(format_tree(t))
+    assert back.n == t.n
+    assert back == t
+    assert dyck_string(back) == dyck_string(t)
 
 
 @st.composite
