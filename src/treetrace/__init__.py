@@ -59,7 +59,6 @@ from .string_recon import (
 from .tree_recon import (
     MergeError,
     ReconstructionFailedError,
-    ReconstructionReport,
     UndecidedPositionsError,
     dual_strings,
     merge_dual_strings,

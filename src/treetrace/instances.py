@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
-from .trees import Node, SymbolString, Tree, preorder, tree_from_dyck
+from .trees import Node, SymbolString, Tree, dyck_words, preorder, tree_from_dyck
 
 
 def buffer_length(delta: float, planned_traces: int, q: float) -> int:
@@ -103,26 +103,14 @@ def path_tree(n: int) -> Tree:
     """A_n: the root plus a chain of n nodes (n non-root nodes)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    nodes = {
-        v: Node(0, (v + 1,) if v < n else (), v - 1 if v > 0 else None)
-        for v in range(n + 1)
-    }
-    return Tree(nodes, 0)
+    return tree_from_dyck("1" * n + "0" * n)
 
 
 def forked_tree(n: int) -> Tree:
     """B_n: A_{n-1} with a sibling added to its single leaf (n non-root nodes)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    nodes = {
-        v: Node(0, (v + 1,) if v < n - 1 else (), v - 1 if v > 0 else None)
-        for v in range(n)
-    }
-    fork = n - 2  # parent of the former single leaf
-    nodes[fork] = Node(0, (n - 1, n), fork - 1 if fork > 0 else None)
-    nodes[n - 1] = Node(0, (), fork)
-    nodes[n] = Node(0, (), fork)
-    return Tree(nodes, 0)
+    return tree_from_dyck("1" * (n - 1) + "01" + "0" * (n - 1))
 
 
 def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
@@ -214,78 +202,31 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     return tree
 
 
-@lru_cache(maxsize=None)
-def _shapes_with_leaves(k: int, lam: int) -> tuple:
-    """All ordered tree shapes (nested child tuples) with k nodes, lam leaves."""
-    if k < 1 or lam < 1:
-        return ()
-    if k == 1:
-        return ((),) if lam == 1 else ()
-    return tuple(forest for forest in _forests_with_leaves(k - 1, lam))
+def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
+    """Dyck words of the fuzzy trees on n nodes whose skeleton has lam leaves.
 
-
-@lru_cache(maxsize=None)
-def _forests_with_leaves(k: int, lam: int) -> tuple:
-    out = []
-    for k1 in range(1, k + 1):
-        for lam1 in range(1, lam + 1):
-            for first in _shapes_with_leaves(k1, lam1):
-                if k1 == k:
-                    if lam1 == lam:
-                        out.append((first,))
-                else:
-                    for rest in _forests_with_leaves(k - k1, lam - lam1):
-                        out.append((first,) + rest)
-    return tuple(out)
-
-
-def _shape_to_tree(shape) -> Tree:
-    nodes: dict[int, Node] = {}
-    counter = 0
-
-    def alloc(sh, par) -> int:
-        nonlocal counter
-        v = counter
-        counter += 1
-        kids = []
-        for child in sh:
-            kids.append(alloc(child, v))
-        nodes[v] = Node(0, tuple(kids), par)
-        return v
-
-    root = alloc(shape, None)
-    return Tree(nodes, root, validate=False)
+    Each skeleton word (n - m*lam nodes, lam peaks) is wrapped in an outer
+    1...0, so that a one-node skeleton is a peak too; every peak 10 then
+    becomes a node with m leaf children, and the wrap comes off again.
+    """
+    block = "1" + "10" * m + "0"
+    k = n - m * lam
+    for skeleton in dyck_words(k - 1, lam if k > 1 else 0):
+        yield ("1" + skeleton + "0").replace("10", block)[1:-1]
 
 
 def enumerate_fuzzy_trees(n: int, m: int) -> list[Tree]:
     """The random_fuzzy_tree family: every leaf terminal, in blocks of m.
 
-    Enumerates skeletons by exact (node count, leaf count) and replaces each
-    skeleton leaf with an m-leaf block.  This is the candidate class the
-    fuzzy reconstruction pipeline searches.
+    The trees of fuzzy_words over every feasible skeleton leaf count.  This
+    is the candidate class the fuzzy reconstruction pipeline searches, one
+    leaf count at a time.
     """
     if m < 2:
         raise ValueError("fuzzy degree m must be >= 2")
-    out = []
-    for lam in _feasible_leaf_counts(n, m):
-        k = n - m * lam
-        for shape in _shapes_with_leaves(k, lam):
-            skel = _shape_to_tree(shape)
-            labels = {v: 0 for v in skel.nodes}
-            children = {v: list(skel.nodes[v].children) for v in skel.nodes}
-            parent = {v: skel.nodes[v].parent for v in skel.nodes}
-            nxt = skel.n
-            for u in list(labels):
-                if not children[u]:
-                    for _ in range(m):
-                        labels[nxt] = 0
-                        children[nxt] = []
-                        parent[nxt] = u
-                        children[u].append(nxt)
-                        nxt += 1
-            nodes = {v: Node(0, tuple(children[v]), parent[v]) for v in labels}
-            out.append(Tree(nodes, skel.root, validate=False))
-    return out
+    return [
+        tree_from_dyck(w) for lam in _feasible_leaf_counts(n, m) for w in fuzzy_words(n, m, lam)
+    ]
 
 
 def random_tree(n: int, rng) -> Tree:

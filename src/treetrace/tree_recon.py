@@ -7,18 +7,26 @@ default), and maps the result back to a tree or bit string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .instances import (
     _feasible_leaf_counts,
+    check_fuzzy_size,
     encoded_leaf_id,
     encoded_parent_id,
-    enumerate_fuzzy_trees,
+    fuzzy_words,
 )
 from .string_recon import Reconstructor, ml_reconstruct
-from .trees import SymbolString, Tree, preorder, preorder_label_string, tree_from_dyck
-from .trees import DyckStringError
+from .trees import (
+    DyckStringError,
+    SymbolString,
+    Tree,
+    _euler_walk,
+    dyck_string,
+    preorder,
+    preorder_label_string,
+    tree_from_dyck,
+)
 
 
 class MergeError(ValueError):
@@ -46,20 +54,6 @@ class ReconstructorProtocolError(ValueError):
     """A plugged string reconstructor returned the wrong length."""
 
 
-@dataclass
-class ReconstructionReport:
-    """Outcome of one pipeline run, with named diagnostic measurements."""
-
-    result: object
-    traces_used: int
-    success: bool | None = None
-    diagnostics: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.traces_used < 1:
-            raise ValueError("traces_used must be >= 1")
-
-
 def reconstruct_labels_known_topology(
     topology: Tree,
     traces: Sequence[Tree],
@@ -85,24 +79,15 @@ def reconstruct_labels_known_topology(
     return topology.with_labels({v: int(str(s)[i]) for i, v in enumerate(order)})
 
 
-def _dual_events(t: Tree):
-    """Chronological DFS events: ('down', v), ('leaf', v), ('up', v)."""
-    if t.n == 1:
-        yield ("leaf", t.root)
-        return
-    stack = [(t.root, 0)]
-    while stack:
-        v, i = stack.pop()
-        kids = t.children_of(v)
-        if i < len(kids):
-            stack.append((v, i + 1))
-            c = kids[i]
-            yield ("down", c)
-            if t.is_leaf(c):
-                yield ("leaf", c)
-            stack.append((c, 0))
-        elif v != t.root:
-            yield ("up", v)
+def _dual_of_word(word: str) -> tuple[str, str]:
+    """Dual strings of the tree with Dyck word `word`.
+
+    Each peak 10 is a leaf and gains the marker 2 between its descent and its
+    ascent; S0 keeps the ascents and markers, S1 the descents and markers.
+    The outer 1...0 makes a lone root a peak; it is cut off again.
+    """
+    walk = ("1" + word + "0").replace("10", "120")
+    return walk.replace("1", "")[:-1], walk.replace("0", "")[1:]
 
 
 def dual_strings_with_owners(t: Tree):
@@ -112,29 +97,24 @@ def dual_strings_with_owners(t: Tree):
     0 written when the walk leaves it; a leaf additionally owns its 2 in both
     strings.  A lone root counts as a leaf so the leaf anchors stay total.
     """
-    s0: list[str] = []
-    s1: list[str] = []
-    own0: list[int] = []
-    own1: list[int] = []
-    for kind, v in _dual_events(t):
-        if kind == "down":
-            s1.append("1")
-            own1.append(v)
-        elif kind == "leaf":
-            s0.append("2")
-            own0.append(v)
-            s1.append("2")
-            own1.append(v)
-        else:
-            s0.append("0")
-            own0.append(v)
-    return SymbolString("".join(s0), "02"), own0, SymbolString("".join(s1), "12"), own1
+    # The edge walk with a 2 after each leaf's descent, as in _dual_of_word.
+    marked = [("2", t.root)] if t.n == 1 else []
+    for sym, v in _euler_walk(t):
+        marked.append((sym, v))
+        if sym == "1" and t.is_leaf(v):
+            marked.append(("2", v))
+    s0 = [(c, v) for c, v in marked if c != "1"]
+    s1 = [(c, v) for c, v in marked if c != "0"]
+    return (
+        SymbolString("".join(c for c, _ in s0), "02"), [v for _, v in s0],
+        SymbolString("".join(c for c, _ in s1), "12"), [v for _, v in s1],
+    )
 
 
 def dual_strings(t: Tree) -> tuple[SymbolString, SymbolString]:
     """(S0 over {0,2}, S1 over {1,2}): ascents/descents with leaf markers."""
-    s0, _, s1, _ = dual_strings_with_owners(t)
-    return s0, s1
+    s0, s1 = _dual_of_word(str(dyck_string(t)))
+    return SymbolString(s0, "02"), SymbolString(s1, "12")
 
 
 def merge_dual_strings(s0: SymbolString | str, s1: SymbolString | str) -> Tree:
@@ -164,8 +144,7 @@ def merge_dual_strings(s0: SymbolString | str, s1: SymbolString | str) -> Tree:
         tree = tree_from_dyck(walk)
     except DyckStringError as exc:
         raise MergeError(f"interleaved walk is not balanced: {exc}") from exc
-    back0, back1 = dual_strings(tree)
-    if str(back0) != t0 or str(back1) != t1:
+    if _dual_of_word(walk) != (t0, t1):
         raise MergeError("pair is not the dual encoding of any tree")
     return tree
 
@@ -183,24 +162,6 @@ def _binary_to_fuzzy(s: str, alphabet: str) -> SymbolString:
     return SymbolString(s.translate(str.maketrans({"1": other, "0": "2"})), alphabet)
 
 
-def _fuzzy_family_candidates(n: int, m: int) -> tuple[dict[int, list[str]], dict[int, list[str]]]:
-    """Binary-mapped dual strings of the fuzzy candidate class, keyed by length."""
-    by_len0: dict[int, list[str]] = {}
-    by_len1: dict[int, list[str]] = {}
-    seen0: set[str] = set()
-    seen1: set[str] = set()
-    for cand in enumerate_fuzzy_trees(n, m):
-        c0, c1 = dual_strings(cand)
-        b0, b1 = _fuzzy_to_binary(c0), _fuzzy_to_binary(c1)
-        if b0 not in seen0:
-            seen0.add(b0)
-            by_len0.setdefault(len(b0), []).append(b0)
-        if b1 not in seen1:
-            seen1.add(b1)
-            by_len1.setdefault(len(b1), []).append(b1)
-    return by_len0, by_len1
-
-
 def reconstruct_fuzzy(
     traces: Sequence[Tree],
     n: int,
@@ -216,6 +177,7 @@ def reconstruct_fuzzy(
     candidate class of matching string length, inferred from the average
     surviving leaf count.
     """
+    check_fuzzy_size(n, m)
     if not traces:
         raise ValueError("empty trace list")
     pairs = [dual_strings(tr) for tr in traces]
@@ -230,9 +192,11 @@ def reconstruct_fuzzy(
     bin0 = [_fuzzy_to_binary(t) for t in tr0]
     bin1 = [_fuzzy_to_binary(t) for t in tr1]
     if reconstructor is None:
-        by_len0, by_len1 = _fuzzy_family_candidates(n, m)
-        got0 = ml_reconstruct(bin0, width, q, candidates=sorted(by_len0[width]))
-        got1 = ml_reconstruct(bin1, width, q, candidates=sorted(by_len1[width]))
+        duals = [_dual_of_word(w) for w in fuzzy_words(n, m, lam)]
+        cands0 = sorted({_fuzzy_to_binary(a) for a, _ in duals})
+        cands1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
+        got0 = ml_reconstruct(bin0, width, q, candidates=cands0)
+        got1 = ml_reconstruct(bin1, width, q, candidates=cands1)
     else:
         got0 = reconstructor(bin0, width, q)
         got1 = reconstructor(bin1, width, q)

@@ -125,19 +125,21 @@ def test_random_fuzzy_tree_incompatible():
 
 def test_enumerate_fuzzy_trees_counts():
     # n=30, m=8 decomposes into skeletons (22,1), (14,2), (6,3):
-    # 1 path + Narayana(13,2)=78 + Narayana(5,3)=20 shapes.
-    fam = enumerate_fuzzy_trees(30, 8)
-    assert len(fam) == 99
-    assert all(t.n == 30 and is_fuzzy(t, 8) for t in fam)
-    assert len({t.canonical() for t in fam}) == 99
+    # 1 path + Narayana(13,2)=78 + Narayana(5,3)=20 shapes.  m = 5, 6, 7 are
+    # the classes the fuzzy-sweep benchmark searches.
+    for m, count in ((8, 99), (7, 302), (6, 972), (5, 3714)):
+        fam = enumerate_fuzzy_trees(30, m)
+        assert len(fam) == count
+        assert all(t.n == 30 and is_fuzzy(t, m) for t in fam)
+        assert len({t.canonical() for t in fam}) == count
 
 
 def test_enumerate_fuzzy_trees_small_complete():
-    # For n<=8, every all-leaves-terminal fuzzy tree appears in the family.
+    # For n<=11, every all-leaves-terminal fuzzy tree appears in the family.
     from treetrace.trees import enumerate_trees
 
-    for m in (2, 3):
-        for n in range(m + 1, 9):
+    for m in (2, 3, 4):
+        for n in range(m + 1, 12):
             family = {t.canonical() for t in enumerate_fuzzy_trees(n, m)}
             expected = set()
             for t in enumerate_trees(n):

@@ -7,7 +7,6 @@ from treetrace.string_recon import ml_reconstruct
 from treetrace.tree_recon import (
     MergeError,
     ReconstructionFailedError,
-    ReconstructionReport,
     ReconstructorProtocolError,
     UndecidedPositionsError,
     dual_strings,
@@ -80,6 +79,9 @@ def test_dual_strings_lengths():
             s0, s1 = dual_strings(t)
             n_leaves = len(t.leaves())
             assert len(s0) == len(s1) == (t.n - 1) + n_leaves
+            # The word-based strings agree with the owner-tracking walk.
+            w0, _, w1, _ = dual_strings_with_owners(t)
+            assert (s0, s1) == (w0, w1)
 
 
 def test_single_deletion_removes_owned_symbols():
@@ -124,6 +126,8 @@ def test_reconstruct_fuzzy_q0():
         truth = instances.random_fuzzy_tree(17, 3, rng)
         got = reconstruct_fuzzy([truth], 17, 3, 0.0)
         assert trees_equal(got, truth)
+    with pytest.raises(ValueError, match="no fuzzy tree with n=3, m=3"):
+        reconstruct_fuzzy([instances.path_tree(2)], 3, 3, 0.1)
 
 
 def test_reconstruct_fuzzy_monte_carlo():
@@ -200,10 +204,3 @@ def test_encoded_removal_stats_match_q_squared():
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])
     assert abs(stats["complete_removal_rate"] - expect) <= 4 * sigma
 
-
-def test_reconstruction_report_validates():
-    rep = ReconstructionReport(result=None, traces_used=3, success=True,
-                               diagnostics={"rate": 0.5})
-    assert rep.diagnostics["rate"] == 0.5
-    with pytest.raises(ValueError):
-        ReconstructionReport(result=None, traces_used=0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from treetrace.trees import (
     TreeTextError,
     build_tree,
     dyck_string,
+    dyck_words,
     enumerate_trees,
     format_tree,
     is_fuzzy,
@@ -75,9 +78,24 @@ def test_dyck_roundtrip_exhaustive():
 
 
 def test_enumerate_trees_catalan_counts():
-    catalan = [1, 1, 2, 5, 14, 42, 132]
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
     for n, c in enumerate(catalan, start=1):
         assert sum(1 for _ in enumerate_trees(n)) == c
+    # The words with a given peak count are the count("10") filter of all
+    # words, in the same order; there are Narayana(pairs, peaks) of them.
+    def narayana(pairs, peaks):
+        if pairs == 0:
+            return int(peaks == 0)
+        if not 1 <= peaks <= pairs:
+            return 0
+        return math.comb(pairs, peaks) * math.comb(pairs, peaks - 1) // pairs
+
+    for pairs in range(10):
+        every = list(dyck_words(pairs))
+        for peaks in range(pairs + 2):
+            got = list(dyck_words(pairs, peaks))
+            assert got == [w for w in every if w.count("10") == peaks]
+            assert len(got) == narayana(pairs, peaks)
 
 
 def test_trees_equal_spec_examples():
@@ -157,7 +175,7 @@ def test_deep_and_wide_trees_survive_format_parse(t):
 
 
 @st.composite
-def dyck_words(draw, max_pairs=25):
+def random_dyck_words(draw, max_pairs=25):
     m = draw(st.integers(0, max_pairs))
     word = []
     opens = 0
@@ -173,7 +191,7 @@ def dyck_words(draw, max_pairs=25):
     return "".join(word)
 
 
-@given(dyck_words())
+@given(random_dyck_words())
 @settings(max_examples=200, deadline=None)
 def test_dyck_roundtrip_property(word):
     assert str(dyck_string(tree_from_dyck(word))) == word
