@@ -44,10 +44,8 @@ from .instances import (
     random_tree,
 )
 from .string_recon import (
-    CandidateSet,
     DegeneratePairError,
     InconsistentTracesError,
-    MeanVector,
     SeparationWitness,
     distinguish_pair,
     empirical_mean_vector,

@@ -138,10 +138,10 @@ def ted_trace(t: Tree, q: float, rng) -> Tree:
     return ted_apply(t, dels)
 
 
-def ted_trace_distribution(t: Tree, q: float, cap: int = TED_ENUM_CAP) -> TraceDistribution:
+def ted_trace_distribution(t: Tree, q: float) -> TraceDistribution:
     """Exact distribution of ted_trace over all 2^(n-1) deletion subsets."""
-    if t.n > cap:
-        raise SizeCapError(f"n={t.n} exceeds enumeration cap {cap}")
+    if t.n > TED_ENUM_CAP:
+        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
     others = preorder(t)[1:]
     k = len(others)
     p = 1.0 - q
@@ -232,7 +232,7 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
     return _freeze(labels, children, parent, t.root)
 
 
-def lp_trace_set(t: Tree, k: int, cap: int = TED_ENUM_CAP) -> set[Tree]:
+def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     """All trees reachable by k left-propagation deletions, any targets, any order.
 
     Implemented as a k-step closure: from each reachable tree, delete at every
@@ -240,8 +240,8 @@ def lp_trace_set(t: Tree, k: int, cap: int = TED_ENUM_CAP) -> set[Tree]:
     every application order, because a deletion at a position is exactly a
     deletion of the (not yet deleted) content living there.
     """
-    if t.n > cap:
-        raise SizeCapError(f"n={t.n} exceeds enumeration cap {cap}")
+    if t.n > TED_ENUM_CAP:
+        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
     if k > t.n - 1:
         raise ValueError(f"k={k} exceeds the {t.n - 1} non-root nodes")
     frontier = {t.canonical(): t}
@@ -284,10 +284,10 @@ def string_trace_prob(s: SymbolString, trace: SymbolString, q: float) -> float:
     return math.exp(math.log(count) + log_p + log_q)
 
 
-def distinct_subsequences(s: str, cap: int = SUBSEQ_ENUM_CAP) -> set[str]:
+def distinct_subsequences(s: str) -> set[str]:
     """All distinct subsequences of s, the empty string included."""
-    if len(s) > cap:
-        raise SizeCapError(f"|s|={len(s)} exceeds enumeration cap {cap}")
+    if len(s) > SUBSEQ_ENUM_CAP:
+        raise SizeCapError(f"|s|={len(s)} exceeds enumeration cap {SUBSEQ_ENUM_CAP}")
     # Next occurrence of each symbol at or after every position.
     alphabet = sorted(set(s))
     tails: dict[int, set[str]] = {len(s): {""}}

@@ -1,8 +1,9 @@
 """Reconstruction pipelines: known-topology labels, fuzzy topology, encoded strings.
 
-Each pipeline turns tree traces into strings, hands them to a pluggable
-string reconstructor (max-likelihood over an explicit candidate class by
-default), and maps the result back to a tree or bit string.
+Each pipeline turns tree traces into strings, hands them to the
+max-likelihood string reconstructor (over all of {0,1}^n for labels, over the
+fuzzy candidate class for topology), and maps the result back to a tree or
+bit string; the encoded pipeline decodes by majority vote instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .instances import (
     encoded_parent_id,
     fuzzy_words,
 )
-from .string_recon import Reconstructor, ml_reconstruct
+from .string_recon import ml_reconstruct
 from .trees import (
     DyckStringError,
     SymbolString,
@@ -50,33 +51,18 @@ class UndecidedPositionsError(ValueError):
         self.positions = positions
 
 
-class ReconstructorProtocolError(ValueError):
-    """A plugged string reconstructor returned the wrong length."""
-
-
-def reconstruct_labels_known_topology(
-    topology: Tree,
-    traces: Sequence[Tree],
-    q: float,
-    reconstructor: Reconstructor | None = None,
-) -> Tree:
+def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Tree], q: float) -> Tree:
     """Recover node labels of a known topology from tree traces.
 
-    Traces serialise to their preorder label strings, a string reconstructor
-    recovers the full-length string, and bit i goes to the i-th preorder node.
+    Traces serialise to their preorder label strings, max-likelihood over
+    {0,1}^n recovers the full-length string, and bit i goes to the i-th
+    preorder node.
     """
     if not traces:
         raise ValueError("empty trace list")
-    n = topology.n
     strings = [preorder_label_string(tr) for tr in traces]
-    rec = reconstructor if reconstructor is not None else ml_reconstruct
-    s = rec(strings, n, q)
-    if len(s) != n:
-        raise ReconstructorProtocolError(
-            f"reconstructor returned length {len(s)}, topology has {n} nodes"
-        )
-    order = preorder(topology)
-    return topology.with_labels({v: int(str(s)[i]) for i, v in enumerate(order)})
+    s = str(ml_reconstruct(strings, topology.n, q))
+    return topology.with_labels({v: int(s[i]) for i, v in enumerate(preorder(topology))})
 
 
 def _dual_of_word(word: str) -> tuple[str, str]:
@@ -162,20 +148,13 @@ def _binary_to_fuzzy(s: str, alphabet: str) -> SymbolString:
     return SymbolString(s.translate(str.maketrans({"1": other, "0": "2"})), alphabet)
 
 
-def reconstruct_fuzzy(
-    traces: Sequence[Tree],
-    n: int,
-    m: int,
-    q: float,
-    reconstructor: Reconstructor | None = None,
-) -> Tree:
+def reconstruct_fuzzy(traces: Sequence[Tree], n: int, m: int, q: float) -> Tree:
     """Recover the topology of a degree-m fuzzy tree from TED traces.
 
-    Builds both dual strings per trace, maps each family to binary, runs the
-    string reconstructor on the two families independently, maps back, and
-    merges.  The default reconstructor is max-likelihood over the fuzzy
-    candidate class of matching string length, inferred from the average
-    surviving leaf count.
+    Builds both dual strings per trace, maps each family to binary, runs
+    max-likelihood on the two families independently, maps back, and merges.
+    The candidates are the fuzzy class's dual strings for the skeleton leaf
+    count nearest the average surviving leaf count.
     """
     check_fuzzy_size(n, m)
     if not traces:
@@ -191,15 +170,11 @@ def reconstruct_fuzzy(
     width = (n - 1) + m * lam
     bin0 = [_fuzzy_to_binary(t) for t in tr0]
     bin1 = [_fuzzy_to_binary(t) for t in tr1]
-    if reconstructor is None:
-        duals = [_dual_of_word(w) for w in fuzzy_words(n, m, lam)]
-        cands0 = sorted({_fuzzy_to_binary(a) for a, _ in duals})
-        cands1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
-        got0 = ml_reconstruct(bin0, width, q, candidates=cands0)
-        got1 = ml_reconstruct(bin1, width, q, candidates=cands1)
-    else:
-        got0 = reconstructor(bin0, width, q)
-        got1 = reconstructor(bin1, width, q)
+    duals = [_dual_of_word(w) for w in fuzzy_words(n, m, lam)]
+    cands0 = sorted({_fuzzy_to_binary(a) for a, _ in duals})
+    cands1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
+    got0 = ml_reconstruct(bin0, width, q, candidates=cands0)
+    got1 = ml_reconstruct(bin1, width, q, candidates=cands1)
     s0 = _binary_to_fuzzy(str(got0), "02")
     s1 = _binary_to_fuzzy(str(got1), "12")
     try:

@@ -248,7 +248,7 @@ def check_mean_formula(exhaustive_len: int = 7, sampled_lens=(8, 9, 10),
     tested = 0
 
     def gap(s: str, q: float) -> float:
-        exact = np.asarray(string_recon.exact_mean_vector(s, q).values)
+        exact = string_recon.exact_mean_vector(s, q)
         oracle = enumeration_mean_vector(s, q)
         return float(np.max(np.abs(exact - oracle))) if len(s) else 0.0
 
@@ -291,7 +291,7 @@ def check_mean_empirical(n: int = 10, qs=(0.1, 0.5), n_strings: int = 20,
         s = "".join(rng.choice(["0", "1"], size=n))
         for q in qs:
             emp = sample_empirical_mean(s, q, n_samples, rng)
-            exact = np.asarray(string_recon.exact_mean_vector(s, q).values)
+            exact = string_recon.exact_mean_vector(s, q)
             gap = float(np.max(np.abs(emp - exact)))
             worst = max(worst, gap)
             if gap > bound:
@@ -492,38 +492,31 @@ def check_experiment_determinism():
 QUICK = "quick"
 FULL = "full"
 
+# Smaller sizes for the quick level; the full level runs every check with its
+# own defaults.
 CHECKS = {
-    "dyck-roundtrip": {QUICK: dict(max_n=6), FULL: dict(max_n=8)},
-    "parse-format-roundtrip": {QUICK: dict(n_random=200), FULL: dict(n_random=500)},
-    "ted-order-invariance": {QUICK: dict(max_n=6), FULL: dict(max_n=7)},
-    "traversal-preservation": {QUICK: dict(max_n=6), FULL: dict(max_n=7)},
-    "dyck-pair-removal": {QUICK: dict(max_n=6), FULL: dict(max_n=8)},
-    "ted-distribution-normalization": {QUICK: dict(max_n=5), FULL: dict(max_n=6)},
-    "subsequence-total-probability": {
-        QUICK: dict(exhaustive_len=6, samples=10),
-        FULL: dict(exhaustive_len=7, samples=30),
-    },
-    "string-trace-mc": {QUICK: dict(n_samples=20_000), FULL: dict(n_samples=100_000)},
-    "ted-trace-mc": {QUICK: dict(n_samples=20_000), FULL: dict(n_samples=100_000)},
-    "mean-formula": {
-        QUICK: dict(exhaustive_len=6, samples=10),
-        FULL: dict(exhaustive_len=7, samples=30),
-    },
-    "mean-empirical": {
-        QUICK: dict(n_strings=5, n_samples=20_000),
-        FULL: dict(n_strings=20, n_samples=100_000),
-    },
-    "binomial-identity": {QUICK: dict(), FULL: dict()},
-    "ted-expectation-inequality": {QUICK: dict(max_n=5), FULL: dict(max_n=6)},
-    "separation-existence": {QUICK: dict(max_n=6), FULL: dict(max_n=8)},
-    "arc-maxima": {QUICK: dict(max_n=8), FULL: dict(max_n=10)},
-    "lp-pair-sets": {QUICK: dict(n_hi=8), FULL: dict(n_hi=10)},
-    "dual-roundtrip": {QUICK: dict(max_n=6), FULL: dict(max_n=8)},
-    "fuzzy-positional": {QUICK: dict(max_n=7), FULL: dict(max_n=8)},
-    "encoded-readback": {QUICK: dict(max_len=8), FULL: dict(max_len=12)},
-    "known-topology-q0": {QUICK: dict(max_n=6), FULL: dict(max_n=8)},
-    "uniform-random-tree": {QUICK: dict(n_samples=20_000), FULL: dict(n_samples=100_000)},
-    "experiment-determinism": {QUICK: dict(), FULL: dict()},
+    "dyck-roundtrip": dict(max_n=6),
+    "parse-format-roundtrip": dict(n_random=200),
+    "ted-order-invariance": dict(max_n=6),
+    "traversal-preservation": dict(max_n=6),
+    "dyck-pair-removal": dict(max_n=6),
+    "ted-distribution-normalization": dict(max_n=5),
+    "subsequence-total-probability": dict(exhaustive_len=6, samples=10),
+    "string-trace-mc": dict(n_samples=20_000),
+    "ted-trace-mc": dict(n_samples=20_000),
+    "mean-formula": dict(exhaustive_len=6, samples=10),
+    "mean-empirical": dict(n_strings=5, n_samples=20_000),
+    "binomial-identity": dict(),
+    "ted-expectation-inequality": dict(max_n=5),
+    "separation-existence": dict(max_n=6),
+    "arc-maxima": dict(max_n=8),
+    "lp-pair-sets": dict(n_hi=8),
+    "dual-roundtrip": dict(max_n=6),
+    "fuzzy-positional": dict(max_n=7),
+    "encoded-readback": dict(max_len=8),
+    "known-topology-q0": dict(max_n=6),
+    "uniform-random-tree": dict(n_samples=20_000),
+    "experiment-determinism": dict(),
 }
 
 _FUNCTIONS = {
@@ -557,6 +550,6 @@ def run_checks(level: str):
     if level not in (QUICK, FULL):
         raise ValueError(f"level must be '{QUICK}' or '{FULL}'")
     for name, fn in _FUNCTIONS.items():
-        kwargs = CHECKS[name][level]
+        kwargs = CHECKS[name] if level == QUICK else {}
         passed, detail = fn(**kwargs)
         yield name, passed, detail

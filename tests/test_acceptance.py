@@ -174,7 +174,7 @@ def test_criterion_4_mean_formula(subsequence_sweep):
             for t, prob in _probs(s, counts, q).items():
                 if t:
                     acc[: len(t)] += prob * (np.frombuffer(t.encode(), np.uint8) - ord("0"))
-            exact = np.asarray(string_recon.exact_mean_vector(s, q).values)
+            exact = string_recon.exact_mean_vector(s, q)
             gap = float(np.max(np.abs(acc - exact)))
             worst = max(worst, gap)
             if gap > 1e-12:

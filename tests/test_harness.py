@@ -54,6 +54,8 @@ REJECTED = {
     "fuzzy m=14": dict(family="fuzzy", n=8, q=0.5, model="ted", trace_grid=(64,)),
     "random n=21": dict(family="random", n=21, q=0.1, model="ted", trace_grid=(4,)),
     "path n=20": dict(family="path", n=20, q=0.1, model="ted", trace_grid=(4,)),
+    # m = 7 and up to 4 skeleton leaves: candidates 39 + 28 = 67 wide, past the ML cap.
+    "fuzzy n=40 width 67": dict(family="fuzzy", n=40, q=0.2, model="ted", trace_grid=(64,)),
 }
 
 

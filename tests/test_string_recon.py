@@ -6,7 +6,7 @@ import pytest
 
 from treetrace import channels
 from treetrace.string_recon import (
-    CandidateSet,
+    FULL_SWEEP_CAP,
     DegeneratePairError,
     InconsistentTracesError,
     default_arc_parameter,
@@ -24,8 +24,8 @@ from conftest import make_rng
 
 
 def test_exact_mean_examples():
-    assert exact_mean_vector("1", 0.5).values == pytest.approx((0.5,))
-    assert exact_mean_vector("11", 0.5).values == pytest.approx((0.75, 0.25))
+    assert exact_mean_vector("1", 0.5) == pytest.approx((0.5,))
+    assert exact_mean_vector("11", 0.5) == pytest.approx((0.75, 0.25))
 
 
 def test_exact_mean_matches_enumeration():
@@ -34,15 +34,15 @@ def test_exact_mean_matches_enumeration():
         for _ in range(12):
             s = "".join(rng.choice(["0", "1"], size=L))
             for q in (0.1, 0.5):
-                exact = np.asarray(exact_mean_vector(s, q).values)
+                exact = exact_mean_vector(s, q)
                 oracle = enumeration_mean_vector(s, q)
                 assert np.max(np.abs(exact - oracle)) <= 1e-12
 
 
 def test_empirical_mean_examples():
     got = empirical_mean_vector(["1", "", "11"], 2)
-    assert got.values == pytest.approx((2 / 3, 1 / 3))
-    assert empirical_mean_vector(["101"] * 7, 3).values == pytest.approx((1, 0, 1))
+    assert got == pytest.approx((2 / 3, 1 / 3))
+    assert empirical_mean_vector(["101"] * 7, 3) == pytest.approx((1, 0, 1))
     with pytest.raises(ValueError):
         empirical_mean_vector([], 3)
     with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ def test_empirical_mean_concentrates():
     s = "1011010010"
     n_samples = 100_000
     emp = sample_empirical_mean(s, 0.3, n_samples, rng)
-    exact = np.asarray(exact_mean_vector(s, 0.3).values)
+    exact = exact_mean_vector(s, 0.3)
     assert np.max(np.abs(emp - exact)) <= 5 / math.sqrt(n_samples)
 
 
@@ -147,21 +147,48 @@ def test_ml_recovery_improves_with_traces():
     assert rates[64] >= 0.9
 
 
-def test_candidate_set():
-    cs = CandidateSet(3)
-    assert len(cs) == 8
-    assert list(cs)[0] == "000" and list(cs)[-1] == "111"
-    explicit = CandidateSet(2, ["10", "01"])
-    assert sorted(explicit) == ["01", "10"]
-    with pytest.raises(ValueError):
-        CandidateSet(2, ["101"])
-    with pytest.raises(ValueError):
-        CandidateSet(25)
+def _random_strings_and_traces(tag: str, n: int):
+    """(q, traces) pairs: 1, 3 and 16 string traces of random length-n strings."""
+    rng = make_rng(tag)
+    for q in (0.1, 0.4, 0.8):
+        for n_traces in (1, 3, 16):
+            s = SymbolString("".join(rng.choice(["0", "1"], size=n)))
+            yield q, [str(channels.string_trace(s, q, rng)) for _ in range(n_traces)]
 
 
-def test_candidate_set_of_length_zero():
-    assert CandidateSet(0).strings() == [""]
-    assert len(CandidateSet(0)) == 1
+@pytest.mark.parametrize("n", range(9))
+def test_full_sweep_matches_explicit_list_of_all_strings(n):
+    every = ["".join(b) for b in itertools.product("01", repeat=n)]
+    backwards = every[::-1]
+    for q, traces in _random_strings_and_traces(f"sweep-{n}", n):
+        want = str(ml_reconstruct(traces, n, q, candidates=every))
+        assert str(ml_reconstruct(traces, n, q)) == want
+        assert str(ml_reconstruct(traces, n, q, candidates=backwards)) == want
+    assert str(ml_reconstruct([""], n, 0.5)) == "0" * n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mean_reconstruct_is_the_per_candidate_argmin(n):
+    every = ["".join(b) for b in itertools.product("01", repeat=n)]
+    few = every[1::3]
+    for q, traces in _random_strings_and_traces(f"mean-argmin-{n}", n):
+        emp = empirical_mean_vector(traces, n)
+        gap = {c: np.max(np.abs(emp - exact_mean_vector(c, q))) for c in every}
+        for cands, pool in ((None, every), (few, few)):
+            want = min(pool, key=lambda c: (gap[c], c))
+            assert str(mean_reconstruct(traces, n, q, candidates=cands)) == want
+
+
+@pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])
+def test_candidates_are_checked(reconstruct):
+    # "10" would win each list, so only the check itself can reject "12" or "1x".
+    for bad in (["101"], ["10", "1"], ["10", "12"], ["10", "1x"], []):
+        with pytest.raises(ValueError):
+            reconstruct(["1"], 2, 0.3, candidates=bad)
+    with pytest.raises(ValueError):
+        reconstruct(["1"], FULL_SWEEP_CAP + 1, 0.3)
+    assert str(reconstruct([""], 0, 0.3)) == ""
+    assert str(reconstruct([""], 0, 0.3, candidates=[""])) == ""
 
 
 def test_mean_reconstruct_examples():

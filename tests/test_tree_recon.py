@@ -3,11 +3,9 @@ import math
 import pytest
 
 from treetrace import channels, instances
-from treetrace.string_recon import ml_reconstruct
 from treetrace.tree_recon import (
     MergeError,
     ReconstructionFailedError,
-    ReconstructorProtocolError,
     UndecidedPositionsError,
     dual_strings,
     dual_strings_with_owners,
@@ -57,13 +55,6 @@ def test_known_topology_under_lp_channel():
         got = reconstruct_labels_known_topology(topo, traces, 0.1)
         ok += trees_equal(got, truth)
     assert ok >= 18
-
-
-def test_known_topology_protocol_error():
-    topo = instances.path_tree(3)
-    bad = lambda traces, n, q: SymbolString("01")
-    with pytest.raises(ReconstructorProtocolError):
-        reconstruct_labels_known_topology(topo, [topo], 0.1, reconstructor=bad)
 
 
 def test_dual_strings_examples():
@@ -144,18 +135,6 @@ def test_reconstruct_fuzzy_monte_carlo():
             continue
         ok += trees_equal(got, truth)
     assert ok >= 8
-
-
-def test_reconstruct_fuzzy_plugged_reconstructor():
-    rng = make_rng("fuzzy-plug")
-    truth = instances.random_fuzzy_tree(9, 2, rng)
-    traces = [channels.ted_trace(truth, 0.1, rng) for _ in range(50)]
-
-    def rec(trace_strings, n, q):
-        return ml_reconstruct(trace_strings, n, q)  # full {0,1}^n sweep
-
-    got = reconstruct_fuzzy(traces, 9, 2, 0.1, reconstructor=rec)
-    assert trees_equal(got, truth)
 
 
 def test_reconstruct_encoded_q0():
