@@ -11,15 +11,21 @@ from .channels import (
     InvalidDeletionError,
     SizeCapError,
     StaleTargetError,
+    Trace,
     TraceDistribution,
     lp_apply,
     lp_trace,
     lp_trace_set,
+    lp_traces,
     string_trace,
     string_trace_prob,
+    string_traces,
     ted_apply,
     ted_trace,
     ted_trace_distribution,
+    ted_traces,
+    trace_of,
+    tree_of,
 )
 from .harness import (
     BudgetExceededError,

@@ -1,17 +1,34 @@
 """Deletion channels: the string channel, the TED tree channel, left propagation.
 
-Sampling functions take an explicit numpy Generator; exact-analysis functions
-(`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are pure
-enumeration oracles with hard size caps.
+Sampling functions take an explicit numpy Generator.  The batched samplers
+(`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
+one call and return a tree trace as a `Trace`: its Dyck word, its preorder
+labels and its node ids.  The dict samplers (`string_trace`, `ted_trace`,
+`lp_trace`) build one `Tree` per trace from the same random stream and stay
+as their oracles.  Exact-analysis functions (`ted_trace_distribution`,
+`lp_trace_set`, `string_trace_prob`) are pure enumeration oracles with hard
+size caps.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .trees import Node, SymbolString, Tree, preorder
+import numpy as np
+
+from .trees import (
+    Node,
+    SymbolString,
+    Tree,
+    _euler_walk,
+    dyck_string,
+    preorder,
+    preorder_label_string,
+    tree_from_dyck,
+)
 
 MODELS = ("string", "ted", "lp")
 
@@ -32,6 +49,40 @@ class StaleTargetError(ValueError):
     """A deletion target was already removed by an earlier label shift."""
 
 
+def _check_q(q: float) -> None:
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+
+
+class Trace(NamedTuple):
+    """A tree trace: Dyck word, preorder label string, node ids in preorder.
+
+    The ids are those the dict samplers' tree would carry, so `tree_of`
+    rebuilds exactly that tree.
+    """
+
+    word: str
+    labels: str
+    ids: tuple[int, ...]
+
+
+def trace_of(t: Tree) -> Trace:
+    """The Trace of a tree; the inverse of tree_of."""
+    return Trace(str(dyck_string(t)), str(preorder_label_string(t)), tuple(preorder(t)))
+
+
+def tree_of(tr: Trace) -> Tree:
+    """The Tree of a trace, with its labels and node ids."""
+    shape = tree_from_dyck(tr.word)  # ids 0..n-1 in preorder
+    ids = tr.ids
+    nodes = {
+        ids[v]: Node(int(tr.labels[v]), tuple(ids[c] for c in nd.children),
+                     None if nd.parent is None else ids[nd.parent])
+        for v, nd in shape.nodes.items()
+    }
+    return Tree(nodes, ids[0], validate=False)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Deletion model plus deletion probability q (retention p = 1 - q)."""
@@ -42,8 +93,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q must lie in [0, 1), got {self.q}")
+        _check_q(self.q)
 
     @property
     def p(self) -> float:
@@ -75,8 +125,7 @@ class TraceDistribution:
 
 def string_trace(s: SymbolString, q: float, rng) -> SymbolString:
     """Delete each symbol independently with probability q, keep the rest in order."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     if len(s) == 0:
         return s
     keep = rng.random(len(s)) >= q
@@ -128,8 +177,7 @@ def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
 
 def ted_trace(t: Tree, q: float, rng) -> Tree:
     """Mark each non-root node independently with probability q, then splice."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     order = preorder(t)[1:]
     if not order:
         return t
@@ -211,8 +259,7 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
     position by the time its turn comes; the deletion is applied wherever the
     content currently lives, so every mark is effective exactly once.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     order = preorder(t)[1:]
     if not order:
         return t
@@ -230,6 +277,145 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
         del content_at[path[-1]]
         del pos_of[c]
     return _freeze(labels, children, parent, t.root)
+
+
+# ---------------------------------------------------------------------------
+# Batched samplers.  Row r of rng.random((count, k)) holds the draws that the
+# r-th of count sequential dict-sampler calls would make, so both read the
+# same stream; k = 0 draws nothing, as the dict samplers do on one node.
+
+
+class _Layout(NamedTuple):
+    """A tree in preorder index space: node i is the i-th node in preorder."""
+
+    ids: np.ndarray  # node id of each index
+    word: str
+    labels: str
+    opens: list[int]  # word position of the 1 of index i + 1
+    closes: list[int]  # word position of the 0 of index i + 1
+    kids: list[list[int]]  # child indices of each index
+
+
+def _layout(t: Tree) -> _Layout:
+    walk = list(_euler_walk(t))
+    order = [t.root] + [v for sym, v in walk if sym == "1"]
+    index = {v: i for i, v in enumerate(order)}
+    opens = [0] * (len(order) - 1)
+    closes = [0] * (len(order) - 1)
+    for pos, (sym, v) in enumerate(walk):
+        (opens if sym == "1" else closes)[index[v] - 1] = pos
+    return _Layout(
+        np.array(order), "".join(sym for sym, _ in walk),
+        "".join(str(t.nodes[v].label) for v in order), opens, closes,
+        [[index[c] for c in t.nodes[v].children] for v in order],
+    )
+
+
+def _rows(values: np.ndarray, keep: np.ndarray):
+    """values[keep[r]] for every row r: one flat array and each row's bounds."""
+    ends = keep.sum(axis=1).cumsum().tolist()
+    return values[keep.nonzero()[1]], zip([0] + ends[:-1], ends)
+
+
+def _strings(text: str, keep: np.ndarray) -> list[str]:
+    flat, bounds = _rows(np.frombuffer(text.encode(), np.uint8), keep)
+    joined = flat.tobytes().decode()
+    return [joined[a:b] for a, b in bounds]
+
+
+def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
+    """Traces that keep the nodes (count x n, by index) and the label positions."""
+    word = np.empty((len(nodes), len(lay.word)), dtype=bool)
+    word[:, lay.opens] = word[:, lay.closes] = nodes[:, 1:]
+    flat, bounds = _rows(lay.ids, nodes)
+    ids = flat.tolist()
+    return list(map(Trace, _strings(lay.word, word), _strings(lay.labels, labels),
+                    [tuple(ids[a:b]) for a, b in bounds]))
+
+
+def string_traces(s: SymbolString | str, q: float, count: int, rng) -> list[str]:
+    """count string_trace draws in one call, as plain strings."""
+    _check_q(q)
+    text = str(s)
+    return _strings(text, rng.random((count, len(text))) >= q)
+
+
+def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
+    """count ted_trace draws in one call.
+
+    A deleted node's children splice into its place, so a trace's word is the
+    source word without the matched 1 and 0 of each deleted node, and its
+    labels and ids lose the deleted nodes' positions.
+    """
+    _check_q(q)
+    lay = _layout(t)
+    keep = np.ones((count, t.n), dtype=bool)
+    keep[:, 1:] = rng.random((count, t.n - 1)) >= q
+    return _traces(lay, keep, keep)
+
+
+def _lp_removed(marks: list[int], kids: list[list[int]]) -> list[int]:
+    """Indices of the nodes that lp_trace removes for marks in ascending order.
+
+    The labels of the survivors are the source labels without the marked
+    positions, so the j-th mark, at index i, sits at rank i - j among the
+    surviving nodes in preorder, and its deletion removes the first leaf at
+    or after that rank: the end of the first-child chain from there.  Ranks
+    never decrease, so the walk reads only nodes at or after the current
+    rank, each of which has lost only its first nxt[v] children, and the
+    chain is kept from one mark to the next.
+    """
+    nxt = [0] * len(kids)
+    removed: list[int] = []
+    pending: list[int] = []  # heap of removed indices not yet counted in passed
+    passed = 0  # removed indices known to lie below the head
+    chain: list[int] = []
+    rank = 0
+    for j, i in enumerate(marks):
+        step, rank = i - j - rank, i - j
+        if step < len(chain):
+            del chain[:step]
+        else:
+            # The surviving node at this rank is rank + (removed nodes before it).
+            head = rank + passed
+            while pending and pending[0] <= head:
+                heapq.heappop(pending)
+                passed += 1
+                head = rank + passed
+            chain = [head]
+        v = chain[-1]
+        while nxt[v] < len(kids[v]):
+            v = kids[v][nxt[v]]
+            chain.append(v)
+        chain.pop()
+        if chain:
+            nxt[chain[-1]] += 1
+        heapq.heappush(pending, v)
+        removed.append(v)
+    return removed
+
+
+def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
+    """count lp_trace draws in one call.
+
+    Each deletion removes a leaf, so a trace's word is the source word
+    without the matched 1 and 0 of each removed node; its labels lose the
+    marked positions instead (see _lp_removed).
+    """
+    _check_q(q)
+    lay = _layout(t)
+    labels = np.ones((count, t.n), dtype=bool)
+    labels[:, 1:] = rng.random((count, t.n - 1)) >= q
+    marked = ~labels
+    rows, cols = marked.nonzero()
+    marks = cols.tolist()
+    ends = marked.sum(axis=1).cumsum().tolist()
+    removed: list[int] = []
+    for a, b in zip([0] + ends[:-1], ends):
+        removed += _lp_removed(marks[a:b], lay.kids)
+    nodes = np.ones_like(labels)
+    nodes[rows, removed] = False
+    return _traces(lay, nodes, labels)
 
 
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:

@@ -52,6 +52,8 @@ def make_instance(args, planned_traces: int):
 
 
 def _render(value) -> str:
+    if isinstance(value, channels.Trace):
+        value = channels.tree_of(value)
     if isinstance(value, Tree):
         return trees.format_tree(value)
     if isinstance(value, bool):
@@ -68,9 +70,8 @@ def _cmd_gen(args) -> int:
 def _cmd_trace(args) -> int:
     count = int(args.traces)
     inst, rng = make_instance(args, count)
-    sample = harness.SAMPLERS[args.model]
-    _emit("".join(_render(sample(inst.source, args.q, rng)) + "\n" for _ in range(count)),
-          args.out)
+    traces = harness.SAMPLERS[args.model](inst.source, args.q, count, rng)
+    _emit("".join(_render(tr) + "\n" for tr in traces), args.out)
     return 0
 
 
@@ -78,7 +79,8 @@ def _cmd_recon(args) -> int:
     # One trace per line; an empty line is the empty string trace.
     lines = Path(args.tracefile).read_text().splitlines()
     inst, _ = make_instance(args, max(len(lines), 1))
-    parse = SymbolString if args.model == "string" else trees.parse_tree
+    parse = SymbolString if args.model == "string" else (
+        lambda line: channels.trace_of(trees.parse_tree(line)))
     got = harness.FAMILIES[args.family].decode(inst.public, [parse(ln) for ln in lines],
                                                args.n, args.q)
     _emit(_render(got) + "\n", args.out)

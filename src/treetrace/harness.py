@@ -156,8 +156,9 @@ def _decode_labels(public, traces, n, q):
 
 
 def _decode_forked(public, traces, n, q) -> bool:
-    # Only a branching trace reveals the fork.
-    return any(len(tr.children_of(v)) >= 2 for tr in traces for v in tr.nodes)
+    # Only a branching trace reveals the fork: a 0 followed by a 1 in its
+    # word leaves one child and enters a sibling.
+    return any("01" in tr.word for tr in traces)
 
 
 def _decode_fuzzy(public, traces, n, q):
@@ -183,8 +184,9 @@ class Family:
     """A family's models, builder, decoder, and the sizes they handle.
 
     build(n, q, delta, planned_traces, model, rng) draws the instance from the
-    trial's generator and decode(public, traces, n, q) returns the guess; both
-    look layer functions up in their modules at call time.  n runs from min_n
+    trial's generator and decode(public, traces, n, q) returns the guess from
+    strings (model string) or channels.Trace values; both look layer
+    functions up in their modules at call time.  n runs from min_n
     to max_n; check(n, q, delta, planned_traces) rejects unbuildable points.
     """
 
@@ -207,7 +209,8 @@ FAMILIES = {
     "encoded": Family(("ted",), _build_encoded, _decode_encoded),
 }
 
-SAMPLERS = {"string": channels.string_trace, "ted": channels.ted_trace, "lp": channels.lp_trace}
+# sampler(source, q, count, rng) draws all of a trial's traces in one call.
+SAMPLERS = {"string": channels.string_traces, "ted": channels.ted_traces, "lp": channels.lp_traces}
 
 
 def _entry(family: str, model: str) -> Family:
@@ -253,8 +256,7 @@ def run_trial(family: str, model: str, n: int, q: float, delta: float,
     """One independent trial: build, sample, decode; success is guess == truth."""
     entry = _entry(family, model)
     inst = entry.build(n, q, delta, n_traces, model, rng)
-    sample = SAMPLERS[model]
-    traces = [sample(inst.source, q, rng) for _ in range(n_traces)]
+    traces = SAMPLERS[model](inst.source, q, n_traces, rng)
     try:
         guess = entry.decode(inst.public, traces, n, q)
     except _RECON_FAILURES:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channels import _check_q
 from .trees import SymbolString
 
 ARC_GRID_POINTS = 1024
@@ -110,8 +111,7 @@ def _exact_means(codes: np.ndarray, q: float) -> np.ndarray:
 
 def exact_mean_vector(s: SymbolString | str, q: float) -> np.ndarray:
     """E[padded trace] under the plain string deletion channel, coordinatewise."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     return _exact_means(_bits(str(s))[None, :], q)[0]
 
 
@@ -205,6 +205,7 @@ def ml_reconstruct(
     summed log probability of the traces and returns the best, breaking ties
     toward the lexicographically smallest.
     """
+    _check_q(q)
     if not traces:
         raise ValueError("empty trace list")
     codes = _candidate_matrix(n, candidates)
@@ -244,6 +245,7 @@ def mean_reconstruct(
     One matrix product per block of rows scores every candidate; ties go to
     the lexicographically smallest.
     """
+    _check_q(q)
     emp = empirical_mean_vector(traces, n)
     codes = _candidate_matrix(n, candidates)
     gaps = np.concatenate([

@@ -1,6 +1,7 @@
 """Reconstruction pipelines: known-topology labels, fuzzy topology, encoded strings.
 
-Each pipeline turns tree traces into strings, hands them to the
+Each pipeline reads tree traces as channels.Trace values (Dyck word,
+preorder labels, node ids), turns them into strings, hands them to the
 max-likelihood string reconstructor (over all of {0,1}^n for labels, over the
 fuzzy candidate class for topology), and maps the result back to a tree or
 bit string; the encoded pipeline decodes by majority vote instead.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .channels import Trace
 from .instances import (
     _feasible_leaf_counts,
     check_fuzzy_size,
@@ -25,7 +27,6 @@ from .trees import (
     _euler_walk,
     dyck_string,
     preorder,
-    preorder_label_string,
     tree_from_dyck,
 )
 
@@ -51,17 +52,15 @@ class UndecidedPositionsError(ValueError):
         self.positions = positions
 
 
-def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Tree], q: float) -> Tree:
+def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Trace], q: float) -> Tree:
     """Recover node labels of a known topology from tree traces.
 
-    Traces serialise to their preorder label strings, max-likelihood over
-    {0,1}^n recovers the full-length string, and bit i goes to the i-th
-    preorder node.
+    Max-likelihood over {0,1}^n recovers the full-length string from the
+    traces' preorder label strings, and bit i goes to the i-th preorder node.
     """
     if not traces:
         raise ValueError("empty trace list")
-    strings = [preorder_label_string(tr) for tr in traces]
-    s = str(ml_reconstruct(strings, topology.n, q))
+    s = str(ml_reconstruct([tr.labels for tr in traces], topology.n, q))
     return topology.with_labels({v: int(s[i]) for i, v in enumerate(preorder(topology))})
 
 
@@ -148,20 +147,21 @@ def _binary_to_fuzzy(s: str, alphabet: str) -> SymbolString:
     return SymbolString(s.translate(str.maketrans({"1": other, "0": "2"})), alphabet)
 
 
-def reconstruct_fuzzy(traces: Sequence[Tree], n: int, m: int, q: float) -> Tree:
+def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree:
     """Recover the topology of a degree-m fuzzy tree from TED traces.
 
-    Builds both dual strings per trace, maps each family to binary, runs
-    max-likelihood on the two families independently, maps back, and merges.
+    Builds both dual strings from each trace's word, maps each family to
+    binary, runs max-likelihood on the two families independently, maps
+    back, and merges.
     The candidates are the fuzzy class's dual strings for the skeleton leaf
     count nearest the average surviving leaf count.
     """
     check_fuzzy_size(n, m)
     if not traces:
         raise ValueError("empty trace list")
-    pairs = [dual_strings(tr) for tr in traces]
-    tr0 = [str(a) for a, _ in pairs]
-    tr1 = [str(b) for _, b in pairs]
+    pairs = [_dual_of_word(tr.word) for tr in traces]
+    tr0 = [a for a, _ in pairs]
+    tr1 = [b for _, b in pairs]
     mean_leaves = sum(t.count("2") for t in tr1) / len(tr1)
     p = 1.0 - q
     lam_est = mean_leaves / p / m
@@ -183,8 +183,23 @@ def reconstruct_fuzzy(traces: Sequence[Tree], n: int, m: int, q: float) -> Tree:
         raise ReconstructionFailedError(s0, s1) from None
 
 
+def _children(tr: Trace) -> dict[int, list[int]]:
+    """Child ids of every node of a trace, read off its word."""
+    kids: dict[int, list[int]] = {v: [] for v in tr.ids}
+    stack = [tr.ids[0]]
+    below = iter(tr.ids[1:])
+    for ch in tr.word:
+        if ch == "1":
+            v = next(below)
+            kids[stack[-1]].append(v)
+            stack.append(v)
+        else:
+            stack.pop()
+    return kids
+
+
 def reconstruct_encoded(
-    traces: Sequence[Tree], s_len: int, ell: int, q: float
+    traces: Sequence[Trace], s_len: int, ell: int, q: float
 ) -> SymbolString:
     """Decode the bit string hidden in an encoding tree from TED traces.
 
@@ -196,21 +211,22 @@ def reconstruct_encoded(
     """
     if not traces:
         raise ValueError("empty trace list")
+    children = [_children(tr) for tr in traces]
     bits: list[str] = []
     undecided: list[int] = []
     for i in range(1, s_len + 1):
         leaf = encoded_leaf_id(s_len, ell, i)
         par = encoded_parent_id(s_len, ell, i)
         zeros = ones = 0
-        for tr in traces:
-            if leaf not in tr.nodes or par not in tr.nodes:
+        for kids in children:
+            if leaf not in kids or par not in kids:
                 continue
-            kids = tr.children_of(par)
-            if len(kids) < 2:
+            sibs = kids[par]
+            if len(sibs) < 2:
                 continue  # continuation gone; orientation unreadable
-            if kids[0] == leaf:
+            if sibs[0] == leaf:
                 zeros += 1
-            elif kids[-1] == leaf:
+            elif sibs[-1] == leaf:
                 ones += 1
         if zeros == 0 and ones == 0:
             undecided.append(i)
@@ -221,7 +237,7 @@ def reconstruct_encoded(
     return SymbolString("".join(bits), "01")
 
 
-def encoded_removal_stats(traces: Sequence[Tree], s_len: int, ell: int) -> dict[str, float]:
+def encoded_removal_stats(traces: Sequence[Trace], s_len: int, ell: int) -> dict[str, float]:
     """Leaf survival statistics across traces for the encoding family.
 
     complete_removal counts (trace, position) pairs where the leaf and its
@@ -229,7 +245,7 @@ def encoded_removal_stats(traces: Sequence[Tree], s_len: int, ell: int) -> dict[
     """
     complete = both_alive = leaf_only = parent_only = 0
     for tr in traces:
-        present = tr.nodes
+        present = set(tr.ids)
         for i in range(1, s_len + 1):
             leaf_in = encoded_leaf_id(s_len, ell, i) in present
             par_in = encoded_parent_id(s_len, ell, i) in present

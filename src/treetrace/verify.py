@@ -183,20 +183,10 @@ def check_subsequence_total_probability(
     return True, f"{tested} strings: subsequence probabilities sum to 1 within 1e-9"
 
 
-def sample_string_traces(s: str, q: float, n_samples: int, rng) -> Counter:
-    """Vectorised sampler for the string channel; returns trace multiplicities."""
-    keep = rng.random((n_samples, len(s))) >= q
-    arr = np.frombuffer(s.encode(), dtype=np.uint8)
-    out: Counter = Counter()
-    for row in keep:
-        out["".join(chr(c) for c in arr[row])] += 1
-    return out
-
-
 def check_string_trace_mc(s: str = "10110100", q: float = 0.5,
                           n_samples: int = 100_000, seed: int = 0):
     rng = _rng("string-mc", seed)
-    freq = sample_string_traces(s, q, n_samples, rng)
+    freq = Counter(channels.string_traces(s, q, n_samples, rng))
     bound = 5.0 / math.sqrt(n_samples)
     worst = 0.0
     for t in channels.distinct_subsequences(s):
@@ -212,9 +202,12 @@ def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, see
     rng = _rng("ted-mc", seed)
     t = instances.random_tree(n, rng)
     dist = channels.ted_trace_distribution(t, q)
-    freq: Counter = Counter()
-    for _ in range(n_samples):
-        freq[channels.ted_trace(t, q, rng).canonical()] += 1
+    pairs = Counter((tr.word, tr.labels) for tr in channels.ted_traces(t, q, n_samples, rng))
+    # Canonical text reads only the word and the labels: one tree per distinct pair.
+    freq = {
+        channels.tree_of(channels.Trace(word, labels, tuple(range(len(labels))))).canonical(): c
+        for (word, labels), c in pairs.items()
+    }
     bound = 5.0 / math.sqrt(n_samples)
     keys = set(freq) | {k for k, _ in dist.items()}
     worst = 0.0
@@ -449,7 +442,8 @@ def check_known_topology_q0(max_n: int = 8, seed: int = 0):
     count = 0
     for t in _all_trees_up_to(max_n):
         labeled = instances.random_labels(t, rng)
-        got = tree_recon.reconstruct_labels_known_topology(t, [labeled], 0.0)
+        got = tree_recon.reconstruct_labels_known_topology(
+            t, [channels.trace_of(labeled)], 0.0)
         if not trees.trees_equal(got, labeled):
             return False, f"q=0 pipeline failed on {t!r}"
         count += 1

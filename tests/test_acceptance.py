@@ -240,7 +240,7 @@ def test_criterion_8_fuzzy_pipeline():
     for ti in range(trials):
         rng = trial_rng(MASTER, 8, ti)
         truth = instances.random_fuzzy_tree(n, m, rng)
-        traces = [channels.ted_trace(truth, q, rng) for _ in range(n_traces)]
+        traces = channels.ted_traces(truth, q, n_traces, rng)
         try:
             got = tree_recon.reconstruct_fuzzy(traces, n, m, q)
         except (tree_recon.ReconstructionFailedError,
@@ -262,7 +262,7 @@ def test_criterion_9_removal_rate_and_recovery():
     s = SymbolString("".join(str(int(b)) for b in rng.integers(0, 2, size=s_len)))
     ell = instances.buffer_length(0.01, n_traces, q)
     inst = instances.encode_string_as_tree(s, ell)
-    traces = [channels.ted_trace(inst.tree, q, rng) for _ in range(n_traces)]
+    traces = channels.ted_traces(inst.tree, q, n_traces, rng)
     stats = tree_recon.encoded_removal_stats(traces, s_len, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])

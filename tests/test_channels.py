@@ -16,19 +16,25 @@ from treetrace.channels import (
     lp_apply,
     lp_trace,
     lp_trace_set,
+    lp_traces,
     string_trace,
     string_trace_prob,
+    string_traces,
     ted_apply,
     ted_trace,
     ted_trace_distribution,
+    ted_traces,
+    trace_of,
+    tree_of,
 )
-from treetrace.instances import forked_tree, path_tree, random_tree
+from treetrace.instances import forked_tree, path_tree, random_labels, random_tree
 from treetrace.trees import (
     SymbolString,
     build_tree,
     enumerate_trees,
     parse_tree,
     preorder,
+    tree_from_dyck,
     trees_equal,
 )
 from conftest import make_rng
@@ -248,3 +254,60 @@ def test_subsequence_probabilities_sum_to_one(bits, length):
 def test_distinct_subsequences_small():
     assert distinct_subsequences("11") == {"", "1", "11"}
     assert distinct_subsequences("10") == {"", "1", "0", "10"}
+
+
+BATCH_QS = [0.0, 0.1, 0.3, 0.5, 0.8]
+
+
+def _matches_tree_oracle(batched, oracle, q, tag):
+    """Batched draws equal the dict sampler's draws from a generator seeded alike."""
+    rng = make_rng(tag)
+    for i in range(60):
+        n = 1 if i == 0 else int(rng.integers(1, 16))
+        t = random_labels(random_tree(n, rng), rng)
+        count = int(rng.integers(0, 9))
+        rng_a, rng_b = make_rng(f"{tag}:{i}"), make_rng(f"{tag}:{i}")
+        got = batched(t, q, count, rng_a)
+        want = [oracle(t, q, rng_b) for _ in range(count)]
+        assert got == [trace_of(w) for w in want]
+        assert [tree_of(g).nodes for g in got] == [w.nodes for w in want]
+        assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("q", BATCH_QS)
+def test_ted_traces_match_ted_trace(q):
+    _matches_tree_oracle(ted_traces, ted_trace, q, f"batched-ted-{q}")
+
+
+@pytest.mark.parametrize("q", BATCH_QS)
+def test_lp_traces_match_lp_trace(q):
+    _matches_tree_oracle(lp_traces, lp_trace, q, f"batched-lp-{q}")
+
+
+@pytest.mark.parametrize("q", BATCH_QS)
+def test_string_traces_match_string_trace(q):
+    rng = make_rng(f"batched-string-{q}")
+    for i in range(60):
+        s = "".join(rng.choice(["0", "1"], size=int(rng.integers(0, 16))))
+        count = int(rng.integers(0, 9))
+        rng_a, rng_b = make_rng(f"batched-string-{q}:{i}"), make_rng(f"batched-string-{q}:{i}")
+        got = string_traces(s, q, count, rng_a)
+        assert got == [str(string_trace(SymbolString(s), q, rng_b)) for _ in range(count)]
+        assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("shape", ["path-3000", "fan-2000"])
+def test_batched_samplers_on_deep_and_wide_trees(shape):
+    t = path_tree(3000) if shape == "path-3000" else tree_from_dyck("10" * 2000)
+    for sample in (ted_traces, lp_traces):
+        for tr in sample(t, 0.5, 2, make_rng(f"batched-{shape}")):
+            assert trace_of(tree_of(tr)) == tr
+            assert len(tr.word) == 2 * (len(tr.ids) - 1) and len(tr.labels) == len(tr.ids)
+
+
+def test_batched_samplers_check_q():
+    for sample in (ted_traces, lp_traces):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+            sample(path_tree(3), 1.0, 4, make_rng("batched-q"))
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+        string_traces("101", -0.1, 4, make_rng("batched-q"))

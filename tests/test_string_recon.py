@@ -191,6 +191,13 @@ def test_candidates_are_checked(reconstruct):
     assert str(reconstruct([""], 0, 0.3, candidates=[""])) == ""
 
 
+@pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])
+@pytest.mark.parametrize("q", [-0.5, 1.0, 1.5, math.nan])
+def test_reconstructors_reject_q_outside_unit_interval(reconstruct, q):
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+        reconstruct(["1"], 2, q)
+
+
 def test_mean_reconstruct_examples():
     assert str(mean_reconstruct(["101"] * 10, 3, 0.0)) == "101"
     rng = make_rng("mean-pair")

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from treetrace import channels, instances
+from treetrace.channels import trace_of
 from treetrace.tree_recon import (
     MergeError,
     ReconstructionFailedError,
@@ -31,7 +32,7 @@ def test_known_topology_q0_single_trace():
     for n in range(1, 7):
         for topo in enumerate_trees(n):
             truth = instances.random_labels(topo, rng)
-            got = reconstruct_labels_known_topology(topo, [truth], 0.0)
+            got = reconstruct_labels_known_topology(topo, [trace_of(truth)], 0.0)
             assert trees_equal(got, truth)
 
 
@@ -40,7 +41,7 @@ def test_known_topology_path_is_string_reconstruction():
     rng = make_rng("kt-path")
     topo = instances.path_tree(7)
     truth = instances.random_labels(topo, rng)
-    traces = [channels.ted_trace(truth, 0.1, rng) for _ in range(64)]
+    traces = [trace_of(channels.ted_trace(truth, 0.1, rng)) for _ in range(64)]
     got = reconstruct_labels_known_topology(topo, traces, 0.1)
     assert trees_equal(got, truth)
 
@@ -51,7 +52,7 @@ def test_known_topology_under_lp_channel():
     for _ in range(20):
         topo = instances.random_tree(8, rng)
         truth = instances.random_labels(topo, rng)
-        traces = [channels.lp_trace(truth, 0.1, rng) for _ in range(64)]
+        traces = [trace_of(channels.lp_trace(truth, 0.1, rng)) for _ in range(64)]
         got = reconstruct_labels_known_topology(topo, traces, 0.1)
         ok += trees_equal(got, truth)
     assert ok >= 18
@@ -115,10 +116,10 @@ def test_reconstruct_fuzzy_q0():
     rng = make_rng("fuzzy-q0")
     for _ in range(10):
         truth = instances.random_fuzzy_tree(17, 3, rng)
-        got = reconstruct_fuzzy([truth], 17, 3, 0.0)
+        got = reconstruct_fuzzy([trace_of(truth)], 17, 3, 0.0)
         assert trees_equal(got, truth)
     with pytest.raises(ValueError, match="no fuzzy tree with n=3, m=3"):
-        reconstruct_fuzzy([instances.path_tree(2)], 3, 3, 0.1)
+        reconstruct_fuzzy([trace_of(instances.path_tree(2))], 3, 3, 0.1)
 
 
 def test_reconstruct_fuzzy_monte_carlo():
@@ -128,7 +129,7 @@ def test_reconstruct_fuzzy_monte_carlo():
     ok = 0
     for _ in range(10):
         truth = instances.random_fuzzy_tree(n, m, rng)
-        traces = [channels.ted_trace(truth, q, rng) for _ in range(64)]
+        traces = [trace_of(channels.ted_trace(truth, q, rng)) for _ in range(64)]
         try:
             got = reconstruct_fuzzy(traces, n, m, q)
         except ReconstructionFailedError:
@@ -140,7 +141,7 @@ def test_reconstruct_fuzzy_monte_carlo():
 def test_reconstruct_encoded_q0():
     s = SymbolString("10110010")
     inst = instances.encode_string_as_tree(s, 2)
-    assert str(reconstruct_encoded([inst.tree], 8, 2, 0.0)) == str(s)
+    assert str(reconstruct_encoded([trace_of(inst.tree)], 8, 2, 0.0)) == str(s)
 
 
 def test_reconstruct_encoded_undecided():
@@ -150,7 +151,7 @@ def test_reconstruct_encoded_undecided():
     dels = {instances.encoded_leaf_id(3, 1, i) for i in (1, 2, 3)}
     trace = channels.ted_apply(inst.tree, dels)
     with pytest.raises(UndecidedPositionsError) as err:
-        reconstruct_encoded([trace], 3, 1, 0.3)
+        reconstruct_encoded([trace_of(trace)], 3, 1, 0.3)
     assert err.value.positions == [1, 2, 3]
 
 
@@ -162,7 +163,7 @@ def test_reconstruct_encoded_monte_carlo():
         s = SymbolString("".join(str(int(b)) for b in rng.integers(0, 2, size=8)))
         ell = instances.buffer_length(0.05, 32, q)
         inst = instances.encode_string_as_tree(s, ell)
-        traces = [channels.ted_trace(inst.tree, q, rng) for _ in range(32)]
+        traces = [trace_of(channels.ted_trace(inst.tree, q, rng)) for _ in range(32)]
         try:
             ok += str(reconstruct_encoded(traces, 8, ell, q)) == str(s)
         except UndecidedPositionsError:
@@ -177,7 +178,7 @@ def test_encoded_removal_stats_match_q_squared():
     ell = 4
     inst = instances.encode_string_as_tree(s, ell)
     n_traces = 4000
-    traces = [channels.ted_trace(inst.tree, q, rng) for _ in range(n_traces)]
+    traces = [trace_of(channels.ted_trace(inst.tree, q, rng)) for _ in range(n_traces)]
     stats = encoded_removal_stats(traces, 8, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])
