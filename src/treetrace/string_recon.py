@@ -3,9 +3,10 @@
 Expected-value formulas for zero-padded traces, a polynomial arc search that
 certifies how distinguishable two candidate strings are, a single-coordinate
 pairwise test, and two candidate-sweep reconstructors (max-likelihood and
-nearest-exact-mean).  Candidates are rows of one uint8 bit matrix, scored
-together with numpy; likelihood sums accumulate in log space with -inf
-marking impossible traces.
+nearest-exact-mean).  The mean sweep scores candidates as rows of one uint8
+bit matrix.  Maximum likelihood walks the candidates' prefix trie once for
+all traces and scores only the candidates in which every trace embeds; its
+likelihood sums accumulate in log space.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ ARC_GRID_POINTS = 1024
 FULL_SWEEP_CAP = 20  # all of {0,1}^n only up to here
 _EMBED_LEN_CAP = 62  # int64 embedding counts stay exact below this length
 _MEAN_BLOCK_ROWS = 1 << 16  # candidates per matrix product in mean_reconstruct
+_TRIE_LEVEL_BYTES = 2 << 20  # DP state of one trie level in ml_reconstruct
+_BIT_PAIR = np.array([0, 1])
 
 
 class DegeneratePairError(ValueError):
@@ -55,21 +58,27 @@ def _bits(s: str) -> np.ndarray:
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
 
 
-def _candidate_matrix(n: int, candidates: Sequence[SymbolString | str] | None) -> np.ndarray:
-    """Candidates as uint8 bit rows in lexicographic order.
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
 
-    None means all of {0,1}^n (row i is i in binary), up to FULL_SWEEP_CAP;
-    anything else is a nonempty list of length-n binary strings.  The first
-    best row is therefore the lexicographically smallest best candidate.
+
+def _binary(text: str) -> str:
+    if text.strip("01"):  # what is left holds a symbol other than 0 and 1
+        raise ValueError("traces must be binary strings")
+    return text
+
+
+def _sorted_rows(n: int, candidates: Sequence[SymbolString | str] | None) -> np.ndarray | None:
+    """A candidate list as uint8 bit rows in lexicographic order.
+
+    None means all of {0,1}^n, allowed up to FULL_SWEEP_CAP, and stays None;
+    anything else must be a nonempty list of length-n binary strings.
     """
     if candidates is None:
         if n > FULL_SWEEP_CAP:
             raise ValueError(f"full sweep over {{0,1}}^n capped at n={FULL_SWEEP_CAP}")
-        rows = np.arange(1 << n)
-        codes = np.empty((1 << n, n), dtype=np.uint8)
-        for j in range(n):
-            codes[:, j] = (rows >> (n - 1 - j)) & 1
-        return codes
+        return None
     strings = sorted(str(c) for c in candidates)
     if not strings:
         raise ValueError("empty candidate list")
@@ -79,6 +88,21 @@ def _candidate_matrix(n: int, candidates: Sequence[SymbolString | str] | None) -
     if np.any(bits > 1):
         raise ValueError("candidates must be binary")
     return bits.reshape(len(strings), n)
+
+
+def _candidate_matrix(n: int, candidates: Sequence[SymbolString | str] | None) -> np.ndarray:
+    """Candidates as uint8 bit rows in lexicographic order.
+
+    Row i of the full sweep is i in binary, so the first best row is the
+    lexicographically smallest best candidate.
+    """
+    codes = _sorted_rows(n, candidates)
+    if codes is None:
+        rows = np.arange(1 << n)
+        codes = np.empty((1 << n, n), dtype=np.uint8)
+        for j in range(n):
+            codes[:, j] = (rows >> (n - 1 - j)) & 1
+    return codes
 
 
 def _row_string(row: np.ndarray) -> SymbolString:
@@ -117,6 +141,7 @@ def exact_mean_vector(s: SymbolString | str, q: float) -> np.ndarray:
 
 def empirical_mean_vector(traces: Sequence[SymbolString | str], n: int) -> np.ndarray:
     """Coordinatewise average of traces zero-padded to length n."""
+    _check_n(n)
     if not traces:
         raise ValueError("empty trace list")
     acc = np.zeros(n)
@@ -125,7 +150,7 @@ def empirical_mean_vector(traces: Sequence[SymbolString | str], n: int) -> np.nd
         if len(text) > n:
             raise ValueError(f"trace longer than n={n}")
         if text:
-            acc[: len(text)] += _bits(text)
+            acc[: len(text)] += _bits(_binary(text))
     acc /= len(traces)
     return acc
 
@@ -179,18 +204,52 @@ def distinguish_pair(
     return SymbolString(min(xs, ys), "01")
 
 
-def embedding_counts(cands: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Subsequence embedding counts of one trace in every candidate row."""
-    n_c, width = cands.shape
-    m = len(trace)
-    if m > width:
-        return np.zeros(n_c, dtype=np.int64)
-    g = np.zeros((n_c, m + 1), dtype=np.int64)
-    g[:, 0] = 1
-    for i in range(width):
-        eq = cands[:, i : i + 1] == trace[None, :]
-        g[:, 1:] += eq * g[:, :-1]
-    return g[:, m]
+def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
+    """Yield (codes, counts) for the length-n candidates in which every trace embeds.
+
+    A node of the candidates' prefix trie is a prefix code c, with children
+    2c and 2c + 1, and one DP row: for each trace t in turn, the embedding
+    counts of t's prefixes of length 0..longest in the node's prefix.  A
+    level is one int64 array of live nodes x traces * (longest + 1).  Each
+    trace's block starts with, and shorter traces end in, the symbol 2,
+    which matches no bit.  `listed` holds the sorted codes of a candidate
+    list, or None for all of {0,1}^n.  A node is dropped once some trace's
+    unmatched suffix is longer than the positions left, since every
+    completion of it has likelihood zero.  At depth n that leaves exactly the
+    candidates in which every trace embeds; counts[k, t] embeds trace t in
+    codes[k].
+
+    A level whose DP state would pass _TRIE_LEVEL_BYTES is copied into two
+    halves that are finished depth-first, so pieces still come in code order.
+    """
+    ells = np.array([len(t) for t in texts])
+    width = int(ells.max()) + 1
+    symbols = _bits("".join("2" + t.ljust(width - 1, "2") for t in texts))
+    eqs = symbols[1:] == _BIT_PAIR[:, None]  # eqs[b, c - 1]: bit b extends column c - 1 into c
+    starts = np.arange(len(texts)) * width
+    needs = starts + np.maximum(ells - np.arange(n, -1, -1)[:, None], 0)  # columns, per depth
+    g = np.zeros((1, len(symbols)), dtype=np.int64)
+    g[0, starts] = 1
+    stack = [(0, np.zeros(1, dtype=np.int64), g)]
+    while stack:
+        depth, codes, g = stack.pop()
+        while depth < n and len(codes):
+            if 2 * g.nbytes > _TRIE_LEVEL_BYTES and len(codes) > 1:
+                half = len(codes) // 2
+                stack.append((depth, codes[half:].copy(), g[half:].copy()))
+                codes, g = codes[:half].copy(), g[:half].copy()
+                continue
+            depth += 1
+            kids = g.repeat(2, axis=0)
+            kids.reshape(len(g), 2, -1)[:, :, 1:] += g[:, None, :-1] * eqs
+            codes = (2 * codes[:, None] + _BIT_PAIR).ravel()
+            keep = kids.take(needs[depth], axis=1).all(1)
+            if listed is not None:
+                prefixes = listed >> (n - depth)
+                keep &= np.searchsorted(prefixes, codes, "right") > np.searchsorted(prefixes, codes)
+            codes, g = codes[keep], kids[keep]
+        if len(codes):
+            yield codes, g.take(starts + ells, axis=1)
 
 
 def ml_reconstruct(
@@ -203,35 +262,44 @@ def ml_reconstruct(
 
     Scores every candidate (all of {0,1}^n when candidates is None) by the
     summed log probability of the traces and returns the best, breaking ties
-    toward the lexicographically smallest.
+    toward the lexicographically smallest.  One walk of the candidates'
+    prefix trie (_trie_leaves) finds the candidates of nonzero likelihood;
+    no other candidate is scored.
     """
     _check_q(q)
+    _check_n(n)
     if not traces:
         raise ValueError("empty trace list")
-    codes = _candidate_matrix(n, candidates)
+    tally = Counter(str(t) for t in traces)
+    _binary("".join(tally))
+    rows = _sorted_rows(n, candidates)
     if n > _EMBED_LEN_CAP:
         raise ValueError(f"candidate length {n} exceeds exact-count cap")
+    listed = None if rows is None else rows.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
     log_q = math.log(q) if q > 0 else -math.inf
     log_p = math.log(1.0 - q)
-    scores = np.zeros(len(codes))
-    # One pass over the distinct traces, each adding its log-likelihood per row.
-    for text, mult in Counter(str(t) for t in traces).items():
-        ell = len(text)
-        counts = embedding_counts(codes, _bits(text))
-        with np.errstate(divide="ignore"):
-            ll = np.log(counts.astype(float))
-        ll += ell * log_p
-        drop = n - ell
-        if drop > 0:
-            ll += drop * log_q  # -inf when q == 0 and symbols were dropped
-        elif drop < 0:
-            ll[:] = -math.inf
-        scores += mult * ll
-    if not np.any(np.isfinite(scores)):
+    # A trace longer than n embeds in no candidate.
+    pieces = _trie_leaves(list(tally), n, listed) if max(map(len, tally)) <= n else ()
+    found, scores = [], []
+    for codes, counts in pieces:
+        # Each trace adds its log-likelihood per candidate, in tally order.
+        piece = np.zeros(len(codes))
+        for t, (text, mult) in enumerate(tally.items()):
+            ll = np.log(counts[:, t], dtype=float)
+            ll += len(text) * log_p
+            drop = n - len(text)
+            if drop > 0:
+                ll += drop * log_q  # -inf when q == 0 and symbols were dropped
+            piece += mult * ll
+        found.append(codes)
+        scores.append(piece)
+    scores = np.concatenate(scores) if scores else np.zeros(0)
+    if not np.isfinite(scores).any():
         raise InconsistentTracesError(
             "every candidate has zero likelihood: some trace embeds in none of them"
         )
-    return _row_string(codes[np.argmax(scores)])
+    best = int(np.concatenate(found)[scores.argmax()])
+    return SymbolString(format(best, "b").zfill(n) if n else "", "01")
 
 
 def mean_reconstruct(

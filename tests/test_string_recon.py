@@ -1,17 +1,19 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from treetrace import channels
+from treetrace import channels, string_recon
 from treetrace.string_recon import (
     FULL_SWEEP_CAP,
     DegeneratePairError,
     InconsistentTracesError,
     default_arc_parameter,
+    _candidate_matrix,
     distinguish_pair,
-    embedding_counts,
     empirical_mean_vector,
     exact_mean_vector,
     find_separation,
@@ -109,6 +111,43 @@ def test_distinguish_pair_error_rate_hoeffding():
     assert errors == 0
 
 
+def embedding_counts(cands: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Subsequence embedding counts of one trace in every candidate row."""
+    n_c, width = cands.shape
+    m = len(trace)
+    if m > width:
+        return np.zeros(n_c, dtype=np.int64)
+    g = np.zeros((n_c, m + 1), dtype=np.int64)
+    g[:, 0] = 1
+    for i in range(width):
+        eq = cands[:, i : i + 1] == trace[None, :]
+        g[:, 1:] += eq * g[:, :-1]
+    return g[:, m]
+
+
+def _reference_ml(traces, n, q, candidates=None):
+    """The exhaustive ML sweep: one embedding-count DP per distinct trace over every row."""
+    codes = _candidate_matrix(n, candidates)
+    log_q = math.log(q) if q > 0 else -math.inf
+    log_p = math.log(1.0 - q)
+    scores = np.zeros(len(codes))
+    for text, mult in Counter(str(t) for t in traces).items():
+        ell = len(text)
+        trace = np.frombuffer(text.encode(), np.uint8) - ord("0")
+        with np.errstate(divide="ignore"):
+            ll = np.log(embedding_counts(codes, trace).astype(float))
+        ll += ell * log_p
+        drop = n - ell
+        if drop > 0:
+            ll += drop * log_q
+        elif drop < 0:
+            ll[:] = -math.inf
+        scores += mult * ll
+    if not np.any(np.isfinite(scores)):
+        raise InconsistentTracesError("every candidate has zero likelihood")
+    return "".join(map(str, codes[np.argmax(scores)]))
+
+
 def test_embedding_counts_vectorised_matches_scalar():
     rng = make_rng("embed")
     for _ in range(200):
@@ -121,6 +160,72 @@ def test_embedding_counts_vectorised_matches_scalar():
         got = embedding_counts(mat, tr)
         want = [channels.count_embeddings(c, trace) for c in cands]
         assert got.tolist() == want
+
+
+def _oracle_cases():
+    """Seeded (traces, n, q, candidates) cases, with a tally of what they cover."""
+    rng = make_rng("trie-oracle")
+    seen = Counter()
+    for case in range(3000):
+        n = case % 11
+        q = (0.0, 0.1, 0.3, 0.5, 0.8)[case // 11 % 5]
+        source = "".join(rng.choice(["0", "1"], size=n))
+        traces = channels.string_traces(source, q, int(rng.integers(1, 9)), rng)
+        kind = int(rng.integers(4))
+        if kind == 0:
+            seen["full sweep"] += 1
+            cands = None
+        else:
+            every = ["".join(b) for b in itertools.product("01", repeat=n)]
+            size = 1 if kind == 1 else int(rng.integers(1, min(len(every), 40) + 1))
+            cands = [every[i] for i in rng.choice(len(every), size=size, replace=False)]
+            seen["single candidate" if size == 1 else "list"] += 1
+        if rng.random() < 0.1:
+            traces.append("".join(rng.choice(["0", "1"], size=n + 1)))
+            seen["trace longer than n"] += 1
+        yield traces, n, q, cands
+    assert min(seen.values()) >= 200, seen
+
+
+@pytest.mark.parametrize("level_bytes", [None, 256], ids=["default-budget", "256B-budget"])
+def test_trie_ml_matches_exhaustive_sweep(level_bytes, monkeypatch):
+    # A 256-byte budget splits every level of more than a few nodes, so
+    # pieces finish depth-first and the tie-break rests on their order.
+    if level_bytes is not None:
+        monkeypatch.setattr(string_recon, "_TRIE_LEVEL_BYTES", level_bytes)
+    outcomes = Counter()
+    for traces, n, q, cands in _oracle_cases():
+        try:
+            want = _reference_ml(traces, n, q, cands)
+        except InconsistentTracesError:
+            with pytest.raises(InconsistentTracesError):
+                ml_reconstruct(traces, n, q, cands)
+            outcomes["inconsistent"] += 1
+        else:
+            assert str(ml_reconstruct(traces, n, q, cands)) == want, (traces, n, q, cands)
+            outcomes["decoded"] += 1
+    assert outcomes["inconsistent"] >= 200 and outcomes["decoded"] >= 1000, outcomes
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return str(result), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trie_ml_memory_stays_near_the_sweep():
+    # At q = 0.9 the traces are short and almost no prefix is pruned: the
+    # case where a level-wise trie without a budget holds 2^n DP rows.
+    rng = make_rng("trie-memory")
+    n, q = 16, 0.9
+    traces = channels.string_traces("".join(rng.choice(["0", "1"], size=n)), q, 64, rng)
+    want, ref_peak = _traced_peak(_reference_ml, traces, n, q)
+    got, trie_peak = _traced_peak(ml_reconstruct, traces, n, q)
+    assert got == want
+    assert trie_peak <= 1.25 * ref_peak, (trie_peak, ref_peak)
 
 
 def test_ml_examples():
@@ -189,6 +294,31 @@ def test_candidates_are_checked(reconstruct):
         reconstruct(["1"], FULL_SWEEP_CAP + 1, 0.3)
     assert str(reconstruct([""], 0, 0.3)) == ""
     assert str(reconstruct([""], 0, 0.3, candidates=[""])) == ""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda traces, n: ml_reconstruct(traces, n, 0.3),
+        lambda traces, n: mean_reconstruct(traces, n, 0.3),
+        empirical_mean_vector,
+    ],
+    ids=["ml_reconstruct", "mean_reconstruct", "empirical_mean_vector"],
+)
+@pytest.mark.parametrize(
+    "traces, n, message",
+    [
+        (["2"], 1, "traces must be binary"),
+        (["12"], 2, "traces must be binary"),
+        (["0", "1x"], 2, "traces must be binary"),
+        (["1"], -1, "n must be nonnegative"),
+    ],
+)
+def test_reconstructors_reject_nonbinary_traces_and_negative_n(call, traces, n, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call(traces, n)
+    assert "\n" not in str(info.value)
+    assert not isinstance(info.value, InconsistentTracesError)
 
 
 @pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])
