@@ -137,7 +137,7 @@ def _check_deletions(t: Tree, deleted: Iterable[int]) -> set[int]:
     dels = set(deleted)
     if t.root in dels:
         raise InvalidDeletionError("the root is never deleted")
-    unknown = dels - set(t.nodes)
+    unknown = [v for v in dels if v not in t.nodes]
     if unknown:
         raise InvalidDeletionError(f"unknown node ids {sorted(unknown)}")
     return dels
@@ -152,26 +152,25 @@ def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
     dels = _check_deletions(t, deleted)
     if not dels:
         return t
-    order = preorder(t)
-    # expand[v]: the contiguous survivor block that stands where v stood.
-    expand: dict[int, list[int]] = {}
-    for v in reversed(order):
-        if v in dels:
-            block: list[int] = []
-            for c in t.nodes[v].children:
-                block.extend(expand[c])
-            expand[v] = block
-        else:
-            expand[v] = [v]
-    nodes: dict[int, Node] = {}
-    stack = [(t.root, None)]
-    while stack:
-        v, par = stack.pop()
+    old = t.nodes
+    nodes = dict(old)  # survivors share their records until one changes
+    for v in dels:
+        del nodes[v]
+    for u in {old[v].parent for v in dels} - dels:
         kids: list[int] = []
-        for c in t.nodes[v].children:
-            kids.extend(expand[c])
-        nodes[v] = Node(t.nodes[v].label, tuple(kids), par)
-        stack.extend((c, v) for c in kids)
+        stack = list(reversed(old[u].children))
+        while stack:
+            c = stack.pop()
+            if c in dels:
+                stack.extend(reversed(old[c].children))
+                continue
+            kids.append(c)
+            if old[c].parent != u:
+                # Read the current record: c may have lost children already.
+                nd = nodes[c]
+                nodes[c] = Node(nd.label, nd.children, u)
+        nd = nodes[u]
+        nodes[u] = Node(nd.label, tuple(kids), nd.parent)
     return Tree(nodes, t.root, validate=False)
 
 

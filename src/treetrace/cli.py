@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
-from . import channels, harness, trees
+from . import channels, harness, trees, verify
 from .trees import SymbolString, Tree
 
 
@@ -146,7 +147,13 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok, results = harness.verify_suite(args.level)
+    results = []
+    start = time.perf_counter()
+    for name, passed, detail in verify.run_checks(args.level):
+        print(f"{name}  {(time.perf_counter() - start) * 1e3:.0f} ms", file=sys.stderr)
+        results.append((name, passed, detail))
+        start = time.perf_counter()
+    ok = all(passed for _, passed, _ in results)
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, passed, detail in results:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .trees import Node, SymbolString, Tree, dyck_words, preorder, tree_from_dyck
@@ -241,14 +242,15 @@ def random_tree(n: int, rng) -> Tree:
     if n == 1:
         return Tree({0: Node(0)}, 0)
     m = n - 1
-    steps = rng.permutation([1] * (m + 1) + [-1] * m)
-    prefix = steps.cumsum()
+    # Shuffling 0..2m permutes positions exactly as shuffling the m + 1 ups
+    # and m downs would, from the same draws; ids 0..m are the ups.
+    ups = [x <= m for x in rng.permutation(2 * m + 1).tolist()]
+    prefix = list(accumulate(1 if up else -1 for up in ups))
     # Start right after the last position attaining the minimum prefix sum.
-    last_min = 2 * m - int(prefix[::-1].argmin())
+    last_min = 2 * m - prefix[::-1].index(min(prefix))
     start = (last_min + 1) % (2 * m + 1)
-    rotated = list(steps[start:]) + list(steps[:start])
-    word = "".join("1" if x > 0 else "0" for x in rotated[1:])
-    return tree_from_dyck(word)
+    rotated = ups[start:] + ups[:start]
+    return tree_from_dyck("".join("1" if up else "0" for up in rotated[1:]))
 
 
 def random_labels(t: Tree, rng) -> Tree:

@@ -160,11 +160,19 @@ def default_arc_parameter(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
 
-def arc_max_abs(coeffs: np.ndarray, L: int):
-    """Max of |sum_k a_k z^k| over ARC_GRID_POINTS points on the arc |arg z| <= pi/L."""
+@lru_cache(maxsize=16)
+def _arc_grid(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arc's grid points z and the powers z^k, k < n; read-only, shared."""
     theta = np.linspace(-math.pi / L, math.pi / L, ARC_GRID_POINTS)
     z = np.exp(1j * theta)
-    powers = z[:, None] ** np.arange(len(coeffs))[None, :]
+    powers = z[:, None] ** np.arange(n)[None, :]
+    z.flags.writeable = powers.flags.writeable = False
+    return z, powers
+
+
+def arc_max_abs(coeffs: np.ndarray, L: int):
+    """Max of |sum_k a_k z^k| over ARC_GRID_POINTS points on the arc |arg z| <= pi/L."""
+    z, powers = _arc_grid(len(coeffs), L)
     vals = np.abs(powers @ coeffs.astype(complex))
     i = int(np.argmax(vals))
     return float(vals[i]), complex(z[i])

@@ -8,7 +8,7 @@ can be tracked; equality and hashing look only at shape and labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 ALPHABETS = ("01", "02", "12")
 
@@ -52,8 +52,7 @@ class SymbolString:
         return self.symbols
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     label: int
     children: tuple[int, ...] = ()
     parent: int | None = None
@@ -169,12 +168,13 @@ def build_tree(spec) -> Tree:
 
 def preorder(t: Tree) -> list[int]:
     """Root first, then each subtree left to right."""
+    nodes = t.nodes
     out = []
     stack = [t.root]
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(reversed(t.nodes[v].children))
+        stack += nodes[v].children[::-1]
     return out
 
 
@@ -209,17 +209,15 @@ def tree_from_dyck(s: SymbolString | str) -> Tree:
     word = str(s)
     if set(word) - {"0", "1"}:
         raise DyckStringError(f"non-binary symbol in {word!r}")
-    children: dict[int, list[int]] = {0: []}
-    parent: dict[int, int | None] = {0: None}
+    children: list[list[int]] = [[]]  # indexed by id; ids follow preorder
+    parent: list[int | None] = [None]
     stack = [0]
-    nxt = 1
     for i, ch in enumerate(word):
         if ch == "1":
-            v = nxt
-            nxt += 1
-            children[v] = []
-            parent[v] = stack[-1]
+            v = len(parent)
             children[stack[-1]].append(v)
+            children.append([])
+            parent.append(stack[-1])
             stack.append(v)
         else:
             stack.pop()
@@ -227,7 +225,7 @@ def tree_from_dyck(s: SymbolString | str) -> Tree:
                 raise DyckStringError(f"unmatched 0 at position {i}")
     if len(stack) != 1:
         raise DyckStringError("unmatched 1s remain at end of input")
-    nodes = {v: Node(0, tuple(children[v]), parent[v]) for v in children}
+    nodes = {v: Node(0, tuple(kids), par) for v, (kids, par) in enumerate(zip(children, parent))}
     return Tree(nodes, 0, validate=False)
 
 
@@ -238,23 +236,28 @@ def trees_equal(a: Tree, b: Tree) -> bool:
 
 def format_tree(t: Tree) -> str:
     """Canonical text per the grammar node := LABEL ["(" node ("," node)* ")"]."""
-    out = []
-    # Work items are node ids or literal separator strings.
-    stack: list[object] = [t.root]
+    nodes = t.nodes
+    root = nodes[t.root]
+    if not root.children:
+        return str(root.label)
+    out = [f"{root.label}("]
+    stack = [iter(root.children)]  # each open node's unwritten children
+    first = True
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        v = next(stack[-1], None)  # ids are ints: None ends a frame
+        if v is None:
+            stack.pop()
+            out.append(")")
+            first = False
             continue
-        node = t.nodes[item]
-        out.append(str(node.label))
+        node = nodes[v]
+        out.append(str(node.label) if first else f",{node.label}")
         if node.children:
-            stack.append(")")
-            for c in reversed(node.children):
-                stack.append(c)
-                stack.append(",")
-            # Drop the comma before the first child, replace with "(".
-            stack[-1] = "("
+            out.append("(")
+            stack.append(iter(node.children))
+            first = True
+        else:
+            first = False
     return "".join(out)
 
 

@@ -342,7 +342,7 @@ def check_separation_existence(max_n: int = 8, q: float = 0.5):
     return True, f"{pairs} pairs separated; smallest magnitude {smallest:.3e}"
 
 
-def check_arc_maxima(max_n: int = 10, chunk: int = 4096):
+def check_arc_maxima(max_n: int = 10, chunk: int = 256):
     """Max |A(z)| on the arc for every nonzero a in {-1,0,1}^n; reports the worst."""
     report = []
     for n in range(1, max_n + 1):

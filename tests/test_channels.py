@@ -29,7 +29,9 @@ from treetrace.channels import (
 )
 from treetrace.instances import forked_tree, path_tree, random_labels, random_tree
 from treetrace.trees import (
+    Node,
     SymbolString,
+    Tree,
     build_tree,
     enumerate_trees,
     parse_tree,
@@ -95,6 +97,83 @@ def test_ted_apply_multi_deletion_matches_sequential():
                     for v in subset:
                         step = ted_apply(step, {v})
                     assert trees_equal(step, ted_apply(t, set(subset)))
+
+
+def _reference_ted_apply(t, deleted):
+    """ted_apply by rebuilding every record from each node's survivor block."""
+    dels = set(deleted)
+    if not dels:
+        return t
+    order = preorder(t)
+    # expand[v]: the contiguous survivor block that stands where v stood.
+    expand = {}
+    for v in reversed(order):
+        if v in dels:
+            block = []
+            for c in t.nodes[v].children:
+                block.extend(expand[c])
+            expand[v] = block
+        else:
+            expand[v] = [v]
+    nodes = {}
+    stack = [(t.root, None)]
+    while stack:
+        v, par = stack.pop()
+        kids = []
+        for c in t.nodes[v].children:
+            kids.extend(expand[c])
+        nodes[v] = Node(t.nodes[v].label, tuple(kids), par)
+        stack.extend((c, v) for c in kids)
+    return Tree(nodes, t.root, validate=False)
+
+
+def _assert_same_table(got, want):
+    # Records, not just canonical text: ids, labels, child order, parents.
+    assert got.root == want.root
+    assert got.nodes == want.nodes
+
+
+def _reversed_ids(t):
+    """The same tree with id v renamed n - 1 - v: each parent id exceeds its children's."""
+    top = t.n - 1
+    nodes = {
+        top - v: Node(nd.label, tuple(top - c for c in nd.children),
+                      None if nd.parent is None else top - nd.parent)
+        for v, nd in t.nodes.items()
+    }
+    return Tree(nodes, top - t.root)
+
+
+def test_ted_apply_matches_reference_exhaustive():
+    # Both id orders, so that a node that moves and also loses a child is
+    # edited in either order.
+    cases = 0
+    for n in range(1, 8):
+        for shape in enumerate_trees(n):
+            labelled = shape.with_labels({v: v % 2 for v in shape.nodes})
+            for t in (labelled, _reversed_ids(labelled)):
+                others = preorder(t)[1:]
+                for r in range(len(others) + 1):
+                    for subset in itertools.combinations(others, r):
+                        got, want = ted_apply(t, subset), _reference_ted_apply(t, subset)
+                        _assert_same_table(got, want)
+                        cases += 1
+    assert cases == 2 * 10_067  # Catalan(n - 1) * 2^(n - 1) summed over n <= 7
+
+
+def test_ted_apply_matches_reference_random_and_deep():
+    rng = make_rng("ted-apply-reference")
+    for _ in range(300):
+        t = random_labels(random_tree(int(rng.integers(1, 201)), rng), rng)
+        others = preorder(t)[1:]
+        keep = rng.random(len(others)) >= rng.random()
+        dels = [v for v, k in zip(others, keep) if not k]
+        _assert_same_table(ted_apply(t, dels), _reference_ted_apply(t, dels))
+    deep = path_tree(3000)
+    dels = preorder(deep)[1::2]
+    got = ted_apply(deep, dels)
+    _assert_same_table(got, _reference_ted_apply(deep, dels))
+    assert got.n == 1501
 
 
 def test_ted_trace_q0_and_path_probability():

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from treetrace import harness
@@ -165,7 +168,20 @@ def test_search_q0(capsys):
     assert out.strip() == "1"
 
 
+# sha256 of `verify --level quick` stdout.  The detail lines carry Monte
+# Carlo frequencies, so a change to any generator stream moves this digest.
+VERIFY_QUICK_SHA256 = "5dd79a0d2738da742dc4215ad2d1940b0e17b90b954d6c3e61a7970d2f3327ae"
+
+
 def test_verify_quick_exit_code(capsys):
-    code, out = run(capsys, "verify", "--level", "quick")
+    code = main(["verify", "--level", "quick"])
+    out, err = capsys.readouterr()
     assert code == 0
     assert "overall" in out and "FAIL" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_QUICK_SHA256
+    # One "name  <ms> ms" line per check on stderr, in report order.
+    timings = err.splitlines()
+    names = [line.split()[0] for line in out.splitlines()[:-1]]
+    assert len(timings) == len(names) == 22
+    for line, name in zip(timings, names):
+        assert re.fullmatch(rf"{name}  \d+ ms", line)

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from treetrace.instances import (
@@ -18,7 +19,15 @@ from treetrace.instances import (
     random_tree,
     read_encoded_string,
 )
-from treetrace.trees import SymbolString, format_tree, is_fuzzy, preorder
+from treetrace.trees import (
+    Node,
+    SymbolString,
+    Tree,
+    format_tree,
+    is_fuzzy,
+    preorder,
+    tree_from_dyck,
+)
 from conftest import make_rng
 
 
@@ -163,6 +172,30 @@ def test_random_tree_uniform_n4():
     sigma = math.sqrt(0.2 * 0.8 / n_samples)
     for c in counts.values():
         assert abs(c / n_samples - 0.2) <= 3 * sigma
+
+
+def _reference_random_tree(n, rng):
+    """random_tree by shuffling the +1/-1 steps themselves."""
+    if n == 1:
+        return Tree({0: Node(0)}, 0)
+    m = n - 1
+    steps = rng.permutation([1] * (m + 1) + [-1] * m)
+    prefix = steps.cumsum()
+    last_min = 2 * m - int(prefix[::-1].argmin())
+    start = (last_min + 1) % (2 * m + 1)
+    rotated = list(steps[start:]) + list(steps[:start])
+    return tree_from_dyck("".join("1" if x > 0 else "0" for x in rotated[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30, 200])
+def test_random_tree_matches_reference(n):
+    # Same trees, and the generator left where the reference leaves it.
+    for seed in range(300):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got, want = random_tree(n, got_rng), _reference_random_tree(n, want_rng)
+        assert got.root == want.root and got.nodes == want.nodes
+        assert got_rng.random() == want_rng.random()
 
 
 def test_random_labels_are_fair_bits():

@@ -63,10 +63,22 @@ def test_tree_from_dyck_examples():
     assert format_tree(tree_from_dyck("1010")) == "0(0,0)"
 
 
-@pytest.mark.parametrize("bad", ["01", "1", "110", "100", "2"])
-def test_tree_from_dyck_rejects_malformed(bad):
-    with pytest.raises(DyckStringError):
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(bad, message, id=bad) for bad, message in [
+        ("01", "unmatched 0 at position 0"),
+        ("1", "unmatched 1s remain at end of input"),
+        ("110", "unmatched 1s remain at end of input"),
+        ("100", "unmatched 0 at position 2"),
+        ("2", "non-binary symbol in '2'"),
+        ("0", "unmatched 0 at position 0"),
+        ("0011", "unmatched 0 at position 0"),
+        ("12", "non-binary symbol in '12'"),
+    ]
+])
+def test_tree_from_dyck_rejects_malformed(bad, message):
+    with pytest.raises(DyckStringError) as info:
         tree_from_dyck(bad)
+    assert str(info.value) == message
 
 
 def test_dyck_roundtrip_exhaustive():
