@@ -3,11 +3,11 @@
 Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
 one call and return a tree trace as a `Trace`: its Dyck word, its preorder
-labels and its node ids.  The dict samplers (`string_trace`, `ted_trace`,
-`lp_trace`) build one `Tree` per trace from the same random stream and stay
-as their oracles.  Exact-analysis functions (`ted_trace_distribution`,
-`lp_trace_set`, `string_trace_prob`) are pure enumeration oracles with hard
-size caps.
+labels and its node ids; equal draws may share one immutable `Trace`.  The
+dict samplers (`string_trace`, `ted_trace`, `lp_trace`) build one `Tree` per
+trace from the same random stream and stay as their oracles.  Exact-analysis
+functions (`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are
+pure enumeration oracles with hard size caps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .trees import (
     Node,
     SymbolString,
     Tree,
-    _euler_walk,
     dyck_string,
     preorder,
     preorder_label_string,
@@ -288,48 +287,90 @@ class _Layout(NamedTuple):
     """A tree in preorder index space: node i is the i-th node in preorder."""
 
     ids: np.ndarray  # node id of each index
-    word: str
-    labels: str
-    opens: list[int]  # word position of the 1 of index i + 1
-    closes: list[int]  # word position of the 0 of index i + 1
+    word: np.ndarray  # character codes of the Dyck word
+    labels: np.ndarray  # character codes of the preorder labels
+    walk: np.ndarray  # index of the node each word symbol opens or closes
     kids: list[list[int]]  # child indices of each index
 
 
 def _layout(t: Tree) -> _Layout:
-    walk = list(_euler_walk(t))
-    order = [t.root] + [v for sym, v in walk if sym == "1"]
-    index = {v: i for i, v in enumerate(order)}
-    opens = [0] * (len(order) - 1)
-    closes = [0] * (len(order) - 1)
-    for pos, (sym, v) in enumerate(walk):
-        (opens if sym == "1" else closes)[index[v] - 1] = pos
-    return _Layout(
-        np.array(order), "".join(sym for sym, _ in walk),
-        "".join(str(t.nodes[v].label) for v in order), opens, closes,
-        [[index[c] for c in t.nodes[v].children] for v in order],
-    )
+    nodes = t.nodes
+    root = nodes[t.root]
+    order, kids, walk = [t.root], [[]], []
+    word, labels = bytearray(), bytearray([48 + root.label])
+    stack = [(0, iter(root.children))]  # each open index's unvisited children
+    while stack:
+        i, rest = stack[-1]
+        v = next(rest, None)  # ids are ints: None closes index i
+        if v is None:
+            stack.pop()
+            walk.append(i)
+            word.append(48)
+            continue
+        nd = nodes[v]
+        j = len(order)
+        order.append(v)
+        labels.append(48 + nd.label)
+        kids.append([])
+        kids[i].append(j)
+        walk.append(j)
+        word.append(49)
+        stack.append((j, iter(nd.children)))
+    del walk[-1], word[-1]  # the root has no closing 0
+    return _Layout(np.array(order), np.frombuffer(word, np.uint8),
+                   np.frombuffer(labels, np.uint8), np.array(walk, dtype=np.intp), kids)
 
 
-def _rows(values: np.ndarray, keep: np.ndarray):
-    """values[keep[r]] for every row r: one flat array and each row's bounds."""
-    ends = keep.sum(axis=1).cumsum().tolist()
-    return values[keep.nonzero()[1]], zip([0] + ends[:-1], ends)
+def _joined(codes: np.ndarray, keep: np.ndarray) -> str:
+    """codes[keep[r]] for every row r, decoded and concatenated."""
+    return codes[keep.nonzero()[1]].tobytes().decode()
+
+
+def _bounds(sizes: np.ndarray):
+    """Each row's (start, end) in the concatenation of rows of these sizes."""
+    ends = sizes.cumsum().tolist()
+    return zip([0] + ends[:-1], ends)
 
 
 def _strings(text: str, keep: np.ndarray) -> list[str]:
-    flat, bounds = _rows(np.frombuffer(text.encode(), np.uint8), keep)
-    joined = flat.tobytes().decode()
-    return [joined[a:b] for a, b in bounds]
+    joined = _joined(np.frombuffer(text.encode(), np.uint8), keep)
+    return [joined[a:b] for a, b in _bounds(keep.sum(axis=1))]
 
 
 def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
-    """Traces that keep the nodes (count x n, by index) and the label positions."""
-    word = np.empty((len(nodes), len(lay.word)), dtype=bool)
-    word[:, lay.opens] = word[:, lay.closes] = nodes[:, 1:]
-    flat, bounds = _rows(lay.ids, nodes)
-    ids = flat.tolist()
-    return list(map(Trace, _strings(lay.word, word), _strings(lay.labels, labels),
-                    [tuple(ids[a:b]) for a, b in bounds]))
+    """Traces that keep the nodes (count x n, by index) and the label positions.
+
+    Every row keeps as many labels as nodes and two word symbols per kept
+    non-root node, so one cumulative sum bounds the ids, labels and words.
+    """
+    ids = lay.ids[nodes.nonzero()[1]].tolist()
+    labs = _joined(lay.labels, labels)
+    words = _joined(lay.word, nodes[:, lay.walk])
+    return [Trace(words[2 * (a - r):2 * (b - r - 1)], labs[a:b], tuple(ids[a:b]))
+            for r, (a, b) in enumerate(_bounds(nodes.sum(axis=1)))]
+
+
+def _distinct(keep: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first index of each distinct row of keep, and each row's first index."""
+    packed = np.packbits(keep, axis=1)
+    # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
+    keys = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    first: dict[bytes, int] = {}
+    firsts = [first.setdefault(key, r) for r, key in enumerate(keys)]
+    return list(first.values()), firsts
+
+
+def _sample(t: Tree, q: float, count: int, rng, traces) -> list[Trace]:
+    """Draw count rows of keep marks, then build each distinct row's traces once.
+
+    Equal rows share one Trace, which is immutable.
+    """
+    _check_q(q)
+    keep = np.ones((count, t.n), dtype=bool)
+    keep[:, 1:] = rng.random((count, t.n - 1)) >= q
+    rows, firsts = _distinct(keep)
+    built = dict(zip(rows, traces(_layout(t), keep[rows])))
+    return [built[r] for r in firsts]
 
 
 def string_traces(s: SymbolString | str, q: float, count: int, rng) -> list[str]:
@@ -346,11 +387,7 @@ def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     source word without the matched 1 and 0 of each deleted node, and its
     labels and ids lose the deleted nodes' positions.
     """
-    _check_q(q)
-    lay = _layout(t)
-    keep = np.ones((count, t.n), dtype=bool)
-    keep[:, 1:] = rng.random((count, t.n - 1)) >= q
-    return _traces(lay, keep, keep)
+    return _sample(t, q, count, rng, lambda lay, keep: _traces(lay, keep, keep))
 
 
 def _lp_removed(marks: list[int], kids: list[list[int]]) -> list[int]:
@@ -394,6 +431,18 @@ def _lp_removed(marks: list[int], kids: list[list[int]]) -> list[int]:
     return removed
 
 
+def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Trace]:
+    marked = ~labels
+    rows, cols = marked.nonzero()
+    marks = cols.tolist()
+    removed: list[int] = []
+    for a, b in _bounds(marked.sum(axis=1)):
+        removed += _lp_removed(marks[a:b], lay.kids)
+    nodes = np.ones_like(labels)
+    nodes[rows, removed] = False
+    return _traces(lay, nodes, labels)
+
+
 def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     """count lp_trace draws in one call.
 
@@ -401,20 +450,7 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     without the matched 1 and 0 of each removed node; its labels lose the
     marked positions instead (see _lp_removed).
     """
-    _check_q(q)
-    lay = _layout(t)
-    labels = np.ones((count, t.n), dtype=bool)
-    labels[:, 1:] = rng.random((count, t.n - 1)) >= q
-    marked = ~labels
-    rows, cols = marked.nonzero()
-    marks = cols.tolist()
-    ends = marked.sum(axis=1).cumsum().tolist()
-    removed: list[int] = []
-    for a, b in zip([0] + ends[:-1], ends):
-        removed += _lp_removed(marks[a:b], lay.kids)
-    nodes = np.ones_like(labels)
-    nodes[rows, removed] = False
-    return _traces(lay, nodes, labels)
+    return _sample(t, q, count, rng, _lp_traces)
 
 
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:

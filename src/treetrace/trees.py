@@ -68,7 +68,9 @@ class Tree:
     __slots__ = ("nodes", "root", "_canon")
 
     def __init__(self, nodes: Mapping[int, Node], root: int, validate: bool = True):
-        self.nodes = dict(nodes)
+        # dict.copy keeps the table's layout; dict() re-inserts item by item,
+        # which is slow on the holey tables that deletions leave.
+        self.nodes = nodes.copy() if type(nodes) is dict else dict(nodes)
         self.root = root
         self._canon: str | None = None
         if validate:
@@ -143,27 +145,30 @@ class Tree:
 
 
 def build_tree(spec) -> Tree:
-    """Build a tree from nested (label, [children...]) pairs; ids follow preorder."""
-    nodes: dict[int, Node] = {}
-    counter = 0
+    """Build a tree from nested (label, [children...]) pairs; ids follow preorder.
 
-    def alloc(item, parent) -> int:
-        nonlocal counter
+    Iterative, so depth is bounded by memory, not the recursion limit.
+    """
+    labels: list[int] = []
+    parents: list[int | None] = []
+    kids: list[list[int]] = []
+    stack = [(spec, None)]
+    while stack:
+        item, parent = stack.pop()
         if isinstance(item, int):
-            label, kids = item, []
+            label, sub = item, ()
         else:
-            label, kids = item
-        v = counter
-        counter += 1
-        child_ids = []
-        nodes[v] = None  # reserve slot so ids follow preorder
-        for kid in kids:
-            child_ids.append(alloc(kid, v))
-        nodes[v] = Node(label, tuple(child_ids), parent)
-        return v
-
-    root = alloc(spec, None)
-    return Tree(nodes, root)
+            label, sub = item
+        v = len(labels)
+        labels.append(label)
+        parents.append(parent)
+        kids.append([])
+        if parent is not None:
+            kids[parent].append(v)
+        for kid in reversed(sub):
+            stack.append((kid, v))
+    nodes = {v: Node(*row) for v, row in enumerate(zip(labels, map(tuple, kids), parents))}
+    return Tree(nodes, 0)
 
 
 def preorder(t: Tree) -> list[int]:

@@ -375,6 +375,28 @@ def test_string_traces_match_string_trace(q):
         assert rng_a.random() == rng_b.random()
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+def test_batched_samplers_repeat_rows(q):
+    """Small trees repeat mark rows at large counts; equal rows share one Trace."""
+    rng = make_rng(f"batched-repeat-{q}")
+    trees = [random_labels(t, rng) for n in range(1, 5) for t in enumerate_trees(n)]
+    for batched, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
+        for i, t in enumerate(trees):
+            for count in (0, 1, 300, 512):
+                tag = f"batched-repeat-{q}:{batched.__name__}:{i}:{count}"
+                rng_a, rng_b = make_rng(tag), make_rng(tag)
+                got = batched(t, q, count, rng_a)
+                assert got == [trace_of(oracle(t, q, rng_b)) for _ in range(count)]
+                assert rng_a.random() == rng_b.random()
+                # One Trace per distinct mark row; under TED, distinct rows differ.
+                shared = len({id(tr) for tr in got})
+                assert shared <= 2 ** (t.n - 1)
+                if batched is ted_traces:
+                    assert shared == len(set(got))
+                if q == 0.0:
+                    assert got == [trace_of(t)] * count
+
+
 @pytest.mark.parametrize("shape", ["path-3000", "fan-2000"])
 def test_batched_samplers_on_deep_and_wide_trees(shape):
     t = path_tree(3000) if shape == "path-3000" else tree_from_dyck("10" * 2000)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,34 @@ def test_parse_deep_path_roundtrip():
     t = parse_tree(text)
     assert t.n == 3001
     assert format_tree(t) == text
+
+
+def test_build_tree_deep_chain_and_wide_fan():
+    spec = 1
+    for _ in range(2999):
+        spec = (0, [spec])
+    chain = build_tree(spec)
+    assert chain.n == 3000
+    assert preorder(chain) == list(range(3000))
+    assert str(preorder_label_string(chain)) == "0" * 2999 + "1"
+    assert chain.parent_of(2999) == 2998
+    fan = build_tree((1, [(0, [1]) if i == 7 else i % 2 for i in range(2000)]))
+    assert fan.n == 2002
+    assert preorder(fan) == list(range(2002))
+    assert fan.children_of(0) == tuple(range(1, 9)) + tuple(range(10, 2002))
+    assert fan.children_of(8) == (9,)
+    assert format_tree(fan).startswith("1(0,1,0,1,0,1,0,0(1),0,1")
+
+
+def test_tree_copies_its_node_table():
+    table = {0: Node(0, (1,)), 1: Node(1, (), 0)}
+    t = Tree(table, 0)
+    table[0] = Node(0, ())
+    del table[1]
+    assert t.n == 2 and format_tree(t) == "0(1)"
+    proxied = Tree(types.MappingProxyType({0: Node(1, (1,)), 1: Node(0, (), 0)}), 0)
+    assert type(proxied.nodes) is dict
+    assert format_tree(proxied) == "1(0)"
 
 
 @st.composite
