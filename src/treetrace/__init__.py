@@ -7,12 +7,10 @@ and a reproducible Monte Carlo experiment harness.
 """
 
 from .channels import (
-    ChannelSpec,
     InvalidDeletionError,
     SizeCapError,
     StaleTargetError,
     Trace,
-    TraceDistribution,
     lp_apply,
     lp_trace,
     lp_trace_set,
@@ -73,7 +71,6 @@ from .tree_recon import (
 from .trees import (
     DyckStringError,
     Node,
-    SymbolString,
     Tree,
     TreeTextError,
     build_tree,

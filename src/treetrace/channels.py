@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .trees import (
     Node,
-    SymbolString,
     Tree,
     dyck_string,
     preorder,
@@ -53,6 +51,12 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
+def _binary(text: str) -> str:
+    if text.strip("01"):  # what is left holds a symbol other than 0 and 1
+        raise ValueError("traces must be binary strings")
+    return text
+
+
 class Trace(NamedTuple):
     """A tree trace: Dyck word, preorder label string, node ids in preorder.
 
@@ -67,7 +71,7 @@ class Trace(NamedTuple):
 
 def trace_of(t: Tree) -> Trace:
     """The Trace of a tree; the inverse of tree_of."""
-    return Trace(str(dyck_string(t)), str(preorder_label_string(t)), tuple(preorder(t)))
+    return Trace(dyck_string(t), preorder_label_string(t), tuple(preorder(t)))
 
 
 def tree_of(tr: Trace) -> Tree:
@@ -82,54 +86,13 @@ def tree_of(tr: Trace) -> Tree:
     return Tree(nodes, ids[0], validate=False)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Deletion model plus deletion probability q (retention p = 1 - q)."""
-
-    model: str
-    q: float
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        _check_q(self.q)
-
-    @property
-    def p(self) -> float:
-        return 1.0 - self.q
-
-
-@dataclass(frozen=True)
-class TraceDistribution:
-    """Exact trace distribution; keys are canonical tree texts (or raw strings)."""
-
-    entries: Mapping[str, float]
-
-    def __post_init__(self):
-        total = sum(self.entries.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        if any(p < 0 or p > 1 for p in self.entries.values()):
-            raise ValueError("probability outside [0, 1]")
-
-    def __getitem__(self, key: str) -> float:
-        return self.entries[key]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def items(self):
-        return self.entries.items()
-
-
-def string_trace(s: SymbolString, q: float, rng) -> SymbolString:
+def string_trace(s: str, q: float, rng) -> str:
     """Delete each symbol independently with probability q, keep the rest in order."""
     _check_q(q)
     if len(s) == 0:
         return s
     keep = rng.random(len(s)) >= q
-    kept = "".join(ch for ch, k in zip(s.symbols, keep) if k)
-    return SymbolString(kept, s.alphabet)
+    return "".join(ch for ch, k in zip(s, keep) if k)
 
 
 def _check_deletions(t: Tree, deleted: Iterable[int]) -> set[int]:
@@ -184,8 +147,12 @@ def ted_trace(t: Tree, q: float, rng) -> Tree:
     return ted_apply(t, dels)
 
 
-def ted_trace_distribution(t: Tree, q: float) -> TraceDistribution:
-    """Exact distribution of ted_trace over all 2^(n-1) deletion subsets."""
+def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
+    """Exact distribution of ted_trace over all 2^(n-1) deletion subsets.
+
+    Keys are the canonical texts of the traces; the probabilities sum to 1.
+    """
+    _check_q(q)
     if t.n > TED_ENUM_CAP:
         raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
     others = preorder(t)[1:]
@@ -199,7 +166,7 @@ def ted_trace_distribution(t: Tree, q: float) -> TraceDistribution:
             continue
         key = ted_apply(t, dels).canonical()
         entries[key] = entries.get(key, 0.0) + prob
-    return TraceDistribution(entries)
+    return entries
 
 
 def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
@@ -373,11 +340,10 @@ def _sample(t: Tree, q: float, count: int, rng, traces) -> list[Trace]:
     return [built[r] for r in firsts]
 
 
-def string_traces(s: SymbolString | str, q: float, count: int, rng) -> list[str]:
-    """count string_trace draws in one call, as plain strings."""
+def string_traces(s: str, q: float, count: int, rng) -> list[str]:
+    """count string_trace draws in one call."""
     _check_q(q)
-    text = str(s)
-    return _strings(text, rng.random((count, len(text))) >= q)
+    return _strings(s, rng.random((count, len(s))) >= q)
 
 
 def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
@@ -489,14 +455,17 @@ def count_embeddings(s: str, trace: str) -> int:
     return dp[m]
 
 
-def string_trace_prob(s: SymbolString, trace: SymbolString, q: float) -> float:
-    """Exact P[string_trace(s, q) == trace]; zero when trace is not a subsequence."""
-    if set(trace.alphabet) - set(s.alphabet):
-        raise ValueError("trace alphabet must be contained in source alphabet")
-    n, m = len(s), len(trace)
+def string_trace_prob(s: str, trace: str, q: float) -> float:
+    """Exact P[string_trace(s, q) == trace] for binary strings and q in [0, 1].
+
+    Zero when trace is not a subsequence of s.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    n, m = len(_binary(s)), len(_binary(trace))
     if m > n:
         return 0.0
-    count = count_embeddings(s.symbols, trace.symbols)
+    count = count_embeddings(s, trace)
     if count == 0 or (m < n and q == 0.0) or (m > 0 and q == 1.0):
         return 0.0
     # In log space: count and the powers overflow separately for |s| ~ 1100.

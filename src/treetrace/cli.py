@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import channels, harness, trees, verify
-from .trees import SymbolString, Tree
+from .trees import Tree
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -59,7 +59,7 @@ def _render(value) -> str:
         return trees.format_tree(value)
     if isinstance(value, bool):
         return "forked" if value else "path"
-    return str(value)
+    return value  # a bit string
 
 
 def _cmd_gen(args) -> int:
@@ -78,12 +78,11 @@ def _cmd_trace(args) -> int:
 
 def _cmd_recon(args) -> int:
     # One trace per line; an empty line is the empty string trace.
-    lines = Path(args.tracefile).read_text().splitlines()
-    inst, _ = make_instance(args, max(len(lines), 1))
-    parse = SymbolString if args.model == "string" else (
-        lambda line: channels.trace_of(trees.parse_tree(line)))
-    got = harness.FAMILIES[args.family].decode(inst.public, [parse(ln) for ln in lines],
-                                               args.n, args.q)
+    traces = Path(args.tracefile).read_text().splitlines()
+    inst, _ = make_instance(args, max(len(traces), 1))
+    if args.model != "string":
+        traces = [channels.trace_of(trees.parse_tree(ln)) for ln in traces]
+    got = harness.FAMILIES[args.family].decode(inst.public, traces, args.n, args.q)
     _emit(_render(got) + "\n", args.out)
     return 0
 

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import channels, instances, string_recon, tree_recon
-from .trees import SymbolString, Tree
+from .trees import Tree
 
 CSV_HEADER = "experiment,family,n,q,model,traces,trials,successes,rate,wall_time_ms,seed"
 SEARCH_BUDGET_CAP = 2**20
@@ -108,8 +108,8 @@ class Instance(NamedTuple):
     source: object
 
 
-def _random_bits(n: int, rng) -> SymbolString:
-    return SymbolString("".join(str(int(b)) for b in rng.integers(0, 2, size=n)), "01")
+def _random_bits(n: int, rng) -> str:
+    return "".join(str(int(b)) for b in rng.integers(0, 2, size=n))
 
 
 def _labelled(topology: Tree, rng) -> Instance:
@@ -185,9 +185,11 @@ class Family:
 
     build(n, q, delta, planned_traces, model, rng) draws the instance from the
     trial's generator and decode(public, traces, n, q) returns the guess from
-    strings (model string) or channels.Trace values; both look layer
-    functions up in their modules at call time.  n runs from min_n
-    to max_n; check(n, q, delta, planned_traces) rejects unbuildable points.
+    plain str traces (model string) or channels.Trace values; both look layer
+    functions up in their modules at call time.  A truth and its guess are
+    compared with ==: a plain str of bits, a Tree, or a bool.  n runs from
+    min_n to max_n; check(n, q, delta, planned_traces) rejects unbuildable
+    points.
     """
 
     models: tuple[str, ...]
@@ -228,7 +230,7 @@ def validate(family: str, model: str, n: int, q: float, delta: float,
     no trace counts, only the checks that hold for every count run.
     """
     entry = _entry(family, model)
-    channels.ChannelSpec(model, q)
+    channels._check_q(q)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if n < entry.min_n:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .trees import Node, SymbolString, Tree, dyck_words, preorder, tree_from_dyck
+from .channels import _binary
+from .trees import Node, Tree, dyck_words, preorder, tree_from_dyck
 
 
 def buffer_length(delta: float, planned_traces: int, q: float) -> int:
@@ -38,7 +39,7 @@ def buffer_length(delta: float, planned_traces: int, q: float) -> int:
 class EncodedInstance:
     """A bit string hidden in tree topology: backbone path plus oriented leaves."""
 
-    source_string: SymbolString
+    source_string: str
     buffer_len: int
     tree: Tree
 
@@ -59,14 +60,14 @@ def encoded_leaf_id(s_len: int, ell: int, bit_index: int) -> int:
     return s_len + 2 * ell + bit_index - 1
 
 
-def encode_string_as_tree(source: SymbolString, ell: int) -> EncodedInstance:
+def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
     """Hide a bit string in an unlabeled caterpillar tree.
 
     The backbone is a path of |S| + 2*ell nodes whose first node is the root.
     Bit i hangs a leaf off backbone position ell + i: on the left (before the
     path continuation) for 0, on the right for 1.
     """
-    s = str(source)
+    s = _binary(source)
     if len(s) < 1:
         raise ValueError("source string must be nonempty")
     if ell < 1:
@@ -85,10 +86,10 @@ def encode_string_as_tree(source: SymbolString, ell: int) -> EncodedInstance:
         else:
             kids = nxt
         nodes[v] = Node(0, tuple(kids), v - 1 if v > 0 else None)
-    return EncodedInstance(SymbolString(s, "01"), ell, Tree(nodes, 0))
+    return EncodedInstance(s, ell, Tree(nodes, 0))
 
 
-def read_encoded_string(inst: EncodedInstance) -> SymbolString:
+def read_encoded_string(inst: EncodedInstance) -> str:
     """Recover the source string from leaf orientations (construction inverse)."""
     s_len = len(inst.source_string)
     bits = []
@@ -97,7 +98,7 @@ def read_encoded_string(inst: EncodedInstance) -> SymbolString:
         leaf = encoded_leaf_id(s_len, inst.buffer_len, i)
         kids = inst.tree.children_of(parent)
         bits.append("0" if kids[0] == leaf else "1")
-    return SymbolString("".join(bits), "01")
+    return "".join(bits)
 
 
 def path_tree(n: int) -> Tree:

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_q
-from .trees import SymbolString
+from .channels import _binary, _check_q
 
 ARC_GRID_POINTS = 1024
 FULL_SWEEP_CAP = 20  # all of {0,1}^n only up to here
@@ -63,13 +62,7 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def _binary(text: str) -> str:
-    if text.strip("01"):  # what is left holds a symbol other than 0 and 1
-        raise ValueError("traces must be binary strings")
-    return text
-
-
-def _sorted_rows(n: int, candidates: Sequence[SymbolString | str] | None) -> np.ndarray | None:
+def _sorted_rows(n: int, candidates: Sequence[str] | None) -> np.ndarray | None:
     """A candidate list as uint8 bit rows in lexicographic order.
 
     None means all of {0,1}^n, allowed up to FULL_SWEEP_CAP, and stays None;
@@ -79,7 +72,7 @@ def _sorted_rows(n: int, candidates: Sequence[SymbolString | str] | None) -> np.
         if n > FULL_SWEEP_CAP:
             raise ValueError(f"full sweep over {{0,1}}^n capped at n={FULL_SWEEP_CAP}")
         return None
-    strings = sorted(str(c) for c in candidates)
+    strings = sorted(candidates)
     if not strings:
         raise ValueError("empty candidate list")
     if any(len(c) != n for c in strings):
@@ -90,7 +83,7 @@ def _sorted_rows(n: int, candidates: Sequence[SymbolString | str] | None) -> np.
     return bits.reshape(len(strings), n)
 
 
-def _candidate_matrix(n: int, candidates: Sequence[SymbolString | str] | None) -> np.ndarray:
+def _candidate_matrix(n: int, candidates: Sequence[str] | None) -> np.ndarray:
     """Candidates as uint8 bit rows in lexicographic order.
 
     Row i of the full sweep is i in binary, so the first best row is the
@@ -105,8 +98,8 @@ def _candidate_matrix(n: int, candidates: Sequence[SymbolString | str] | None) -
     return codes
 
 
-def _row_string(row: np.ndarray) -> SymbolString:
-    return SymbolString((row + ord("0")).tobytes().decode(), "01")
+def _row_string(row: np.ndarray) -> str:
+    return (row + ord("0")).tobytes().decode()
 
 
 @lru_cache(maxsize=64)
@@ -133,20 +126,19 @@ def _exact_means(codes: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def exact_mean_vector(s: SymbolString | str, q: float) -> np.ndarray:
+def exact_mean_vector(s: str, q: float) -> np.ndarray:
     """E[padded trace] under the plain string deletion channel, coordinatewise."""
     _check_q(q)
-    return _exact_means(_bits(str(s))[None, :], q)[0]
+    return _exact_means(_bits(_binary(s))[None, :], q)[0]
 
 
-def empirical_mean_vector(traces: Sequence[SymbolString | str], n: int) -> np.ndarray:
+def empirical_mean_vector(traces: Sequence[str], n: int) -> np.ndarray:
     """Coordinatewise average of traces zero-padded to length n."""
     _check_n(n)
     if not traces:
         raise ValueError("empty trace list")
     acc = np.zeros(n)
-    for t in traces:
-        text = str(t)
+    for text in traces:
         if len(text) > n:
             raise ValueError(f"trace longer than n={n}")
         if text:
@@ -178,38 +170,33 @@ def arc_max_abs(coeffs: np.ndarray, L: int):
     return float(vals[i]), complex(z[i])
 
 
-def find_separation(x: SymbolString | str, y: SymbolString | str, q: float) -> SeparationWitness:
-    """Arc search plus exact-mean gap for a pair of distinct candidates."""
-    xs, ys = str(x), str(y)
-    if xs == ys:
+def find_separation(x: str, y: str, q: float) -> SeparationWitness:
+    """Arc search plus exact-mean gap for a pair of distinct binary candidates."""
+    if x == y:
         raise DegeneratePairError("candidates are identical")
-    if len(xs) != len(ys):
+    if len(x) != len(y):
         raise ValueError("candidates must have equal length")
-    L = default_arc_parameter(len(xs))
-    a = _bits(xs).astype(np.int64) - _bits(ys).astype(np.int64)
+    L = default_arc_parameter(len(x))
+    a = _bits(_binary(x)).astype(np.int64) - _bits(_binary(y)).astype(np.int64)
     poly_value, z = arc_max_abs(a, L)
     p = 1.0 - q
     w = (z - q) / p
-    gaps = np.abs(exact_mean_vector(xs, q) - exact_mean_vector(ys, q))
+    gaps = np.abs(exact_mean_vector(x, q) - exact_mean_vector(y, q))
     j = int(np.argmax(gaps))  # argmax takes the smallest maximising index
     return SeparationWitness(j, float(gaps[j]), L, z, w, poly_value)
 
 
-def distinguish_pair(
-    x: SymbolString | str, y: SymbolString | str, traces: Sequence[SymbolString | str], q: float
-) -> SymbolString:
+def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:
     """Pick whichever candidate's exact mean is closer at the witness coordinate."""
-    xs, ys = str(x), str(y)
-    wit = find_separation(xs, ys, q)
-    n = len(xs)
-    emp = empirical_mean_vector(traces, n)[wit.j]
-    dx = abs(emp - exact_mean_vector(xs, q)[wit.j])
-    dy = abs(emp - exact_mean_vector(ys, q)[wit.j])
+    wit = find_separation(x, y, q)
+    emp = empirical_mean_vector(traces, len(x))[wit.j]
+    dx = abs(emp - exact_mean_vector(x, q)[wit.j])
+    dy = abs(emp - exact_mean_vector(y, q)[wit.j])
     if dx < dy:
-        return SymbolString(xs, "01")
+        return x
     if dy < dx:
-        return SymbolString(ys, "01")
-    return SymbolString(min(xs, ys), "01")
+        return y
+    return min(x, y)
 
 
 def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
@@ -261,11 +248,11 @@ def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
 
 
 def ml_reconstruct(
-    traces: Sequence[SymbolString | str],
+    traces: Sequence[str],
     n: int,
     q: float,
-    candidates: Sequence[SymbolString | str] | None = None,
-) -> SymbolString:
+    candidates: Sequence[str] | None = None,
+) -> str:
     """Maximum-likelihood candidate under the i.i.d. deletion channel.
 
     Scores every candidate (all of {0,1}^n when candidates is None) by the
@@ -278,7 +265,7 @@ def ml_reconstruct(
     _check_n(n)
     if not traces:
         raise ValueError("empty trace list")
-    tally = Counter(str(t) for t in traces)
+    tally = Counter(traces)
     _binary("".join(tally))
     rows = _sorted_rows(n, candidates)
     if n > _EMBED_LEN_CAP:
@@ -307,15 +294,15 @@ def ml_reconstruct(
             "every candidate has zero likelihood: some trace embeds in none of them"
         )
     best = int(np.concatenate(found)[scores.argmax()])
-    return SymbolString(format(best, "b").zfill(n) if n else "", "01")
+    return format(best, "b").zfill(n) if n else ""
 
 
 def mean_reconstruct(
-    traces: Sequence[SymbolString | str],
+    traces: Sequence[str],
     n: int,
     q: float,
-    candidates: Sequence[SymbolString | str] | None = None,
-) -> SymbolString:
+    candidates: Sequence[str] | None = None,
+) -> str:
     """Candidate whose exact mean vector is sup-norm closest to the empirical one.
 
     One matrix product per block of rows scores every candidate; ties go to

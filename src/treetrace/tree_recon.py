@@ -22,7 +22,6 @@ from .instances import (
 from .string_recon import ml_reconstruct
 from .trees import (
     DyckStringError,
-    SymbolString,
     Tree,
     _euler_walk,
     dyck_string,
@@ -38,8 +37,8 @@ class MergeError(ValueError):
 class ReconstructionFailedError(ValueError):
     """Recovered dual strings could not be merged; carries both strings."""
 
-    def __init__(self, s0: SymbolString, s1: SymbolString):
-        super().__init__(f"dual strings do not merge: S0={s0!s} S1={s1!s}")
+    def __init__(self, s0: str, s1: str):
+        super().__init__(f"dual strings do not merge: S0={s0} S1={s1}")
         self.s0 = s0
         self.s1 = s1
 
@@ -60,7 +59,7 @@ def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Trace], q
     """
     if not traces:
         raise ValueError("empty trace list")
-    s = str(ml_reconstruct([tr.labels for tr in traces], topology.n, q))
+    s = ml_reconstruct([tr.labels for tr in traces], topology.n, q)
     return topology.with_labels({v: int(s[i]) for i, v in enumerate(preorder(topology))})
 
 
@@ -91,29 +90,27 @@ def dual_strings_with_owners(t: Tree):
     s0 = [(c, v) for c, v in marked if c != "1"]
     s1 = [(c, v) for c, v in marked if c != "0"]
     return (
-        SymbolString("".join(c for c, _ in s0), "02"), [v for _, v in s0],
-        SymbolString("".join(c for c, _ in s1), "12"), [v for _, v in s1],
+        "".join(c for c, _ in s0), [v for _, v in s0],
+        "".join(c for c, _ in s1), [v for _, v in s1],
     )
 
 
-def dual_strings(t: Tree) -> tuple[SymbolString, SymbolString]:
+def dual_strings(t: Tree) -> tuple[str, str]:
     """(S0 over {0,2}, S1 over {1,2}): ascents/descents with leaf markers."""
-    s0, s1 = _dual_of_word(str(dyck_string(t)))
-    return SymbolString(s0, "02"), SymbolString(s1, "12")
+    return _dual_of_word(dyck_string(t))
 
 
-def merge_dual_strings(s0: SymbolString | str, s1: SymbolString | str) -> Tree:
+def merge_dual_strings(s0: str, s1: str) -> Tree:
     """Rebuild the tree whose dual strings are (s0, s1).
 
     The 2-markers anchor the leaves; descent runs from s1 and ascent runs
     from s0 interleave between consecutive leaves into the full edge walk.
     Raises MergeError when the pair is not realizable.
     """
-    t0, t1 = str(s0), str(s1)
-    if set(t0) - {"0", "2"} or set(t1) - {"1", "2"}:
+    if set(s0) - {"0", "2"} or set(s1) - {"1", "2"}:
         raise MergeError("dual strings must use alphabets {0,2} and {1,2}")
-    downs = t1.split("2")
-    ups = t0.split("2")
+    downs = s1.split("2")
+    ups = s0.split("2")
     if len(downs) != len(ups):
         raise MergeError(
             f"leaf marker counts differ: {len(downs) - 1} in S1, {len(ups) - 1} in S0"
@@ -129,7 +126,7 @@ def merge_dual_strings(s0: SymbolString | str, s1: SymbolString | str) -> Tree:
         tree = tree_from_dyck(walk)
     except DyckStringError as exc:
         raise MergeError(f"interleaved walk is not balanced: {exc}") from exc
-    if _dual_of_word(walk) != (t0, t1):
+    if _dual_of_word(walk) != (s0, s1):
         raise MergeError("pair is not the dual encoding of any tree")
     return tree
 
@@ -137,14 +134,14 @@ def merge_dual_strings(s0: SymbolString | str, s1: SymbolString | str) -> Tree:
 _TO_BINARY = str.maketrans({"2": "0", "1": "1", "0": "1"})
 
 
-def _fuzzy_to_binary(s: SymbolString | str) -> str:
+def _fuzzy_to_binary(s: str) -> str:
     """Map the non-2 symbol to 1 and the leaf marker 2 to 0."""
-    return str(s).translate(_TO_BINARY)
+    return s.translate(_TO_BINARY)
 
 
-def _binary_to_fuzzy(s: str, alphabet: str) -> SymbolString:
-    other = alphabet.replace("2", "")
-    return SymbolString(s.translate(str.maketrans({"1": other, "0": "2"})), alphabet)
+def _binary_to_fuzzy(s: str, other: str) -> str:
+    """Inverse of _fuzzy_to_binary for the dual string whose non-2 symbol is other."""
+    return s.translate(str.maketrans({"1": other, "0": "2"}))
 
 
 def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree:
@@ -175,8 +172,8 @@ def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree
     cands1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
     got0 = ml_reconstruct(bin0, width, q, candidates=cands0)
     got1 = ml_reconstruct(bin1, width, q, candidates=cands1)
-    s0 = _binary_to_fuzzy(str(got0), "02")
-    s1 = _binary_to_fuzzy(str(got1), "12")
+    s0 = _binary_to_fuzzy(got0, "0")
+    s1 = _binary_to_fuzzy(got1, "1")
     try:
         return merge_dual_strings(s0, s1)
     except MergeError:
@@ -198,9 +195,7 @@ def _children(tr: Trace) -> dict[int, list[int]]:
     return kids
 
 
-def reconstruct_encoded(
-    traces: Sequence[Trace], s_len: int, ell: int, q: float
-) -> SymbolString:
+def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float) -> str:
     """Decode the bit string hidden in an encoding tree from TED traces.
 
     Family knowledge is the fixed identifier layout of the generator (the
@@ -234,7 +229,7 @@ def reconstruct_encoded(
             bits.append("1" if ones > zeros else "0")
     if undecided:
         raise UndecidedPositionsError(undecided)
-    return SymbolString("".join(bits), "01")
+    return "".join(bits)
 
 
 def encoded_removal_stats(traces: Sequence[Trace], s_len: int, ell: int) -> dict[str, float]:

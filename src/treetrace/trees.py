@@ -7,10 +7,7 @@ can be tracked; equality and hashing look only at shape and labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
-
-ALPHABETS = ("01", "02", "12")
 
 
 class TreeTextError(ValueError):
@@ -23,33 +20,6 @@ class TreeTextError(ValueError):
 
 class DyckStringError(ValueError):
     """Input is not a balanced Dyck word over {0,1}."""
-
-
-@dataclass(frozen=True)
-class SymbolString:
-    """Finite sequence over one of the two-letter alphabets 01, 02, 12."""
-
-    symbols: str
-    alphabet: str = "01"
-
-    def __post_init__(self):
-        if self.alphabet not in ALPHABETS:
-            raise ValueError(f"unknown alphabet {self.alphabet!r}")
-        bad = set(self.symbols) - set(self.alphabet)
-        if bad:
-            raise ValueError(f"symbols {sorted(bad)} outside alphabet {self.alphabet!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, i) -> str:
-        return self.symbols[i]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __str__(self) -> str:
-        return self.symbols
 
 
 class Node(NamedTuple):
@@ -183,9 +153,9 @@ def preorder(t: Tree) -> list[int]:
     return out
 
 
-def preorder_label_string(t: Tree) -> SymbolString:
+def preorder_label_string(t: Tree) -> str:
     """Labels read off in preorder; length equals the node count."""
-    return SymbolString("".join(str(t.nodes[v].label) for v in preorder(t)), "01")
+    return "".join(str(t.nodes[v].label) for v in preorder(t))
 
 
 def _euler_walk(t: Tree) -> Iterator[tuple[str, int]]:
@@ -204,14 +174,13 @@ def _euler_walk(t: Tree) -> Iterator[tuple[str, int]]:
             yield "0", v
 
 
-def dyck_string(t: Tree) -> SymbolString:
+def dyck_string(t: Tree) -> str:
     """Balanced word of the edge walk: 1 per descent, 0 per ascent; length 2(n-1)."""
-    return SymbolString("".join(sym for sym, _ in _euler_walk(t)), "01")
+    return "".join(sym for sym, _ in _euler_walk(t))
 
 
-def tree_from_dyck(s: SymbolString | str) -> Tree:
+def tree_from_dyck(word: str) -> Tree:
     """Inverse of dyck_string; all labels zero.  Raises DyckStringError if unbalanced."""
-    word = str(s)
     if set(word) - {"0", "1"}:
         raise DyckStringError(f"non-binary symbol in {word!r}")
     children: list[list[int]] = [[]]  # indexed by id; ids follow preorder

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from . import channels, instances, string_recon, tree_recon, trees
-from .trees import SymbolString, Tree
+from .trees import Tree
 
 
 def _rng(tag: str, seed: int = 0):
@@ -48,9 +48,9 @@ def check_dyck_roundtrip(max_n: int = 8):
         for ch in word:
             depth += 1 if ch == "1" else -1
             if depth < 0:
-                return False, f"unbalanced prefix in {word!s} for {t!r}"
+                return False, f"unbalanced prefix in {word} for {t!r}"
         if depth != 0:
-            return False, f"unbalanced word {word!s}"
+            return False, f"unbalanced word {word}"
         if not trees.trees_equal(trees.tree_from_dyck(word), t):
             return False, f"round-trip failed for {t!r}"
         count += 1
@@ -103,7 +103,7 @@ def check_traversal_preservation(max_n: int = 7, ted_apply_fn=None):
     checked = 0
     for t in _all_trees_up_to(max_n):
         order = trees.preorder(t)
-        s_t = str(trees.preorder_label_string(t))
+        s_t = trees.preorder_label_string(t)
         others = order[1:]
         for subset in _subsets(others):
             dels = set(subset)
@@ -114,7 +114,7 @@ def check_traversal_preservation(max_n: int = 7, ted_apply_fn=None):
             expected_s = "".join(
                 ch for v, ch in zip(order, s_t) if v not in dels
             )
-            if str(trees.preorder_label_string(trace)) != expected_s:
+            if trees.preorder_label_string(trace) != expected_s:
                 return False, f"label string broken on {t!r} deleting {sorted(dels)}"
             checked += 1
     return True, f"{checked} (tree, subset) pairs preserve the traversal order"
@@ -125,14 +125,14 @@ def check_dyck_pair_removal(max_n: int = 8):
     for t in _all_trees_up_to(max_n):
         if t.n == 1:
             continue
-        word = str(trees.dyck_string(t))
+        word = trees.dyck_string(t)
         # Position of each node's matched descent/ascent in the walk.
         opens: dict[int, int] = {}
         closes: dict[int, int] = {}
         for i, (sym, v) in enumerate(trees._euler_walk(t)):
             (opens if sym == "1" else closes)[v] = i
         for v in trees.preorder(t)[1:]:
-            got = str(trees.dyck_string(channels.ted_apply(t, {v})))
+            got = trees.dyck_string(channels.ted_apply(t, {v}))
             expect = "".join(
                 ch for i, ch in enumerate(word) if i not in (opens[v], closes[v])
             )
@@ -146,7 +146,7 @@ def check_ted_distribution_normalization(max_n: int = 6):
     checked = 0
     for t in _all_trees_up_to(max_n):
         dist = channels.ted_trace_distribution(t, 0.35)
-        total = sum(p for _, p in dist.items())
+        total = sum(dist.values())
         if abs(total - 1.0) > 1e-9:
             return False, f"sum {total} for {t!r}"
         checked += 1
@@ -162,7 +162,7 @@ def check_subsequence_total_probability(
 
     def total(s: str) -> float:
         return sum(
-            channels.string_trace_prob(SymbolString(s), SymbolString(t), q)
+            channels.string_trace_prob(s, t, q)
             for t in channels.distinct_subsequences(s)
         )
 
@@ -190,7 +190,7 @@ def check_string_trace_mc(s: str = "10110100", q: float = 0.5,
     bound = 5.0 / math.sqrt(n_samples)
     worst = 0.0
     for t in channels.distinct_subsequences(s):
-        exact = channels.string_trace_prob(SymbolString(s), SymbolString(t), q)
+        exact = channels.string_trace_prob(s, t, q)
         emp = freq.get(t, 0) / n_samples
         worst = max(worst, abs(emp - exact))
         if abs(emp - exact) > bound:
@@ -209,10 +209,10 @@ def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, see
         for (word, labels), c in pairs.items()
     }
     bound = 5.0 / math.sqrt(n_samples)
-    keys = set(freq) | {k for k, _ in dist.items()}
+    keys = set(freq) | set(dist)
     worst = 0.0
     for key in keys:
-        exact = dist.entries.get(key, 0.0)
+        exact = dist.get(key, 0.0)
         emp = freq.get(key, 0) / n_samples
         worst = max(worst, abs(emp - exact))
         if abs(emp - exact) > bound:
@@ -229,7 +229,7 @@ def enumeration_mean_vector(s: str, q: float) -> np.ndarray:
     n = len(s)
     acc = np.zeros(n)
     for t in channels.distinct_subsequences(s):
-        prob = channels.string_trace_prob(SymbolString(s), SymbolString(t), q)
+        prob = channels.string_trace_prob(s, t, q)
         if t:
             acc[: len(t)] += prob * (np.frombuffer(t.encode(), np.uint8) - ord("0"))
     return acc
@@ -310,11 +310,11 @@ def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
     p = 1.0 - q
     checked = 0
     for t in _all_trees_up_to(max_n):
-        a = np.array([int(c) for c in str(trees.dyck_string(t))])
+        a = np.array([int(c) for c in trees.dyck_string(t)])
         dist = channels.ted_trace_distribution(t, q)
         padded = {}
         for key, prob in dist.items():
-            word = str(trees.dyck_string(trees.parse_tree(key)))
+            word = trees.dyck_string(trees.parse_tree(key))
             padded[word] = padded.get(word, 0.0) + prob
         for w in ws:
             lhs = 0.0
@@ -415,9 +415,9 @@ def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
                 if not _non_orphaning(t, dels, trace):
                     continue
                 got0, got1 = tree_recon.dual_strings(trace)
-                want0 = "".join(c for c, v in zip(str(s0), own0) if v not in dels)
-                want1 = "".join(c for c, v in zip(str(s1), own1) if v not in dels)
-                if str(got0) != want0 or str(got1) != want1:
+                want0 = "".join(c for c, v in zip(s0, own0) if v not in dels)
+                want1 = "".join(c for c, v in zip(s1, own1) if v not in dels)
+                if got0 != want0 or got1 != want1:
                     return False, (
                         f"positional deletion broken: {t!r} minus {sorted(dels)}"
                     )
@@ -429,10 +429,10 @@ def check_encoded_readback(max_len: int = 12, ell: int = 3):
     count = 0
     for L in range(1, max_len + 1):
         for bits in itertools.product("01", repeat=L):
-            s = SymbolString("".join(bits))
+            s = "".join(bits)
             inst = instances.encode_string_as_tree(s, ell)
-            if str(instances.read_encoded_string(inst)) != str(s):
-                return False, f"read-back failed for {s!s}"
+            if instances.read_encoded_string(inst) != s:
+                return False, f"read-back failed for {s}"
             count += 1
     return True, f"{count} strings encode and read back exactly"
 

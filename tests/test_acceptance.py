@@ -22,7 +22,6 @@ from treetrace.harness import (
     run_trial,
     trial_rng,
 )
-from treetrace.trees import SymbolString
 
 MASTER = 20260810
 
@@ -259,7 +258,7 @@ def test_criterion_9_removal_rate_and_recovery():
     q, s_len = 0.3, 8
     n_traces = 100_000
     rng = trial_rng(MASTER, 90, 0)
-    s = SymbolString("".join(str(int(b)) for b in rng.integers(0, 2, size=s_len)))
+    s = "".join(str(int(b)) for b in rng.integers(0, 2, size=s_len))
     ell = instances.buffer_length(0.01, n_traces, q)
     inst = instances.encode_string_as_tree(s, ell)
     traces = channels.ted_traces(inst.tree, q, n_traces, rng)

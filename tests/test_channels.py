@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetrace.channels import (
-    ChannelSpec,
     InvalidDeletionError,
     SizeCapError,
     StaleTargetError,
@@ -30,7 +29,6 @@ from treetrace.channels import (
 from treetrace.instances import forked_tree, path_tree, random_labels, random_tree
 from treetrace.trees import (
     Node,
-    SymbolString,
     Tree,
     build_tree,
     enumerate_trees,
@@ -42,31 +40,22 @@ from treetrace.trees import (
 from conftest import make_rng
 
 
-def test_channel_spec_validation():
-    spec = ChannelSpec("ted", 0.3)
-    assert spec.p == 0.7
-    with pytest.raises(ValueError):
-        ChannelSpec("ted", 1.0)
-    with pytest.raises(ValueError):
-        ChannelSpec("bogus", 0.1)
-
-
 def test_string_trace_q0_identity():
     rng = make_rng("string-q0")
-    s = SymbolString("10110")
-    assert str(string_trace(s, 0.0, rng)) == "10110"
+    s = "10110"
+    assert string_trace(s, 0.0, rng) == "10110"
 
 
 def test_string_trace_single_bit_distribution():
     rng = make_rng("string-single")
-    hits = sum(str(string_trace(SymbolString("1"), 0.4, rng)) == "1" for _ in range(20000))
+    hits = sum(string_trace("1", 0.4, rng) == "1" for _ in range(20000))
     assert abs(hits / 20000 - 0.6) < 0.015
 
 
 def test_string_trace_half_on_double_one():
     # Enumerating the 4 deletion patterns of "11" at q=0.5: P(output "1") = 0.5.
     rng = make_rng("string-double")
-    hits = sum(str(string_trace(SymbolString("11"), 0.5, rng)) == "1" for _ in range(20000))
+    hits = sum(string_trace("11", 0.5, rng) == "1" for _ in range(20000))
     assert abs(hits / 20000 - 0.5) < 0.015
 
 
@@ -198,8 +187,17 @@ def test_ted_distribution_normalizes_random_trees():
     rng = make_rng("ted-dist")
     for _ in range(100):
         t = random_tree(int(rng.integers(1, 7)), rng)
-        total = sum(p for _, p in ted_trace_distribution(t, 0.35).items())
-        assert total == pytest.approx(1.0, abs=1e-9)
+        dist = ted_trace_distribution(t, 0.35)
+        assert type(dist) is dict
+        assert all(0.0 < p <= 1.0 for p in dist.values())
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [1.5, -0.2])
+def test_ted_distribution_rejects_q_out_of_range(q):
+    # Both still sum to 1, with negative terms: only the range check catches them.
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+        ted_trace_distribution(parse_tree("0(0,0)"), q)
 
 
 def test_ted_distribution_cap():
@@ -294,28 +292,33 @@ def test_lp_trace_lands_in_trace_set():
 
 def test_count_embeddings_and_prob_examples():
     assert count_embeddings("11", "1") == 2
-    assert string_trace_prob(SymbolString("11"), SymbolString("1"), 0.5) == pytest.approx(0.5)
-    assert string_trace_prob(SymbolString("101"), SymbolString("101"), 0.0) == pytest.approx(1.0)
-    assert string_trace_prob(SymbolString("00"), SymbolString("1"), 0.5) == 0.0
+    assert string_trace_prob("11", "1", 0.5) == pytest.approx(0.5)
+    assert string_trace_prob("101", "101", 0.0) == pytest.approx(1.0)
+    assert string_trace_prob("00", "1", 0.5) == 0.0
 
 
 def test_string_trace_prob_long_strings_in_log_space():
     # C(1100, 550) and 0.5^1100 each overflow a float; their product is ~0.024.
-    got = string_trace_prob(SymbolString("0" * 1100), SymbolString("0" * 550), 0.5)
+    got = string_trace_prob("0" * 1100, "0" * 550, 0.5)
     assert got == pytest.approx(math.comb(1100, 550) / 2**1100, rel=1e-9)
     assert 0.02 < got < 0.03
 
 
 def test_string_trace_prob_edge_rates():
-    s = SymbolString("0110")
-    assert string_trace_prob(s, SymbolString("011"), 0.0) == 0.0
-    assert string_trace_prob(s, SymbolString(""), 0.0) == 0.0
-    assert string_trace_prob(s, SymbolString(""), 0.3) == pytest.approx(0.3**4)
+    s = "0110"
+    assert string_trace_prob(s, "011", 0.0) == 0.0
+    assert string_trace_prob(s, "", 0.0) == 0.0
+    assert string_trace_prob(s, "", 0.3) == pytest.approx(0.3**4)
+    assert string_trace_prob(s, "", 1.0) == 1.0
+    assert string_trace_prob(s, "0", 1.0) == 0.0
+    for q in (1.5, -0.5):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            string_trace_prob("01", "0", q)
 
 
 def test_string_trace_prob_alphabet_check():
     with pytest.raises(ValueError):
-        string_trace_prob(SymbolString("00"), SymbolString("2", "02"), 0.5)
+        string_trace_prob("00", "2", 0.5)
 
 
 @given(st.integers(0, 255), st.integers(1, 8))
@@ -324,7 +327,7 @@ def test_subsequence_probabilities_sum_to_one(bits, length):
     s = format(bits % (1 << length), f"0{length}b")
     q = 0.35
     total = sum(
-        string_trace_prob(SymbolString(s), SymbolString(t), q)
+        string_trace_prob(s, t, q)
         for t in distinct_subsequences(s)
     )
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -371,7 +374,7 @@ def test_string_traces_match_string_trace(q):
         count = int(rng.integers(0, 9))
         rng_a, rng_b = make_rng(f"batched-string-{q}:{i}"), make_rng(f"batched-string-{q}:{i}")
         got = string_traces(s, q, count, rng_a)
-        assert got == [str(string_trace(SymbolString(s), q, rng_b)) for _ in range(count)]
+        assert got == [string_trace(s, q, rng_b) for _ in range(count)]
         assert rng_a.random() == rng_b.random()
 
 

@@ -20,7 +20,7 @@ def test_gen_path(capsys):
     # gen prints trial (0, 0, 0)'s instance: A_3 with the labels it hides.
     code, out = run(capsys, "gen", "--family", "path", "--n", "3")
     assert code == 0
-    assert str(dyck_string(parse_tree(out.strip()))) == "111000"
+    assert dyck_string(parse_tree(out.strip())) == "111000"
     assert out.strip() == format_tree(random_labels(path_tree(3), trial_rng(0, 0, 0)))
 
 
@@ -68,12 +68,12 @@ def test_enumerate_lp(capsys):
     assert code == 0
     lines = out.split()
     assert lines
-    assert all(str(dyck_string(parse_tree(ln))) == "11110000" for ln in lines)
+    assert all(dyck_string(parse_tree(ln)) == "11110000" for ln in lines)
 
 
 def test_enumerate_ted_distribution(capsys):
     _, tree = run(capsys, "gen", "--family", "path", "--n", "2", "--q", "0.5")
-    _, l1, l2 = str(preorder_label_string(parse_tree(tree.strip())))
+    _, l1, l2 = preorder_label_string(parse_tree(tree.strip()))
     code, out = run(capsys, "enumerate", "--model", "ted", "--family", "path",
                     "--n", "2", "--q", "0.5")
     assert code == 0
@@ -112,6 +112,15 @@ def test_recon_reads_empty_string_traces(tmp_path, capsys):
     assert run(capsys, "trace", *flags, "--out", str(traces))[0] == 0
     assert traces.read_text() == "\n\n"
     assert run(capsys, "recon", *flags, str(traces)) == (0, "00\n")
+
+
+def test_recon_rejects_nonbinary_string_trace(tmp_path, capsys):
+    traces = tmp_path / "traces.txt"
+    traces.write_text("012\n")
+    code = main(["recon", "--model", "string", "--n", "3", str(traces)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["treetrace recon: traces must be binary strings"]
 
 
 def test_experiment_csv(tmp_path, capsys):

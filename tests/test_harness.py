@@ -41,6 +41,9 @@ def test_spec_validation():
         ExperimentSpec("random", 6, 0.1, "ted", (4, 2), 5)
     with pytest.raises(UnknownFamilyError):
         ExperimentSpec("bogus", 6, 0.1, "ted", (1,), 5)
+    # Not in REJECTED below: the CLI's --model choices stop "bogus" before a spec is built.
+    with pytest.raises(UnknownFamilyError):
+        ExperimentSpec("random", 6, 0.1, "bogus", (1,), 5)
     with pytest.raises(ValueError):
         ExperimentSpec("random", 6, 0.1, "ted", (1,), 0)
 
@@ -48,6 +51,7 @@ def test_spec_validation():
 # Specs that used to be accepted and then crash partway through a sweep.
 REJECTED = {
     "n=0": dict(family="random", n=0, q=0.1, model="ted", trace_grid=(4,)),
+    "q=1": dict(family="random", n=6, q=1.0, model="ted", trace_grid=(4,)),
     "q=1.5": dict(family="random", n=6, q=1.5, model="ted", trace_grid=(4,)),
     "fuzzy+string": dict(family="fuzzy", n=12, q=0.1, model="string", trace_grid=(4,)),
     "trace count 0": dict(family="random", n=6, q=0.1, model="ted", trace_grid=(0, 4)),

@@ -21,7 +21,6 @@ from treetrace.instances import (
 )
 from treetrace.trees import (
     Node,
-    SymbolString,
     Tree,
     format_tree,
     is_fuzzy,
@@ -46,28 +45,33 @@ def test_buffer_length_monotone():
 
 def test_encode_single_zero_bit():
     # Path of 3 (root, carrier, tail buffer) with a left leaf at position 2.
-    inst = encode_string_as_tree(SymbolString("0"), 1)
+    inst = encode_string_as_tree("0", 1)
     assert format_tree(inst.tree) == "0(0(0,0))"
     assert inst.tree.n == 4
 
 
 def test_encode_two_bits():
     # Path of 4; left leaf at position 2, right leaf at position 3.
-    inst = encode_string_as_tree(SymbolString("01"), 1)
+    inst = encode_string_as_tree("01", 1)
     assert format_tree(inst.tree) == "0(0(0,0(0,0)))"
     assert inst.tree.n == 6
+
+
+def test_encode_rejects_nonbinary_string():
+    with pytest.raises(ValueError, match="must be binary"):
+        encode_string_as_tree("012", 1)
 
 
 def test_encode_readback_exhaustive_short():
     for L in range(1, 9):
         for bits in itertools.product("01", repeat=L):
-            s = SymbolString("".join(bits))
+            s = "".join(bits)
             inst = encode_string_as_tree(s, 2)
-            assert str(read_encoded_string(inst)) == str(s)
+            assert read_encoded_string(inst) == s
 
 
 def test_encoded_id_layout():
-    inst = encode_string_as_tree(SymbolString("10"), 2)
+    inst = encode_string_as_tree("10", 2)
     s_len, ell = 2, 2
     for i in (1, 2):
         leaf = encoded_leaf_id(s_len, ell, i)

@@ -20,7 +20,7 @@ from treetrace.string_recon import (
     mean_reconstruct,
     ml_reconstruct,
 )
-from treetrace.trees import SymbolString, dyck_string, enumerate_trees
+from treetrace.trees import dyck_string, enumerate_trees
 from treetrace.verify import enumeration_mean_vector, sample_empirical_mean
 from conftest import make_rng
 
@@ -93,21 +93,21 @@ def test_default_arc_parameter():
 def test_distinguish_pair_examples():
     rng = make_rng("distinguish")
     x, y = "10", "01"
-    traces = [str(channels.string_trace(SymbolString(x), 0.0, rng)) for _ in range(5)]
-    assert str(distinguish_pair(x, y, traces, 0.0)) == x
+    traces = [channels.string_trace(x, 0.0, rng) for _ in range(5)]
+    assert distinguish_pair(x, y, traces, 0.0) == x
     # Empirical mean [0.51, 0.01]: 50 "1", 1 "11", 49 empty traces.
     traces = ["1"] * 50 + ["11"] + [""] * 49
-    assert str(distinguish_pair(x, y, traces, 0.5)) == x
+    assert distinguish_pair(x, y, traces, 0.5) == x
 
 
 def test_distinguish_pair_error_rate_hoeffding():
     # At magnitude 0.25 and N=1000 the Hoeffding bound is ~6e-14: no errors.
     rng = make_rng("hoeffding")
-    x, y = SymbolString("10"), SymbolString("01")
+    x, y = "10", "01"
     errors = 0
     for _ in range(300):
         traces = [channels.string_trace(x, 0.5, rng) for _ in range(1000)]
-        errors += str(distinguish_pair(x, y, traces, 0.5)) != str(x)
+        errors += distinguish_pair(x, y, traces, 0.5) != x
     assert errors == 0
 
 
@@ -202,7 +202,7 @@ def test_trie_ml_matches_exhaustive_sweep(level_bytes, monkeypatch):
                 ml_reconstruct(traces, n, q, cands)
             outcomes["inconsistent"] += 1
         else:
-            assert str(ml_reconstruct(traces, n, q, cands)) == want, (traces, n, q, cands)
+            assert ml_reconstruct(traces, n, q, cands) == want, (traces, n, q, cands)
             outcomes["decoded"] += 1
     assert outcomes["inconsistent"] >= 200 and outcomes["decoded"] >= 1000, outcomes
 
@@ -229,8 +229,8 @@ def test_trie_ml_memory_stays_near_the_sweep():
 
 
 def test_ml_examples():
-    assert str(ml_reconstruct(["101"], 3, 0.0)) == "101"
-    assert str(ml_reconstruct(["1", "1", "11"], 2, 0.5)) == "11"
+    assert ml_reconstruct(["101"], 3, 0.0) == "101"
+    assert ml_reconstruct(["1", "1", "11"], 2, 0.5) == "11"
     with pytest.raises(InconsistentTracesError):
         ml_reconstruct(["11"], 2, 0.5, candidates=["10", "01"])
     with pytest.raises(ValueError):
@@ -244,9 +244,9 @@ def test_ml_recovery_improves_with_traces():
     for n_traces in (1, 64):
         ok = 0
         for _ in range(20):
-            s = SymbolString("".join(rng.choice(["0", "1"], size=n)))
+            s = "".join(rng.choice(["0", "1"], size=n))
             traces = [channels.string_trace(s, q, rng) for _ in range(n_traces)]
-            ok += str(ml_reconstruct(traces, n, q)) == str(s)
+            ok += ml_reconstruct(traces, n, q) == s
         rates[n_traces] = ok / 20
     assert rates[64] >= rates[1]
     assert rates[64] >= 0.9
@@ -257,8 +257,8 @@ def _random_strings_and_traces(tag: str, n: int):
     rng = make_rng(tag)
     for q in (0.1, 0.4, 0.8):
         for n_traces in (1, 3, 16):
-            s = SymbolString("".join(rng.choice(["0", "1"], size=n)))
-            yield q, [str(channels.string_trace(s, q, rng)) for _ in range(n_traces)]
+            s = "".join(rng.choice(["0", "1"], size=n))
+            yield q, [channels.string_trace(s, q, rng) for _ in range(n_traces)]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -266,10 +266,10 @@ def test_full_sweep_matches_explicit_list_of_all_strings(n):
     every = ["".join(b) for b in itertools.product("01", repeat=n)]
     backwards = every[::-1]
     for q, traces in _random_strings_and_traces(f"sweep-{n}", n):
-        want = str(ml_reconstruct(traces, n, q, candidates=every))
-        assert str(ml_reconstruct(traces, n, q)) == want
-        assert str(ml_reconstruct(traces, n, q, candidates=backwards)) == want
-    assert str(ml_reconstruct([""], n, 0.5)) == "0" * n
+        want = ml_reconstruct(traces, n, q, candidates=every)
+        assert ml_reconstruct(traces, n, q) == want
+        assert ml_reconstruct(traces, n, q, candidates=backwards) == want
+    assert ml_reconstruct([""], n, 0.5) == "0" * n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -281,7 +281,7 @@ def test_mean_reconstruct_is_the_per_candidate_argmin(n):
         gap = {c: np.max(np.abs(emp - exact_mean_vector(c, q))) for c in every}
         for cands, pool in ((None, every), (few, few)):
             want = min(pool, key=lambda c: (gap[c], c))
-            assert str(mean_reconstruct(traces, n, q, candidates=cands)) == want
+            assert mean_reconstruct(traces, n, q, candidates=cands) == want
 
 
 @pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])
@@ -292,8 +292,8 @@ def test_candidates_are_checked(reconstruct):
             reconstruct(["1"], 2, 0.3, candidates=bad)
     with pytest.raises(ValueError):
         reconstruct(["1"], FULL_SWEEP_CAP + 1, 0.3)
-    assert str(reconstruct([""], 0, 0.3)) == ""
-    assert str(reconstruct([""], 0, 0.3, candidates=[""])) == ""
+    assert reconstruct([""], 0, 0.3) == ""
+    assert reconstruct([""], 0, 0.3, candidates=[""]) == ""
 
 
 @pytest.mark.parametrize(
@@ -328,13 +328,27 @@ def test_reconstructors_reject_q_outside_unit_interval(reconstruct, q):
         reconstruct(["1"], 2, q)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_mean_vector("012", 0.3),
+        lambda: find_separation("02", "01", 0.3),
+        lambda: distinguish_pair("02", "01", ["0"], 0.3),
+    ],
+    ids=["exact_mean_vector", "find_separation", "distinguish_pair"],
+)
+def test_mean_helpers_reject_nonbinary_strings(call):
+    with pytest.raises(ValueError, match="must be binary"):
+        call()
+
+
 def test_mean_reconstruct_examples():
-    assert str(mean_reconstruct(["101"] * 10, 3, 0.0)) == "101"
+    assert mean_reconstruct(["101"] * 10, 3, 0.0) == "101"
     rng = make_rng("mean-pair")
     x, y = "1001", "0110"
-    traces = [str(channels.string_trace(SymbolString(x), 0.3, rng)) for _ in range(10_000)]
-    by_mean = str(mean_reconstruct(traces, 4, 0.3, candidates=[x, y]))
-    by_pair = str(distinguish_pair(x, y, traces, 0.3))
+    traces = [channels.string_trace(x, 0.3, rng) for _ in range(10_000)]
+    by_mean = mean_reconstruct(traces, 4, 0.3, candidates=[x, y])
+    by_pair = distinguish_pair(x, y, traces, 0.3)
     assert by_mean == by_pair == x
 
 
@@ -344,7 +358,7 @@ def test_mean_reconstruct_dyck_candidates_under_ted():
     # the check runs at a mild deletion rate.
     rng = make_rng("mean-dyck")
     n = 6
-    by_word = {str(dyck_string(t)): t for t in enumerate_trees(n)}
+    by_word = {dyck_string(t): t for t in enumerate_trees(n)}
     cands = sorted(by_word)
     ok = 0
     trials = 20
@@ -352,9 +366,9 @@ def test_mean_reconstruct_dyck_candidates_under_ted():
         word = cands[int(rng.integers(len(cands)))]
         truth = by_word[word]
         traces = [
-            str(dyck_string(channels.ted_trace(truth, 0.1, rng))) for _ in range(500)
+            dyck_string(channels.ted_trace(truth, 0.1, rng)) for _ in range(500)
         ]
-        ok += str(mean_reconstruct(traces, len(word), 0.1, candidates=cands)) == word
+        ok += mean_reconstruct(traces, len(word), 0.1, candidates=cands) == word
     assert ok / trials >= 0.8
 
 
@@ -370,5 +384,5 @@ def test_binomial_identity():
 
 def test_ties_break_lexicographically():
     # One empty trace cannot distinguish candidates of equal length.
-    assert str(ml_reconstruct([""], 2, 0.5)) == "00"
-    assert str(mean_reconstruct(["0"], 1, 0.5, candidates=["1", "0"])) == "0"
+    assert ml_reconstruct([""], 2, 0.5) == "00"
+    assert mean_reconstruct(["0"], 1, 0.5, candidates=["1", "0"]) == "0"

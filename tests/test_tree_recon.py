@@ -17,7 +17,6 @@ from treetrace.tree_recon import (
     reconstruct_labels_known_topology,
 )
 from treetrace.trees import (
-    SymbolString,
     build_tree,
     enumerate_trees,
     parse_tree,
@@ -60,9 +59,9 @@ def test_known_topology_under_lp_channel():
 
 def test_dual_strings_examples():
     s0, s1 = dual_strings(parse_tree("0(0,0)"))
-    assert (str(s0), str(s1)) == ("2020", "1212")
+    assert (s0, s1) == ("2020", "1212")
     s0, s1 = dual_strings(build_tree(0))
-    assert (str(s0), str(s1)) == ("2", "2")
+    assert (s0, s1) == ("2", "2")
 
 
 def test_dual_strings_lengths():
@@ -87,8 +86,8 @@ def test_single_deletion_removes_owned_symbols():
             if any(u not in original_leaves for u in trace.leaves()):
                 continue  # orphaned parent: not a pure symbol deletion
             got0, got1 = dual_strings(trace)
-            assert str(got0) == "".join(c for c, u in zip(str(s0), own0) if u != v)
-            assert str(got1) == "".join(c for c, u in zip(str(s1), own1) if u != v)
+            assert got0 == "".join(c for c, u in zip(s0, own0) if u != v)
+            assert got1 == "".join(c for c, u in zip(s1, own1) if u != v)
 
 
 def test_merge_examples_and_roundtrip():
@@ -139,13 +138,13 @@ def test_reconstruct_fuzzy_monte_carlo():
 
 
 def test_reconstruct_encoded_q0():
-    s = SymbolString("10110010")
+    s = "10110010"
     inst = instances.encode_string_as_tree(s, 2)
-    assert str(reconstruct_encoded([trace_of(inst.tree)], 8, 2, 0.0)) == str(s)
+    assert reconstruct_encoded([trace_of(inst.tree)], 8, 2, 0.0) == s
 
 
 def test_reconstruct_encoded_undecided():
-    s = SymbolString("101")
+    s = "101"
     inst = instances.encode_string_as_tree(s, 1)
     # Delete every encoded leaf: no position has an observation.
     dels = {instances.encoded_leaf_id(3, 1, i) for i in (1, 2, 3)}
@@ -160,12 +159,12 @@ def test_reconstruct_encoded_monte_carlo():
     q = 0.3
     ok = 0
     for _ in range(20):
-        s = SymbolString("".join(str(int(b)) for b in rng.integers(0, 2, size=8)))
+        s = "".join(str(int(b)) for b in rng.integers(0, 2, size=8))
         ell = instances.buffer_length(0.05, 32, q)
         inst = instances.encode_string_as_tree(s, ell)
         traces = [trace_of(channels.ted_trace(inst.tree, q, rng)) for _ in range(32)]
         try:
-            ok += str(reconstruct_encoded(traces, 8, ell, q)) == str(s)
+            ok += reconstruct_encoded(traces, 8, ell, q) == s
         except UndecidedPositionsError:
             pass
     assert ok >= 18
@@ -174,7 +173,7 @@ def test_reconstruct_encoded_monte_carlo():
 def test_encoded_removal_stats_match_q_squared():
     rng = make_rng("encoded-stats")
     q = 0.3
-    s = SymbolString("10110100")
+    s = "10110100"
     ell = 4
     inst = instances.encode_string_as_tree(s, ell)
     n_traces = 4000

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from treetrace.trees import (
     DyckStringError,
     Node,
-    SymbolString,
     Tree,
     TreeTextError,
     build_tree,
@@ -45,17 +44,17 @@ def test_preorder_hand_simulated():
 
 
 def test_label_string_examples():
-    assert str(preorder_label_string(build_tree(1))) == "1"
-    assert str(preorder_label_string(build_tree((0, [1, 0])))) == "010"
+    assert preorder_label_string(build_tree(1)) == "1"
+    assert preorder_label_string(build_tree((0, [1, 0]))) == "010"
     t = build_tree((1, [(0, [1]), 1]))
-    assert str(preorder_label_string(t)) == "1011"
+    assert preorder_label_string(t) == "1011"
 
 
 def test_dyck_examples():
-    assert str(dyck_string(build_tree(0))) == ""
-    assert str(dyck_string(build_tree((0, [0])))) == "10"
-    assert str(dyck_string(build_tree((0, [(0, [0])])))) == "1100"
-    assert str(dyck_string(build_tree((0, [0, 0])))) == "1010"
+    assert dyck_string(build_tree(0)) == ""
+    assert dyck_string(build_tree((0, [0]))) == "10"
+    assert dyck_string(build_tree((0, [(0, [0])]))) == "1100"
+    assert dyck_string(build_tree((0, [0, 0]))) == "1010"
 
 
 def test_tree_from_dyck_examples():
@@ -168,7 +167,7 @@ def test_build_tree_deep_chain_and_wide_fan():
     chain = build_tree(spec)
     assert chain.n == 3000
     assert preorder(chain) == list(range(3000))
-    assert str(preorder_label_string(chain)) == "0" * 2999 + "1"
+    assert preorder_label_string(chain) == "0" * 2999 + "1"
     assert chain.parent_of(2999) == 2998
     fan = build_tree((1, [(0, [1]) if i == 7 else i % 2 for i in range(2000)]))
     assert fan.n == 2002
@@ -235,16 +234,7 @@ def random_dyck_words(draw, max_pairs=25):
 @given(random_dyck_words())
 @settings(max_examples=200, deadline=None)
 def test_dyck_roundtrip_property(word):
-    assert str(dyck_string(tree_from_dyck(word))) == word
-
-
-def test_symbol_string_validates_alphabet():
-    SymbolString("0110")
-    SymbolString("2020", "02")
-    with pytest.raises(ValueError):
-        SymbolString("012")
-    with pytest.raises(ValueError):
-        SymbolString("1", "03")
+    assert dyck_string(tree_from_dyck(word)) == word
 
 
 def test_is_fuzzy():
