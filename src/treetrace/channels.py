@@ -51,9 +51,12 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
-def _binary(text: str) -> str:
+def _binary(text: str, name: str | None = None) -> str:
+    """text, if it holds only 0 and 1; name is the argument when it is not a trace."""
     if text.strip("01"):  # what is left holds a symbol other than 0 and 1
-        raise ValueError("traces must be binary strings")
+        raise ValueError(
+            "traces must be binary strings" if name is None else f"{name} must be a binary string"
+        )
     return text
 
 
@@ -462,7 +465,7 @@ def string_trace_prob(s: str, trace: str, q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    n, m = len(_binary(s)), len(_binary(trace))
+    n, m = len(_binary(s, "s")), len(_binary(trace))
     if m > n:
         return 0.0
     count = count_embeddings(s, trace)

@@ -67,7 +67,7 @@ def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
     Bit i hangs a leaf off backbone position ell + i: on the left (before the
     path continuation) for 0, on the right for 1.
     """
-    s = _binary(source)
+    s = _binary(source, "source")
     if len(s) < 1:
         raise ValueError("source string must be nonempty")
     if ell < 1:

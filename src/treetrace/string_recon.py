@@ -1,7 +1,8 @@
 """Desk-scale string reconstructors and mean-based separation machinery.
 
-Expected-value formulas for zero-padded traces, a polynomial arc search that
-certifies how distinguishable two candidate strings are, a single-coordinate
+Expected-value formulas for zero-padded traces, a batched exact-mean gap and
+polynomial arc search that certify how distinguishable pairs of candidate
+strings are (`find_separation` is the one-pair case), a single-coordinate
 pairwise test, and two candidate-sweep reconstructors (max-likelihood and
 nearest-exact-mean).  The mean sweep scores candidates as rows of one uint8
 bit matrix.  Maximum likelihood walks the candidates' prefix trie once for
@@ -26,6 +27,7 @@ FULL_SWEEP_CAP = 20  # all of {0,1}^n only up to here
 _EMBED_LEN_CAP = 62  # int64 embedding counts stay exact below this length
 _MEAN_BLOCK_ROWS = 1 << 16  # candidates per matrix product in mean_reconstruct
 _TRIE_LEVEL_BYTES = 2 << 20  # DP state of one trie level in ml_reconstruct
+_PAIR_BLOCK_ROWS = (1 << 19) // (8 * ARC_GRID_POINTS)  # pairs per 512 KiB block in _separations
 _BIT_PAIR = np.array([0, 1])
 
 
@@ -129,7 +131,7 @@ def _exact_means(codes: np.ndarray, q: float) -> np.ndarray:
 def exact_mean_vector(s: str, q: float) -> np.ndarray:
     """E[padded trace] under the plain string deletion channel, coordinatewise."""
     _check_q(q)
-    return _exact_means(_bits(_binary(s))[None, :], q)[0]
+    return _exact_means(_bits(_binary(s, "s"))[None, :], q)[0]
 
 
 def empirical_mean_vector(traces: Sequence[str], n: int) -> np.ndarray:
@@ -162,12 +164,47 @@ def _arc_grid(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return z, powers
 
 
-def arc_max_abs(coeffs: np.ndarray, L: int):
-    """Max of |sum_k a_k z^k| over ARC_GRID_POINTS points on the arc |arg z| <= pi/L."""
-    z, powers = _arc_grid(len(coeffs), L)
-    vals = np.abs(powers @ coeffs.astype(complex))
-    i = int(np.argmax(vals))
-    return float(vals[i]), complex(z[i])
+def _arc_tables(codes: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of each bit row's polynomial at the grid points.
+
+    Summed over k in a fixed order from exact 0/1 terms, so a row gets
+    bitwise the same values alone as in a batch; a BLAS product does not.
+    """
+    re = np.zeros((len(codes), ARC_GRID_POINTS))
+    im = np.zeros_like(re)
+    for col, zk in zip(codes.T, powers.T):
+        re += col[:, None] * zk.real
+        im += col[:, None] * zk.imag
+    return re, im
+
+
+def _separations(codes: np.ndarray, left: np.ndarray, right: np.ndarray, q: float):
+    """Witness parts (j, magnitude, z, poly_value) for each pair of bit rows.
+
+    Pair i is codes[left[i]] against codes[right[i]].  Every row gets its
+    exact means and arc values once; the pairs then go in blocks of
+    _PAIR_BLOCK_ROWS, and a pair's witness does not depend on its block.
+    """
+    _check_q(q)
+    n = codes.shape[1]
+    z, powers = _arc_grid(n, default_arc_parameter(n))
+    means = _exact_means(codes, q)
+    re, im = _arc_tables(codes, powers)
+    js, magnitudes, at, values = [], [], [], []
+    for lo in range(0, len(left), _PAIR_BLOCK_ROWS):
+        a, b = left[lo : lo + _PAIR_BLOCK_ROWS], right[lo : lo + _PAIR_BLOCK_ROWS]
+        gaps = np.abs(means[a] - means[b])
+        j = gaps.argmax(axis=1)  # argmax takes the smallest maximising index
+        dre, dim = re[a] - re[b], im[a] - im[b]
+        squares = dre * dre + dim * dim  # a quarter of np.hypot's time
+        k = squares.argmax(axis=1)
+        rows = np.arange(len(a))
+        js.append(j)
+        magnitudes.append(gaps[rows, j])
+        at.append(k)
+        values.append(np.hypot(dre[rows, k], dim[rows, k]))
+    return (np.concatenate(js), np.concatenate(magnitudes), z[np.concatenate(at)],
+            np.concatenate(values))
 
 
 def find_separation(x: str, y: str, q: float) -> SeparationWitness:
@@ -176,14 +213,11 @@ def find_separation(x: str, y: str, q: float) -> SeparationWitness:
         raise DegeneratePairError("candidates are identical")
     if len(x) != len(y):
         raise ValueError("candidates must have equal length")
-    L = default_arc_parameter(len(x))
-    a = _bits(_binary(x)).astype(np.int64) - _bits(_binary(y)).astype(np.int64)
-    poly_value, z = arc_max_abs(a, L)
-    p = 1.0 - q
-    w = (z - q) / p
-    gaps = np.abs(exact_mean_vector(x, q) - exact_mean_vector(y, q))
-    j = int(np.argmax(gaps))  # argmax takes the smallest maximising index
-    return SeparationWitness(j, float(gaps[j]), L, z, w, poly_value)
+    codes = _bits(_binary(x, "x") + _binary(y, "y")).reshape(2, len(x))
+    (j,), (gap,), (z,), (value,) = _separations(codes, np.array([0]), np.array([1]), q)
+    z = complex(z)
+    w = (z - q) / (1.0 - q)
+    return SeparationWitness(int(j), float(gap), default_arc_parameter(len(x)), z, w, float(value))
 
 
 def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:

@@ -331,14 +331,15 @@ def check_separation_existence(max_n: int = 8, q: float = 0.5):
     smallest = math.inf
     pairs = 0
     for n in range(1, max_n + 1):
-        all_strings = ["".join(b) for b in itertools.product("01", repeat=n)]
-        for i, x in enumerate(all_strings):
-            for y in all_strings[i + 1 :]:
-                wit = string_recon.find_separation(x, y, q)
-                smallest = min(smallest, wit.magnitude)
-                if wit.magnitude <= 1e-12:
-                    return False, f"no separation for x={x}, y={y}"
-                pairs += 1
+        codes = string_recon._candidate_matrix(n, None)
+        left, right = np.triu_indices(len(codes), 1)
+        _, magnitude, _, poly_value = string_recon._separations(codes, left, right, q)
+        bad = np.flatnonzero((magnitude <= 1e-12) | (poly_value <= 1e-12))
+        if len(bad):
+            x, y = (string_recon._row_string(codes[side[bad[0]]]) for side in (left, right))
+            return False, f"no separation for x={x}, y={y}"
+        smallest = min(smallest, float(magnitude.min()))
+        pairs += len(left)
     return True, f"{pairs} pairs separated; smallest magnitude {smallest:.3e}"
 
 
@@ -347,8 +348,7 @@ def check_arc_maxima(max_n: int = 10, chunk: int = 256):
     report = []
     for n in range(1, max_n + 1):
         L = string_recon.default_arc_parameter(n)
-        theta = np.linspace(-math.pi / L, math.pi / L, string_recon.ARC_GRID_POINTS)
-        powers = np.exp(1j * theta)[:, None] ** np.arange(n)[None, :]
+        _, powers = string_recon._arc_grid(n, L)
         worst = math.inf
         total = 3**n - 1
         coeff_iter = itertools.product((-1, 0, 1), repeat=n)

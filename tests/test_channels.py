@@ -317,8 +317,10 @@ def test_string_trace_prob_edge_rates():
 
 
 def test_string_trace_prob_alphabet_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^traces must be binary strings$"):
         string_trace_prob("00", "2", 0.5)
+    with pytest.raises(ValueError, match="^s must be a binary string$"):
+        string_trace_prob("0a", "0", 0.5)
 
 
 @given(st.integers(0, 255), st.integers(1, 8))

@@ -58,7 +58,7 @@ def test_encode_two_bits():
 
 
 def test_encode_rejects_nonbinary_string():
-    with pytest.raises(ValueError, match="must be binary"):
+    with pytest.raises(ValueError, match="^source must be a binary string$"):
         encode_string_as_tree("012", 1)
 
 

@@ -13,6 +13,7 @@ from treetrace.string_recon import (
     InconsistentTracesError,
     default_arc_parameter,
     _candidate_matrix,
+    _row_string,
     distinguish_pair,
     empirical_mean_vector,
     exact_mean_vector,
@@ -82,6 +83,37 @@ def test_find_separation_all_pairs_small():
             assert wit.poly_value > 1e-12
             assert abs(abs(wit.z) - 1.0) < 1e-12
             assert abs(np.angle(wit.z)) <= math.pi / wit.L + 1e-12
+            gaps = np.abs(exact_mean_vector(x, 0.5) - exact_mean_vector(y, 0.5))
+            assert (wit.j, wit.magnitude) == (np.argmax(gaps), np.max(gaps))
+            theta = np.linspace(-math.pi / wit.L, math.pi / wit.L, string_recon.ARC_GRID_POINTS)
+            grid = np.exp(1j * theta)
+            a = np.array([int(c) for c in x]) - np.array([int(c) for c in y])
+            vals = np.abs(np.polyval(a[::-1], grid))
+            assert wit.poly_value == pytest.approx(vals.max(), rel=1e-12)
+            (at,) = np.flatnonzero(grid == wit.z)  # z is a grid point attaining the maximum
+            assert vals[at] == pytest.approx(vals.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default-block", "block-1"])
+def test_batched_witnesses_equal_one_pair_calls(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(string_recon, "_PAIR_BLOCK_ROWS", block)
+    q = 0.3
+    for n in range(1, 6):
+        codes = _candidate_matrix(n, None)
+        left, right = np.triu_indices(len(codes), 1)
+        js, gaps, zs, values = string_recon._separations(codes, left, right, q)
+        for i, (a, b) in enumerate(zip(left, right)):
+            wit = find_separation(_row_string(codes[a]), _row_string(codes[b]), q)
+            got = (wit.j, wit.magnitude, wit.z, wit.poly_value)
+            assert got == (js[i], gaps[i], zs[i], values[i])
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, -0.5])
+def test_find_separation_rejects_q_outside_unit_interval(monkeypatch, q):
+    monkeypatch.setattr(string_recon, "_arc_tables", None)  # no arc work may start
+    with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\), got "):
+        find_separation("10", "01", q)
 
 
 def test_default_arc_parameter():
@@ -329,16 +361,17 @@ def test_reconstructors_reject_q_outside_unit_interval(reconstruct, q):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda: exact_mean_vector("012", 0.3),
-        lambda: find_separation("02", "01", 0.3),
-        lambda: distinguish_pair("02", "01", ["0"], 0.3),
+        (lambda: exact_mean_vector("012", 0.3), "s"),
+        (lambda: find_separation("02", "01", 0.3), "x"),
+        (lambda: distinguish_pair("02", "01", ["0"], 0.3), "x"),
+        (lambda: find_separation("01", "21", 0.3), "y"),
     ],
-    ids=["exact_mean_vector", "find_separation", "distinguish_pair"],
+    ids=["exact_mean_vector", "find_separation", "distinguish_pair", "find_separation_y"],
 )
-def test_mean_helpers_reject_nonbinary_strings(call):
-    with pytest.raises(ValueError, match="must be binary"):
+def test_mean_helpers_reject_nonbinary_strings(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a binary string$"):
         call()
 
 
