@@ -3,8 +3,9 @@
 Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
 one call and return a tree trace as a `Trace`: its Dyck word, its preorder
-labels and its node ids; equal draws may share one immutable `Trace`.  The
-dict samplers (`string_trace`, `ted_trace`, `lp_trace`) build one `Tree` per
+labels and its node ids.  Equal draws share one immutable `Trace`, also
+across calls on an equal small source tree (see `_built`).  The dict
+samplers (`string_trace`, `ted_trace`, `lp_trace`) build one `Tree` per
 trace from the same random stream and stay as their oracles.  Exact-analysis
 functions (`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are
 pure enumeration oracles with hard size caps.
@@ -256,6 +257,7 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
 class _Layout(NamedTuple):
     """A tree in preorder index space: node i is the i-th node in preorder."""
 
+    source: tuple  # Dyck word and label bytes, exact ids: equal only for equal trees
     ids: np.ndarray  # node id of each index
     word: np.ndarray  # character codes of the Dyck word
     labels: np.ndarray  # character codes of the preorder labels
@@ -287,8 +289,12 @@ def _layout(t: Tree) -> _Layout:
         word.append(49)
         stack.append((j, iter(nd.children)))
     del walk[-1], word[-1]  # the root has no closing 0
-    return _Layout(np.array(order), np.frombuffer(word, np.uint8),
-                   np.frombuffer(labels, np.uint8), np.array(walk, dtype=np.intp), kids)
+    ids = np.array(order)
+    if ids.dtype.kind == "f":  # ids past int64 beside smaller ones: keep them exact
+        ids = np.array(order, dtype=object)
+    return _Layout((bytes(word), bytes(labels), tuple(order)), ids,
+                   np.frombuffer(word, np.uint8), np.frombuffer(labels, np.uint8),
+                   np.array(walk, dtype=np.intp), kids)
 
 
 def _joined(codes: np.ndarray, keep: np.ndarray) -> str:
@@ -320,27 +326,47 @@ def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
             for r, (a, b) in enumerate(_bounds(nodes.sum(axis=1)))]
 
 
-def _distinct(keep: np.ndarray) -> tuple[list[int], list[int]]:
-    """The first index of each distinct row of keep, and each row's first index."""
-    packed = np.packbits(keep, axis=1)
-    # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
-    keys = packed.view(f"S{packed.shape[1]}").ravel().tolist()
-    first: dict[bytes, int] = {}
-    firsts = [first.setdefault(key, r) for r, key in enumerate(keys)]
-    return list(first.values()), firsts
+# Built Traces are kept per source tree and builder.  Only trees with at most
+# _MEMO_MARKS non-root nodes are kept, so one tree holds at most 2^12 = 4,096
+# rows (about 1.45 MB at 13 nodes), and only the _MEMO_TREES most recently
+# sampled trees stay.
+_MEMO_MARKS = 12
+_MEMO_TREES = 8
+_memo: dict[tuple, dict[bytes, Trace]] = {}  # in order of last use
 
 
-def _sample(t: Tree, q: float, count: int, rng, traces) -> list[Trace]:
-    """Draw count rows of keep marks, then build each distinct row's traces once.
+def _built(lay: _Layout, build) -> dict[bytes, Trace]:
+    """The Traces already built for lay's tree under build, by packed keep row.
+
+    A tree too large to keep gets a fresh dict, which dedups within one call.
+    """
+    if len(lay.kids) - 1 > _MEMO_MARKS:
+        return {}
+    key = (build, lay.source)
+    rows = _memo.pop(key, {})
+    _memo[key] = rows
+    if len(_memo) > _MEMO_TREES:
+        del _memo[next(iter(_memo))]
+    return rows
+
+
+def _sample(t: Tree, q: float, count: int, rng, build) -> list[Trace]:
+    """Draw count rows of keep marks, then build only the rows not built before.
 
     Equal rows share one Trace, which is immutable.
     """
     _check_q(q)
     keep = np.ones((count, t.n), dtype=bool)
     keep[:, 1:] = rng.random((count, t.n - 1)) >= q
-    rows, firsts = _distinct(keep)
-    built = dict(zip(rows, traces(_layout(t), keep[rows])))
-    return [built[r] for r in firsts]
+    packed = np.packbits(keep, axis=1)
+    # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
+    keys = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    lay = _layout(t)
+    built = _built(lay, build)
+    new = {key: r for r, key in enumerate(keys) if key not in built}
+    if new:
+        built.update(zip(new, build(lay, keep[list(new.values())])))
+    return [built[key] for key in keys]
 
 
 def string_traces(s: str, q: float, count: int, rng) -> list[str]:
@@ -356,7 +382,11 @@ def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     source word without the matched 1 and 0 of each deleted node, and its
     labels and ids lose the deleted nodes' positions.
     """
-    return _sample(t, q, count, rng, lambda lay, keep: _traces(lay, keep, keep))
+    return _sample(t, q, count, rng, _ted_traces)
+
+
+def _ted_traces(lay: _Layout, keep: np.ndarray) -> list[Trace]:
+    return _traces(lay, keep, keep)
 
 
 def _lp_removed(marks: list[int], kids: list[list[int]]) -> list[int]:

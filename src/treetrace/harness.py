@@ -315,6 +315,10 @@ def doubling_search(
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if budget_cap < 1:
+        raise ValueError("budget cap must be >= 1")
     validate(family, model, n, q, delta)
     k = 0
     while (n_traces := 2**k) <= budget_cap:

@@ -369,10 +369,9 @@ def test_criterion_10_clean_trace_fraction():
     n_samples = 100_000
     rng = trial_rng(MASTER, 10, 0)
     b_n = instances.forked_tree(n)
-    clean = sum(
-        trees.trees_equal(channels.lp_trace(b_n, q, rng), b_n)
-        for _ in range(n_samples)
-    )
+    # One batched call reads the same stream as n_samples lp_trace calls.
+    source = channels.trace_of(b_n)
+    clean = sum(tr == source for tr in channels.lp_traces(b_n, q, n_samples, rng))
     expect = (1 - q) ** n
     sigma = math.sqrt(expect * (1 - expect) / n_samples)
     frac = clean / n_samples

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treetrace import channels, harness
 from treetrace.channels import (
     InvalidDeletionError,
     SizeCapError,
@@ -417,3 +418,100 @@ def test_batched_samplers_check_q():
             sample(path_tree(3), 1.0, 4, make_rng("batched-q"))
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
         string_traces("101", -0.1, 4, make_rng("batched-q"))
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """An empty memo, and the list of row counts passed to _traces."""
+    counts = []
+    traces = channels._traces
+
+    def counted(lay, nodes, labels):
+        counts.append(len(nodes))
+        return traces(lay, nodes, labels)
+
+    monkeypatch.setattr(channels, "_memo", {})
+    monkeypatch.setattr(channels, "_traces", counted)
+    return counts
+
+
+def test_memo_second_call_on_equal_source_builds_no_rows(built_rows):
+    for sample in (ted_traces, lp_traces):
+        t = random_labels(forked_tree(7), make_rng("memo-source"))
+        first = sample(t, 0.5, 256, make_rng("memo-draws"))
+        assert 0 < sum(built_rows) <= 2**7
+        built_rows.clear()
+        # An equal tree, built anew, with the same draws.
+        again = sample(parse_tree(t.canonical()), 0.5, 256, make_rng("memo-draws"))
+        assert built_rows == []
+        assert all(a is b for a, b in zip(again, first)) and len(again) == 256
+
+
+def test_memo_keeps_each_trees_own_ids(built_rows):
+    shape = random_labels(tree_from_dyck("110100"), make_rng("memo-ids"))
+    ids_sets = [(0, 1, 2, 3), (7, 2**64, 2**64 + 1, -3), (0, 2**63 + 1, 2**63 + 2, 5)]
+    for sample, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
+        for ids in ids_sets:
+            t = tree_of(trace_of(shape)._replace(ids=ids))
+            got = sample(t, 0.5, 64, make_rng("memo-ids-draws"))
+            oracle_rng = make_rng("memo-ids-draws")
+            assert got == [trace_of(oracle(t, 0.5, oracle_rng)) for _ in range(64)]
+            assert all(type(v) is int and v in ids for tr in got for v in tr.ids)
+    assert len(channels._memo) == 2 * len(ids_sets)
+
+
+def test_memo_keeps_ted_and_lp_apart(built_rows):
+    t = random_labels(forked_tree(5), make_rng("memo-models"))
+    for _ in range(2):
+        for sample, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
+            rng_a, rng_b = make_rng("memo-models-draws"), make_rng("memo-models-draws")
+            got = sample(t, 0.5, 128, rng_a)
+            assert got == [trace_of(oracle(t, 0.5, rng_b)) for _ in range(128)]
+    ted_rows, lp_rows = channels._memo.values()
+    assert ted_rows.keys() == lp_rows.keys()  # same draws, so the same keep rows
+    assert ted_rows != lp_rows
+
+
+def test_memo_skips_trees_past_its_bound(built_rows):
+    big = path_tree(channels._MEMO_MARKS + 1)
+    for sample in (ted_traces, lp_traces):
+        got = sample(big, 0.9, 256, make_rng("memo-big"))
+        assert channels._memo == {}
+        # Rows still dedup within the call: one build and one Trace per distinct row.
+        assert sum(built_rows) == len({id(tr) for tr in got}) < 256
+        built_rows.clear()
+    lp_traces(path_tree(channels._MEMO_MARKS), 0.5, 4, make_rng("memo-big"))
+    assert len(channels._memo) == 1
+
+
+def test_memo_keeps_only_the_most_recent_trees(built_rows):
+    trees = [tree_from_dyck(w) for w in ("10", "1100", "1010", "111000", "110100",
+                                         "110010", "101100", "101010", "11110000",
+                                         "11101000", "11100100")]
+    assert len(trees) > channels._MEMO_TREES
+    for t in trees:
+        ted_traces(t, 0.5, 8, make_rng("memo-lru"))
+    kept = [source for _, source in channels._memo]
+    assert kept == [channels._layout(t).source for t in trees[-channels._MEMO_TREES:]]
+    # A hit moves its tree to the back: sampling the oldest kept tree again
+    # makes the next new tree evict the second oldest.
+    ted_traces(trees[-channels._MEMO_TREES], 0.5, 8, make_rng("memo-lru"))
+    ted_traces(path_tree(5), 0.5, 8, make_rng("memo-lru"))
+    kept = [source for _, source in channels._memo]
+    assert len(kept) == channels._MEMO_TREES
+    assert channels._layout(trees[-channels._MEMO_TREES]).source in kept
+    assert channels._layout(trees[-channels._MEMO_TREES + 1]).source not in kept
+
+
+def test_memo_rows_built_per_benchmark_run(built_rows):
+    """The lp-search and ml-sweep benchmark shapes: rows built at seed 0."""
+    # forked/lp samples the same two trees (A_7 and B_7) in every trial.
+    assert harness.doubling_search("forked", 7, 0.5, "lp", target_rate=0.88,
+                                   trials=200, master_seed=0) == 256
+    assert sum(built_rows) <= 2 * 2**7
+    built_rows.clear()
+    # random/ted draws a new labelled tree every trial: its rows are built
+    # call by call, as without the memo.
+    harness.run_experiment(harness.ExperimentSpec(
+        "random", 12, 0.3, "ted", (4, 16, 64), 24, master_seed=0))
+    assert sum(built_rows) == 1915

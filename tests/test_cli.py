@@ -177,6 +177,14 @@ def test_search_q0(capsys):
     assert out.strip() == "1"
 
 
+def test_search_rejects_zero_trials(capsys, no_trials):
+    assert main(["search", "--family", "random", "--model", "ted", "--n", "6",
+                 "--q", "0.1", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["treetrace search: trials must be >= 1"]
+
+
 # sha256 of `verify --level quick` stdout.  The detail lines carry Monte
 # Carlo frequencies, so a change to any generator stream moves this digest.
 VERIFY_QUICK_SHA256 = "5dd79a0d2738da742dc4215ad2d1940b0e17b90b954d6c3e61a7970d2f3327ae"

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from treetrace import channels
 from treetrace.harness import (
     BudgetExceededError,
     ExperimentSpec,
@@ -91,3 +92,14 @@ def test_sweep_csv_bytes_are_pinned(family, model, seed):
 @pytest.mark.parametrize("family,model", PAIRS)
 def test_doubling_search_is_pinned(family, model):
     assert search_result(family, model) == SEARCH_RESULT[(family, model)]
+
+
+def test_pins_hold_with_a_warm_memo(monkeypatch):
+    """forked samples the same two trees every trial, so the second run reads
+    every trace from the sampler's memo; the bytes must not move."""
+    monkeypatch.setattr(channels, "_memo", {})
+    for _ in range(2):
+        for seed in SEEDS:
+            assert sweep_digest("forked", "lp", seed) == SWEEP_SHA256[("forked", "lp", seed)]
+        assert search_result("forked", "lp") == SEARCH_RESULT[("forked", "lp")]
+        assert channels._memo

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from treetrace import harness
 from treetrace.cli import main
 from treetrace.harness import (
     CSV_HEADER,
@@ -63,14 +62,6 @@ REJECTED = {
 }
 
 
-@pytest.fixture
-def no_trials(monkeypatch):
-    def trial(*args):
-        raise AssertionError("a trial ran for a spec that should have been rejected")
-
-    monkeypatch.setattr(harness, "run_trial", trial)
-
-
 @pytest.mark.parametrize("kw", REJECTED.values(), ids=REJECTED.keys())
 def test_invalid_spec_rejected_when_built(kw, capsys, no_trials):
     with pytest.raises(ValueError):
@@ -92,12 +83,18 @@ def test_fuzzy_spec_accepted_where_a_tree_exists():
         ExperimentSpec("fuzzy", 10, 0.5, "ted", (4,), 1)
 
 
-@pytest.mark.parametrize("family,n,model", [
-    ("random", 21, "ted"), ("path", 20, "lp"), ("forked", 1, "lp"), ("fuzzy", 6, "lp"),
+@pytest.mark.parametrize("family,n,model,kw", [
+    pytest.param("random", 21, "ted", {}, id="random-21-ted"),
+    pytest.param("path", 20, "lp", {}, id="path-20-lp"),
+    pytest.param("forked", 1, "lp", {}, id="forked-1-lp"),
+    pytest.param("fuzzy", 6, "lp", {}, id="fuzzy-6-lp"),
+    pytest.param("random", 6, "ted", {"trials": 0}, id="trials-0"),
+    pytest.param("random", 6, "ted", {"trials": -2}, id="trials-neg"),
+    pytest.param("random", 6, "ted", {"budget_cap": 0}, id="budget-cap-0"),
 ])
-def test_doubling_search_rejects_before_first_trial(family, n, model, no_trials):
-    with pytest.raises(ValueError):
-        doubling_search(family, n, 0.1, model, target_rate=0.9)
+def test_doubling_search_rejects_before_first_trial(family, n, model, kw, no_trials):
+    with pytest.raises(ValueError, match=">= 1" if kw else None):
+        doubling_search(family, n, 0.1, model, target_rate=0.9, **kw)
 
 
 def test_result_row_validation():
