@@ -33,7 +33,6 @@ from .harness import (
     doubling_search,
     fnv1a64,
     run_experiment,
-    verify_suite,
 )
 from .instances import (
     EncodedInstance,

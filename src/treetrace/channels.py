@@ -4,7 +4,7 @@ Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
 one call and return a tree trace as a `Trace`: its Dyck word, its preorder
 labels and its node ids.  Equal draws share one immutable `Trace`, also
-across calls on an equal small source tree (see `_built`).  The dict
+across calls on the same small source tree object (see `_sampled`).  The dict
 samplers (`string_trace`, `ted_trace`, `lp_trace`) build one `Tree` per
 trace from the same random stream and stay as their oracles.  Exact-analysis
 functions (`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are
@@ -257,7 +257,6 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
 class _Layout(NamedTuple):
     """A tree in preorder index space: node i is the i-th node in preorder."""
 
-    source: tuple  # Dyck word and label bytes, exact ids: equal only for equal trees
     ids: np.ndarray  # node id of each index
     word: np.ndarray  # character codes of the Dyck word
     labels: np.ndarray  # character codes of the preorder labels
@@ -292,8 +291,7 @@ def _layout(t: Tree) -> _Layout:
     ids = np.array(order)
     if ids.dtype.kind == "f":  # ids past int64 beside smaller ones: keep them exact
         ids = np.array(order, dtype=object)
-    return _Layout((bytes(word), bytes(labels), tuple(order)), ids,
-                   np.frombuffer(word, np.uint8), np.frombuffer(labels, np.uint8),
+    return _Layout(ids, np.frombuffer(word, np.uint8), np.frombuffer(labels, np.uint8),
                    np.array(walk, dtype=np.intp), kids)
 
 
@@ -326,34 +324,25 @@ def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
             for r, (a, b) in enumerate(_bounds(nodes.sum(axis=1)))]
 
 
-# Built Traces are kept per source tree and builder.  Only trees with at most
-# _MEMO_MARKS non-root nodes are kept, so one tree holds at most 2^12 = 4,096
-# rows (about 1.45 MB at 13 nodes), and only the _MEMO_TREES most recently
-# sampled trees stay.
+# Built Traces are kept on the source tree, per builder, only for trees with
+# at most _MEMO_MARKS non-root nodes: at most 2^12 = 4,096 rows per builder
+# (about 1.45 MB at 13 nodes).  They live exactly as long as the tree.
 _MEMO_MARKS = 12
-_MEMO_TREES = 8
-_memo: dict[tuple, dict[bytes, Trace]] = {}  # in order of last use
 
 
-def _built(lay: _Layout, build) -> dict[bytes, Trace]:
-    """The Traces already built for lay's tree under build, by packed keep row.
-
-    A tree too large to keep gets a fresh dict, which dedups within one call.
-    """
-    if len(lay.kids) - 1 > _MEMO_MARKS:
-        return {}
-    key = (build, lay.source)
-    rows = _memo.pop(key, {})
-    _memo[key] = rows
-    if len(_memo) > _MEMO_TREES:
-        del _memo[next(iter(_memo))]
-    return rows
+def _sampled(t: Tree) -> tuple[_Layout, dict | None]:
+    """t's layout and, if t is small enough to keep them, its built rows per builder."""
+    kept = getattr(t, "_sampled", None)  # unset until t is first sampled
+    if kept is None:
+        kept = t._sampled = (_layout(t), {} if t.n - 1 <= _MEMO_MARKS else None)
+    return kept
 
 
 def _sample(t: Tree, q: float, count: int, rng, build) -> list[Trace]:
     """Draw count rows of keep marks, then build only the rows not built before.
 
-    Equal rows share one Trace, which is immutable.
+    Equal rows share one Trace, which is immutable.  A tree too large to keep
+    its rows gets a fresh dict, which dedups within one call.
     """
     _check_q(q)
     keep = np.ones((count, t.n), dtype=bool)
@@ -361,8 +350,8 @@ def _sample(t: Tree, q: float, count: int, rng, build) -> list[Trace]:
     packed = np.packbits(keep, axis=1)
     # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
     keys = packed.view(f"S{packed.shape[1]}").ravel().tolist()
-    lay = _layout(t)
-    built = _built(lay, build)
+    lay, kept = _sampled(t)
+    built = {} if kept is None else kept.setdefault(build, {})
     new = {key: r for r, key in enumerate(keys) if key not in built}
     if new:
         built.update(zip(new, build(lay, keep[list(new.values())])))

@@ -1,4 +1,4 @@
-"""Experiment runner: the family table, trials, sweeps, doubling search, verification.
+"""Experiment runner: the family table, trials, sweeps, doubling search.
 
 Seed discipline: every trial draws from its own generator, seeded by the
 64-bit FNV-1a hash of the text "master:grid:trial" (decimal renderings).
@@ -8,6 +8,7 @@ same streams regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -128,11 +129,16 @@ def _build_path(n, q, delta, planned_traces, model, rng) -> Instance:
     return _labelled(instances.path_tree(n), rng)
 
 
+@functools.cache
+def _forked_source(n: int, is_fork: bool) -> Tree:
+    """B_n or A_n, built once, so every trial samples the same tree and its kept rows."""
+    return instances.forked_tree(n) if is_fork else instances.path_tree(n)
+
+
 def _build_forked(n, q, delta, planned_traces, model, rng) -> Instance:
     # The truth is a fair coin: B_n (True) or A_n (False).
     is_fork = bool(rng.random() < 0.5)
-    tree = instances.forked_tree(n) if is_fork else instances.path_tree(n)
-    return Instance({}, is_fork, tree)
+    return Instance({}, is_fork, _forked_source(n, is_fork))
 
 
 def _build_fuzzy(n, q, delta, planned_traces, model, rng) -> Instance:
@@ -330,11 +336,3 @@ def doubling_search(
         f"no trace count up to {budget_cap} reached rate {target_rate} "
         f"for {family}/{model} at n={n}, q={q}"
     )
-
-
-def verify_suite(level: str = "quick"):
-    """Run every registered property check; returns (all_passed, results)."""
-    from . import verify
-
-    results = list(verify.run_checks(level))
-    return all(ok for _, ok, _ in results), results

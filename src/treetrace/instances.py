@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .channels import _binary
+from .channels import _binary, _check_q
 from .trees import Node, Tree, dyck_words, preorder, tree_from_dyck
 
 
@@ -27,8 +27,7 @@ def buffer_length(delta: float, planned_traces: int, q: float) -> int:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if planned_traces < 1:
         raise ValueError("planned trace count must be >= 1")
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     if q == 0.0:
         return 1
     ell = math.ceil((math.log(1.0 / delta) + math.log(planned_traces)) / math.log(1.0 / q))
@@ -117,8 +116,7 @@ def forked_tree(n: int) -> Tree:
 
 def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
     """Smallest sibling-block size m with n * N * q^m <= delta, at least 2."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if q == 0.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .channels import Trace
+from .channels import Trace, tree_of
 from .instances import (
     _feasible_leaf_counts,
     check_fuzzy_size,
@@ -180,21 +180,6 @@ def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree
         raise ReconstructionFailedError(s0, s1) from None
 
 
-def _children(tr: Trace) -> dict[int, list[int]]:
-    """Child ids of every node of a trace, read off its word."""
-    kids: dict[int, list[int]] = {v: [] for v in tr.ids}
-    stack = [tr.ids[0]]
-    below = iter(tr.ids[1:])
-    for ch in tr.word:
-        if ch == "1":
-            v = next(below)
-            kids[stack[-1]].append(v)
-            stack.append(v)
-        else:
-            stack.pop()
-    return kids
-
-
 def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float) -> str:
     """Decode the bit string hidden in an encoding tree from TED traces.
 
@@ -206,17 +191,17 @@ def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float)
     """
     if not traces:
         raise ValueError("empty trace list")
-    children = [_children(tr) for tr in traces]
+    tables = [tree_of(tr).nodes for tr in traces]
     bits: list[str] = []
     undecided: list[int] = []
     for i in range(1, s_len + 1):
         leaf = encoded_leaf_id(s_len, ell, i)
         par = encoded_parent_id(s_len, ell, i)
         zeros = ones = 0
-        for kids in children:
-            if leaf not in kids or par not in kids:
+        for nodes in tables:
+            if leaf not in nodes or par not in nodes:
                 continue
-            sibs = kids[par]
+            sibs = nodes[par].children
             if len(sibs) < 2:
                 continue  # continuation gone; orientation unreadable
             if sibs[0] == leaf:

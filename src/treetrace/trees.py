@@ -32,10 +32,11 @@ class Tree:
     """Ordered rooted tree with one bit label per node.
 
     ``nodes`` maps identifier -> Node; an unlabeled tree is one whose labels
-    are all zero.  Instances are immutable after construction.
+    are all zero.  Instances are immutable after construction; the batched
+    samplers keep what they derive from one in ``_sampled`` (channels._sampled).
     """
 
-    __slots__ = ("nodes", "root", "_canon")
+    __slots__ = ("nodes", "root", "_canon", "_sampled")
 
     def __init__(self, nodes: Mapping[int, Node], root: int, validate: bool = True):
         # dict.copy keeps the table's layout; dict() re-inserts item by item,

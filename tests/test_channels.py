@@ -422,7 +422,7 @@ def test_batched_samplers_check_q():
 
 @pytest.fixture
 def built_rows(monkeypatch):
-    """An empty memo, and the list of row counts passed to _traces."""
+    """No forked source built yet, and the list of row counts passed to _traces."""
     counts = []
     traces = channels._traces
 
@@ -430,34 +430,59 @@ def built_rows(monkeypatch):
         counts.append(len(nodes))
         return traces(lay, nodes, labels)
 
-    monkeypatch.setattr(channels, "_memo", {})
+    harness._forked_source.cache_clear()
     monkeypatch.setattr(channels, "_traces", counted)
-    return counts
+    yield counts
+    harness._forked_source.cache_clear()
 
 
-def test_memo_second_call_on_equal_source_builds_no_rows(built_rows):
+def kept_rows(t):
+    """The rows a sampled tree keeps, by builder; None past the bound."""
+    return t._sampled[1]
+
+
+def test_memo_second_call_on_the_same_tree_builds_no_rows(built_rows):
     for sample in (ted_traces, lp_traces):
         t = random_labels(forked_tree(7), make_rng("memo-source"))
         first = sample(t, 0.5, 256, make_rng("memo-draws"))
         assert 0 < sum(built_rows) <= 2**7
         built_rows.clear()
-        # An equal tree, built anew, with the same draws.
-        again = sample(parse_tree(t.canonical()), 0.5, 256, make_rng("memo-draws"))
+        again = sample(t, 0.5, 256, make_rng("memo-draws"))
         assert built_rows == []
         assert all(a is b for a, b in zip(again, first)) and len(again) == 256
+
+
+def test_memo_equal_tree_builds_its_own_rows(built_rows):
+    for sample in (ted_traces, lp_traces):
+        t = random_labels(forked_tree(7), make_rng("memo-source"))
+        first = sample(t, 0.5, 256, make_rng("memo-draws"))
+        rows = sum(built_rows)
+        built_rows.clear()
+        # Same shape, labels and ids, but another object: nothing is shared.
+        twin = tree_of(trace_of(t))
+        assert twin == t and twin is not t
+        again = sample(twin, 0.5, 256, make_rng("memo-draws"))
+        assert sum(built_rows) == rows
+        built_rows.clear()
+        assert again == first
+        assert not any(a is b for a, b in zip(again, first))
 
 
 def test_memo_keeps_each_trees_own_ids(built_rows):
     shape = random_labels(tree_from_dyck("110100"), make_rng("memo-ids"))
     ids_sets = [(0, 1, 2, 3), (7, 2**64, 2**64 + 1, -3), (0, 2**63 + 1, 2**63 + 2, 5)]
-    for sample, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
-        for ids in ids_sets:
-            t = tree_of(trace_of(shape)._replace(ids=ids))
-            got = sample(t, 0.5, 64, make_rng("memo-ids-draws"))
-            oracle_rng = make_rng("memo-ids-draws")
-            assert got == [trace_of(oracle(t, 0.5, oracle_rng)) for _ in range(64)]
-            assert all(type(v) is int and v in ids for tr in got for v in tr.ids)
-    assert len(channels._memo) == 2 * len(ids_sets)
+    trees = [tree_of(trace_of(shape)._replace(ids=ids)) for ids in ids_sets]
+    # Equal trees with other ids, sampled in turn: the second pass reads kept rows.
+    for _ in range(2):
+        built_rows.clear()
+        for sample, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
+            for t, ids in zip(trees, ids_sets):
+                got = sample(t, 0.5, 64, make_rng("memo-ids-draws"))
+                oracle_rng = make_rng("memo-ids-draws")
+                assert got == [trace_of(oracle(t, 0.5, oracle_rng)) for _ in range(64)]
+                assert all(type(v) is int and v in ids for tr in got for v in tr.ids)
+    assert built_rows == []
+    assert all(len(kept_rows(t)) == 2 for t in trees)
 
 
 def test_memo_keeps_ted_and_lp_apart(built_rows):
@@ -467,7 +492,8 @@ def test_memo_keeps_ted_and_lp_apart(built_rows):
             rng_a, rng_b = make_rng("memo-models-draws"), make_rng("memo-models-draws")
             got = sample(t, 0.5, 128, rng_a)
             assert got == [trace_of(oracle(t, 0.5, rng_b)) for _ in range(128)]
-    ted_rows, lp_rows = channels._memo.values()
+    kept = kept_rows(t)
+    ted_rows, lp_rows = kept[channels._ted_traces], kept[channels._lp_traces]
     assert ted_rows.keys() == lp_rows.keys()  # same draws, so the same keep rows
     assert ted_rows != lp_rows
 
@@ -475,32 +501,31 @@ def test_memo_keeps_ted_and_lp_apart(built_rows):
 def test_memo_skips_trees_past_its_bound(built_rows):
     big = path_tree(channels._MEMO_MARKS + 1)
     for sample in (ted_traces, lp_traces):
-        got = sample(big, 0.9, 256, make_rng("memo-big"))
-        assert channels._memo == {}
-        # Rows still dedup within the call: one build and one Trace per distinct row.
-        assert sum(built_rows) == len({id(tr) for tr in got}) < 256
-        built_rows.clear()
-    lp_traces(path_tree(channels._MEMO_MARKS), 0.5, 4, make_rng("memo-big"))
-    assert len(channels._memo) == 1
+        for _ in range(2):  # nothing kept, so the second call builds its rows again
+            got = sample(big, 0.9, 256, make_rng("memo-big"))
+            # Rows still dedup within the call: one build and one Trace per distinct row.
+            assert sum(built_rows) == len({id(tr) for tr in got}) < 256
+            built_rows.clear()
+        assert kept_rows(big) is None
+    small = path_tree(channels._MEMO_MARKS)
+    lp_traces(small, 0.5, 4, make_rng("memo-big"))
+    assert list(kept_rows(small)) == [channels._lp_traces]
 
 
-def test_memo_keeps_only_the_most_recent_trees(built_rows):
-    trees = [tree_from_dyck(w) for w in ("10", "1100", "1010", "111000", "110100",
-                                         "110010", "101100", "101010", "11110000",
-                                         "11101000", "11100100")]
-    assert len(trees) > channels._MEMO_TREES
-    for t in trees:
-        ted_traces(t, 0.5, 8, make_rng("memo-lru"))
-    kept = [source for _, source in channels._memo]
-    assert kept == [channels._layout(t).source for t in trees[-channels._MEMO_TREES:]]
-    # A hit moves its tree to the back: sampling the oldest kept tree again
-    # makes the next new tree evict the second oldest.
-    ted_traces(trees[-channels._MEMO_TREES], 0.5, 8, make_rng("memo-lru"))
-    ted_traces(path_tree(5), 0.5, 8, make_rng("memo-lru"))
-    kept = [source for _, source in channels._memo]
-    assert len(kept) == channels._MEMO_TREES
-    assert channels._layout(trees[-channels._MEMO_TREES]).source in kept
-    assert channels._layout(trees[-channels._MEMO_TREES + 1]).source not in kept
+def test_forked_trials_share_one_tree_per_side(built_rows):
+    sides = {True: [], False: []}
+    for i in range(64):
+        inst = harness._build_forked(7, 0.5, 0.05, 16, "lp", harness.trial_rng(0, 0, i))
+        sides[inst.truth].append(inst.source)
+    assert sides[True][0] == forked_tree(7) and sides[False][0] == path_tree(7)
+    assert all(t is trees[0] for trees in sides.values() for t in trees)
+    spec = harness.ExperimentSpec("forked", 7, 0.5, "lp", (4, 16, 64), 24)
+    first = harness.run_experiment(spec)
+    assert sum(built_rows) > 0
+    built_rows.clear()
+    # A second sweep in the same process reads every trace from the kept rows.
+    assert harness.run_experiment(spec) == first
+    assert built_rows == []
 
 
 def test_memo_rows_built_per_benchmark_run(built_rows):

@@ -10,10 +10,10 @@ import hashlib
 
 import pytest
 
-from treetrace import channels
 from treetrace.harness import (
     BudgetExceededError,
     ExperimentSpec,
+    _forked_source,
     doubling_search,
     rows_to_csv,
     run_experiment,
@@ -94,12 +94,12 @@ def test_doubling_search_is_pinned(family, model):
     assert search_result(family, model) == SEARCH_RESULT[(family, model)]
 
 
-def test_pins_hold_with_a_warm_memo(monkeypatch):
+def test_pins_hold_with_a_warm_memo():
     """forked samples the same two trees every trial, so the second run reads
-    every trace from the sampler's memo; the bytes must not move."""
-    monkeypatch.setattr(channels, "_memo", {})
+    every trace from the rows those trees keep; the bytes must not move."""
+    _forked_source.cache_clear()
     for _ in range(2):
         for seed in SEEDS:
             assert sweep_digest("forked", "lp", seed) == SWEEP_SHA256[("forked", "lp", seed)]
         assert search_result("forked", "lp") == SEARCH_RESULT[("forked", "lp")]
-        assert channels._memo
+        assert all(_forked_source(size("forked"), side)._sampled[1] for side in (False, True))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from treetrace import verify
 from treetrace.cli import main
 from treetrace.harness import (
     CSV_HEADER,
@@ -15,7 +16,6 @@ from treetrace.harness import (
     run_trial,
     trial_rng,
     trial_seed,
-    verify_suite,
 )
 from conftest import make_rng
 
@@ -185,9 +185,8 @@ def test_forked_distinguisher_needs_branch_evidence():
 
 
 def test_verify_suite_quick_passes():
-    ok, results = verify_suite("quick")
-    failing = [name for name, passed, _ in results if not passed]
-    assert ok, f"failing properties: {failing}"
+    failing = [name for name, passed, _ in verify.run_checks("quick") if not passed]
+    assert not failing, f"failing properties: {failing}"
 
 
 def test_verify_detects_mutated_splice_order():
