@@ -72,7 +72,6 @@ from .trees import (
     Node,
     Tree,
     TreeTextError,
-    build_tree,
     dyck_string,
     enumerate_trees,
     format_tree,

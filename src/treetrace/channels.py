@@ -19,14 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import (
-    Node,
-    Tree,
-    dyck_string,
-    preorder,
-    preorder_label_string,
-    tree_from_dyck,
-)
+from .trees import Node, Tree, _dyck_links, _preorder_form, preorder
 
 MODELS = ("string", "ted", "lp")
 
@@ -75,18 +68,15 @@ class Trace(NamedTuple):
 
 def trace_of(t: Tree) -> Trace:
     """The Trace of a tree; the inverse of tree_of."""
-    return Trace(dyck_string(t), preorder_label_string(t), tuple(preorder(t)))
+    return Trace(*_preorder_form(t))
 
 
 def tree_of(tr: Trace) -> Tree:
     """The Tree of a trace, with its labels and node ids."""
-    shape = tree_from_dyck(tr.word)  # ids 0..n-1 in preorder
+    kids, _ = _dyck_links(tr.word)  # by preorder index
     ids = tr.ids
-    nodes = {
-        ids[v]: Node(int(tr.labels[v]), tuple(ids[c] for c in nd.children),
-                     None if nd.parent is None else ids[nd.parent])
-        for v, nd in shape.nodes.items()
-    }
+    nodes = {ids[v]: Node(int(tr.labels[v]), tuple(ids[c] for c in cs))
+             for v, cs in enumerate(kids)}
     return Tree(nodes, ids[0], validate=False)
 
 
@@ -122,21 +112,17 @@ def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
     nodes = dict(old)  # survivors share their records until one changes
     for v in dels:
         del nodes[v]
-    for u in {old[v].parent for v in dels} - dels:
+    # No parent is stored: the records to edit are those listing a deleted child.
+    for u in [u for u, nd in nodes.items() if not dels.isdisjoint(nd.children)]:
         kids: list[int] = []
         stack = list(reversed(old[u].children))
         while stack:
             c = stack.pop()
             if c in dels:
                 stack.extend(reversed(old[c].children))
-                continue
-            kids.append(c)
-            if old[c].parent != u:
-                # Read the current record: c may have lost children already.
-                nd = nodes[c]
-                nodes[c] = Node(nd.label, nd.children, u)
-        nd = nodes[u]
-        nodes[u] = Node(nd.label, tuple(kids), nd.parent)
+            else:
+                kids.append(c)
+        nodes[u] = Node(old[u].label, tuple(kids))
     return Tree(nodes, t.root, validate=False)
 
 
@@ -194,12 +180,12 @@ def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
 def _mutable(t: Tree):
     labels = {v: nd.label for v, nd in t.nodes.items()}
     children = {v: list(nd.children) for v, nd in t.nodes.items()}
-    parent = {v: nd.parent for v, nd in t.nodes.items()}
+    parent = {c: v for v, kids in children.items() for c in kids}  # the root has none
     return labels, children, parent
 
 
-def _freeze(labels: dict, children: dict, parent: dict, root: int) -> Tree:
-    nodes = {v: Node(labels[v], tuple(children[v]), parent[v]) for v in labels}
+def _freeze(labels: dict, children: dict, root: int) -> Tree:
+    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
     return Tree(nodes, root, validate=False)
 
 
@@ -217,7 +203,7 @@ def lp_apply(t: Tree, deleted: Sequence[int]) -> Tree:
         if v == t.root:
             raise InvalidDeletionError("the root is never deleted")
         _lp_delete(labels, children, parent, v)
-    return _freeze(labels, children, parent, t.root)
+    return _freeze(labels, children, t.root)
 
 
 def lp_trace(t: Tree, q: float, rng) -> Tree:
@@ -245,7 +231,7 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
             pos_of[moved] = a
         del content_at[path[-1]]
         del pos_of[c]
-    return _freeze(labels, children, parent, t.root)
+    return _freeze(labels, children, t.root)
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +251,13 @@ class _Layout(NamedTuple):
 
 
 def _layout(t: Tree) -> _Layout:
-    nodes = t.nodes
-    root = nodes[t.root]
-    order, kids, walk = [t.root], [[]], []
-    word, labels = bytearray(), bytearray([48 + root.label])
-    stack = [(0, iter(root.children))]  # each open index's unvisited children
-    while stack:
-        i, rest = stack[-1]
-        v = next(rest, None)  # ids are ints: None closes index i
-        if v is None:
-            stack.pop()
-            walk.append(i)
-            word.append(48)
-            continue
-        nd = nodes[v]
-        j = len(order)
-        order.append(v)
-        labels.append(48 + nd.label)
-        kids.append([])
-        kids[i].append(j)
-        walk.append(j)
-        word.append(49)
-        stack.append((j, iter(nd.children)))
-    del walk[-1], word[-1]  # the root has no closing 0
+    word, labels, order = _preorder_form(t)
+    kids, walk = _dyck_links(word)
     ids = np.array(order)
     if ids.dtype.kind == "f":  # ids past int64 beside smaller ones: keep them exact
         ids = np.array(order, dtype=object)
-    return _Layout(ids, np.frombuffer(word, np.uint8), np.frombuffer(labels, np.uint8),
-                   np.array(walk, dtype=np.intp), kids)
+    return _Layout(ids, np.frombuffer(word.encode(), np.uint8),
+                   np.frombuffer(labels.encode(), np.uint8), np.array(walk, dtype=np.intp), kids)
 
 
 def _joined(codes: np.ndarray, keep: np.ndarray) -> str:
@@ -460,7 +425,7 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
             for v in preorder(tree)[1:]:
                 labels, children, parent = _mutable(tree)
                 _lp_delete(labels, children, parent, v)
-                out = _freeze(labels, children, parent, tree.root)
+                out = _freeze(labels, children, tree.root)
                 nxt.setdefault(out.canonical(), out)
         frontier = nxt
     return set(frontier.values())

@@ -237,8 +237,7 @@ def validate(family: str, model: str, n: int, q: float, delta: float,
     """
     entry = _entry(family, model)
     channels._check_q(q)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    instances._check_delta(delta)
     if n < entry.min_n:
         raise ValueError(f"family {family} needs n >= {entry.min_n}, got n={n}")
     if entry.max_n is not None and n > entry.max_n:

@@ -17,14 +17,18 @@ from .channels import _binary, _check_q
 from .trees import Node, Tree, dyck_words, preorder, tree_from_dyck
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def buffer_length(delta: float, planned_traces: int, q: float) -> int:
     """Buffer size that keeps both path ends alive in all planned trials.
 
     ceil((ln(1/delta) + ln N) / ln(1/q)), at least 1; q = 0 needs no buffer
     beyond the minimum.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if planned_traces < 1:
         raise ValueError("planned trace count must be >= 1")
     _check_q(q)
@@ -81,10 +85,10 @@ def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
             i = pos - ell
             leaf = encoded_leaf_id(s_len, ell, i)
             kids = [leaf] + nxt if s[i - 1] == "0" else nxt + [leaf]
-            nodes[leaf] = Node(0, (), v)
+            nodes[leaf] = Node(0)
         else:
             kids = nxt
-        nodes[v] = Node(0, tuple(kids), v - 1 if v > 0 else None)
+        nodes[v] = Node(0, tuple(kids))
     return EncodedInstance(s, ell, Tree(nodes, 0))
 
 
@@ -117,8 +121,7 @@ def forked_tree(n: int) -> Tree:
 def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
     """Smallest sibling-block size m with n * N * q^m <= delta, at least 2."""
     _check_q(q)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if q == 0.0:
         return 2
     budget = n * planned_traces
@@ -160,7 +163,6 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     k = n - m * lam
     labels = {0: 0}
     children: dict[int, list[int]] = {0: []}
-    parent: dict[int, int | None] = {0: None}
     nxt = 1
 
     def add_child(u: int, slot: int) -> int:
@@ -169,7 +171,6 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
         nxt += 1
         labels[v] = 0
         children[v] = []
-        parent[v] = u
         children[u].insert(slot, v)
         return v
 
@@ -196,7 +197,7 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     for u in skeleton_leaves:
         for j in range(m):
             add_child(u, j)
-    nodes = {v: Node(labels[v], tuple(children[v]), parent[v]) for v in labels}
+    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
     tree = Tree(nodes, 0)
     assert tree.n == n
     return tree

@@ -23,7 +23,8 @@ from .string_recon import ml_reconstruct
 from .trees import (
     DyckStringError,
     Tree,
-    _euler_walk,
+    _dyck_links,
+    _preorder_form,
     dyck_string,
     preorder,
     tree_from_dyck,
@@ -82,11 +83,13 @@ def dual_strings_with_owners(t: Tree):
     strings.  A lone root counts as a leaf so the leaf anchors stay total.
     """
     # The edge walk with a 2 after each leaf's descent, as in _dual_of_word.
+    word, _, ids = _preorder_form(t)
+    kids, walk = _dyck_links(word)
     marked = [("2", t.root)] if t.n == 1 else []
-    for sym, v in _euler_walk(t):
-        marked.append((sym, v))
-        if sym == "1" and t.is_leaf(v):
-            marked.append(("2", v))
+    for sym, i in zip(word, walk):
+        marked.append((sym, ids[i]))
+        if sym == "1" and not kids[i]:
+            marked.append(("2", ids[i]))
     s0 = [(c, v) for c, v in marked if c != "1"]
     s1 = [(c, v) for c, v in marked if c != "0"]
     return (

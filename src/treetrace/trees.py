@@ -1,8 +1,12 @@
 """Ordered labeled rooted trees: traversal, Dyck encoding, text format, equality.
 
-Child order is significant throughout.  Node identifiers are arbitrary ints
-and stay stable when a tree passes through a deletion channel, so deletions
-can be tracked; equality and hashing look only at shape and labels.
+Child order is significant throughout.  A node records its label and its
+children only; the shape is stored once, in the child lists.  Node
+identifiers are arbitrary ints and stay stable when a tree passes through a
+deletion channel, so deletions can be tracked; equality and hashing look
+only at shape and labels.  One preorder walk (`_preorder_form`) reads a tree
+out as its Dyck word, labels and ids, and one parse (`_dyck_links`) reads a
+Dyck word back in.
 """
 
 from __future__ import annotations
@@ -23,17 +27,20 @@ class DyckStringError(ValueError):
 
 
 class Node(NamedTuple):
+    """A node's label and its children's ids, left to right; nothing else."""
+
     label: int
     children: tuple[int, ...] = ()
-    parent: int | None = None
 
 
 class Tree:
     """Ordered rooted tree with one bit label per node.
 
-    ``nodes`` maps identifier -> Node; an unlabeled tree is one whose labels
-    are all zero.  Instances are immutable after construction; the batched
-    samplers keep what they derive from one in ``_sampled`` (channels._sampled).
+    ``nodes`` maps identifier -> Node, which holds the label and the child
+    ids only: a parent is known from its child list, never stored beside it.
+    An unlabeled tree is one whose labels are all zero.  Instances are
+    immutable after construction; the batched samplers keep what they derive
+    from one in ``_sampled`` (channels._sampled).
     """
 
     __slots__ = ("nodes", "root", "_canon", "_sampled")
@@ -48,10 +55,10 @@ class Tree:
             self._validate()
 
     def _validate(self):
+        # With no parent field, a root listed as a child or a child listed
+        # under two parents shows up as a node reached twice or unreachable.
         if self.root not in self.nodes:
             raise ValueError("root identifier missing from node table")
-        if self.nodes[self.root].parent is not None:
-            raise ValueError("root must have no parent")
         seen = set()
         stack = [self.root]
         while stack:
@@ -65,8 +72,6 @@ class Tree:
             for c in node.children:
                 if c not in self.nodes:
                     raise ValueError(f"child {c} of node {v} missing from node table")
-                if self.nodes[c].parent != v:
-                    raise ValueError(f"parent pointer of {c} inconsistent with child list of {v}")
                 stack.append(c)
         if seen != set(self.nodes):
             raise ValueError("unreachable nodes present")
@@ -81,9 +86,6 @@ class Tree:
     def children_of(self, v: int) -> tuple[int, ...]:
         return self.nodes[v].children
 
-    def parent_of(self, v: int) -> int | None:
-        return self.nodes[v].parent
-
     def is_leaf(self, v: int) -> bool:
         return not self.nodes[v].children
 
@@ -93,7 +95,7 @@ class Tree:
     def with_labels(self, labels: Mapping[int, int]) -> "Tree":
         """Copy of this tree with labels replaced where the mapping says so."""
         nodes = {
-            v: Node(labels.get(v, nd.label), nd.children, nd.parent)
+            v: Node(labels.get(v, nd.label), nd.children)
             for v, nd in self.nodes.items()
         }
         return Tree(nodes, self.root, validate=False)
@@ -115,33 +117,6 @@ class Tree:
         return f"Tree({self.canonical()!r})"
 
 
-def build_tree(spec) -> Tree:
-    """Build a tree from nested (label, [children...]) pairs; ids follow preorder.
-
-    Iterative, so depth is bounded by memory, not the recursion limit.
-    """
-    labels: list[int] = []
-    parents: list[int | None] = []
-    kids: list[list[int]] = []
-    stack = [(spec, None)]
-    while stack:
-        item, parent = stack.pop()
-        if isinstance(item, int):
-            label, sub = item, ()
-        else:
-            label, sub = item
-        v = len(labels)
-        labels.append(label)
-        parents.append(parent)
-        kids.append([])
-        if parent is not None:
-            kids[parent].append(v)
-        for kid in reversed(sub):
-            stack.append((kid, v))
-    nodes = {v: Node(*row) for v, row in enumerate(zip(labels, map(tuple, kids), parents))}
-    return Tree(nodes, 0)
-
-
 def preorder(t: Tree) -> list[int]:
     """Root first, then each subtree left to right."""
     nodes = t.nodes
@@ -154,54 +129,74 @@ def preorder(t: Tree) -> list[int]:
     return out
 
 
+def _preorder_form(t: Tree) -> tuple[str, str, tuple[int, ...]]:
+    """t's Dyck word, preorder label string and preorder ids, in one walk.
+
+    The word has a 1 per descent into a node and a 0 per ascent out of it.
+    """
+    nodes = t.nodes
+    root = nodes[t.root]
+    ids, labels, word = [t.root], [str(root.label)], []
+    stack = [iter(root.children)]  # each open node's unvisited children
+    while stack:
+        v = next(stack[-1], None)  # ids are ints: None closes the node
+        if v is None:
+            stack.pop()
+            word.append("0")
+            continue
+        nd = nodes[v]
+        ids.append(v)
+        labels.append(str(nd.label))
+        word.append("1")
+        stack.append(iter(nd.children))
+    word.pop()  # the root has no closing 0
+    return "".join(word), "".join(labels), tuple(ids)
+
+
 def preorder_label_string(t: Tree) -> str:
     """Labels read off in preorder; length equals the node count."""
-    return "".join(str(t.nodes[v].label) for v in preorder(t))
-
-
-def _euler_walk(t: Tree) -> Iterator[tuple[str, int]]:
-    """Depth-first edge walk: ('1', v) descending into v, ('0', v) ascending out."""
-    # Explicit stack of (node, next-child-index) to keep deep chains safe.
-    stack = [(t.root, 0)]
-    while stack:
-        v, i = stack.pop()
-        kids = t.nodes[v].children
-        if i < len(kids):
-            stack.append((v, i + 1))
-            c = kids[i]
-            yield "1", c
-            stack.append((c, 0))
-        elif v != t.root:
-            yield "0", v
+    return _preorder_form(t)[1]
 
 
 def dyck_string(t: Tree) -> str:
     """Balanced word of the edge walk: 1 per descent, 0 per ascent; length 2(n-1)."""
-    return "".join(sym for sym, _ in _euler_walk(t))
+    return _preorder_form(t)[0]
+
+
+def _dyck_links(word: str) -> tuple[list[list[int]], list[int]]:
+    """Parse a Dyck word: each node's child indices, and each symbol's node.
+
+    Node i is the i-th node in preorder, the root is 0, and symbol j opens
+    (1) or closes (0) node walk[j].  Raises DyckStringError if unbalanced.
+    """
+    kids: list[list[int]] = [[]]
+    walk: list[int] = []
+    stack = [0]
+    for ch in word:
+        if ch == "1":
+            v = len(kids)
+            kids[stack[-1]].append(v)
+            kids.append([])
+            stack.append(v)
+            walk.append(v)
+        elif len(stack) > 1:
+            walk.append(stack.pop())
+        else:  # walk holds one entry per symbol read so far
+            raise DyckStringError(f"unmatched 0 at position {len(walk)}")
+    if len(stack) != 1:
+        raise DyckStringError("unmatched 1s remain at end of input")
+    return kids, walk
 
 
 def tree_from_dyck(word: str) -> Tree:
-    """Inverse of dyck_string; all labels zero.  Raises DyckStringError if unbalanced."""
+    """Inverse of dyck_string; all labels zero, ids 0..n-1 in preorder.
+
+    Raises DyckStringError if the word is not a balanced word over {0,1}.
+    """
     if set(word) - {"0", "1"}:
         raise DyckStringError(f"non-binary symbol in {word!r}")
-    children: list[list[int]] = [[]]  # indexed by id; ids follow preorder
-    parent: list[int | None] = [None]
-    stack = [0]
-    for i, ch in enumerate(word):
-        if ch == "1":
-            v = len(parent)
-            children[stack[-1]].append(v)
-            children.append([])
-            parent.append(stack[-1])
-            stack.append(v)
-        else:
-            stack.pop()
-            if not stack:
-                raise DyckStringError(f"unmatched 0 at position {i}")
-    if len(stack) != 1:
-        raise DyckStringError("unmatched 1s remain at end of input")
-    nodes = {v: Node(0, tuple(kids), par) for v, (kids, par) in enumerate(zip(children, parent))}
-    return Tree(nodes, 0, validate=False)
+    kids, _ = _dyck_links(word)
+    return Tree({v: Node(0, tuple(c)) for v, c in enumerate(kids)}, 0, validate=False)
 
 
 def trees_equal(a: Tree, b: Tree) -> bool:
@@ -242,7 +237,6 @@ def parse_tree(text: str) -> Tree:
     Iterative, so depth is bounded by memory, not the recursion limit.
     """
     labels: list[int] = []
-    parents: list[int | None] = []
     kids: list[list[int]] = []
     open_nodes: list[int] = []  # nodes whose child list is being read
     n = len(text)
@@ -258,7 +252,6 @@ def parse_tree(text: str) -> Tree:
             raise TreeTextError("expected label 0 or 1", i)
         v = len(labels)  # ids follow preorder
         labels.append(int(text[i]))
-        parents.append(open_nodes[-1] if open_nodes else None)
         kids.append([])
         if open_nodes:
             kids[open_nodes[-1]].append(v)
@@ -280,7 +273,7 @@ def parse_tree(text: str) -> Tree:
             break
     if i != n:
         raise TreeTextError("trailing input after tree", i)
-    nodes = {v: Node(labels[v], tuple(kids[v]), parents[v]) for v in range(len(labels))}
+    nodes = {v: Node(labels[v], tuple(kids[v])) for v in range(len(labels))}
     return Tree(nodes, 0, validate=False)
 
 

@@ -125,17 +125,14 @@ def check_dyck_pair_removal(max_n: int = 8):
     for t in _all_trees_up_to(max_n):
         if t.n == 1:
             continue
-        word = trees.dyck_string(t)
-        # Position of each node's matched descent/ascent in the walk.
-        opens: dict[int, int] = {}
-        closes: dict[int, int] = {}
-        for i, (sym, v) in enumerate(trees._euler_walk(t)):
-            (opens if sym == "1" else closes)[v] = i
+        word, _, ids = trees._preorder_form(t)
+        # Positions of each node's matched descent and ascent in the word.
+        pair: dict[int, list[int]] = {}
+        for i, owner in enumerate(trees._dyck_links(word)[1]):
+            pair.setdefault(ids[owner], []).append(i)
         for v in trees.preorder(t)[1:]:
             got = trees.dyck_string(channels.ted_apply(t, {v}))
-            expect = "".join(
-                ch for i, ch in enumerate(word) if i not in (opens[v], closes[v])
-            )
+            expect = "".join(ch for i, ch in enumerate(word) if i not in pair[v])
             if got != expect:
                 return False, f"pair removal mismatch deleting {v} from {t!r}"
             checked += 1
@@ -486,57 +483,37 @@ def check_experiment_determinism():
 QUICK = "quick"
 FULL = "full"
 
-# Smaller sizes for the quick level; the full level runs every check with its
-# own defaults.
+# Every check in run order, with its smaller sizes for the quick level; the
+# full level runs each check with its own defaults.
 CHECKS = {
-    "dyck-roundtrip": dict(max_n=6),
-    "parse-format-roundtrip": dict(n_random=200),
-    "ted-order-invariance": dict(max_n=6),
-    "traversal-preservation": dict(max_n=6),
-    "dyck-pair-removal": dict(max_n=6),
-    "ted-distribution-normalization": dict(max_n=5),
-    "subsequence-total-probability": dict(exhaustive_len=6, samples=10),
-    "string-trace-mc": dict(n_samples=20_000),
-    "ted-trace-mc": dict(n_samples=20_000),
-    "mean-formula": dict(exhaustive_len=6, samples=10),
-    "mean-empirical": dict(n_strings=5, n_samples=20_000),
-    "binomial-identity": dict(),
-    "ted-expectation-inequality": dict(max_n=5),
-    "separation-existence": dict(max_n=6),
-    "arc-maxima": dict(max_n=8),
-    "lp-pair-sets": dict(n_hi=8),
-    "dual-roundtrip": dict(max_n=6),
-    "fuzzy-positional": dict(max_n=7),
-    "encoded-readback": dict(max_len=8),
-    "known-topology-q0": dict(max_n=6),
-    "uniform-random-tree": dict(n_samples=20_000),
-    "experiment-determinism": dict(),
+    "dyck-roundtrip": (check_dyck_roundtrip, dict(max_n=6)),
+    "parse-format-roundtrip": (check_parse_format_roundtrip, dict(n_random=200)),
+    "ted-order-invariance": (check_ted_order_invariance, dict(max_n=6)),
+    "traversal-preservation": (check_traversal_preservation, dict(max_n=6)),
+    "dyck-pair-removal": (check_dyck_pair_removal, dict(max_n=6)),
+    "ted-distribution-normalization": (check_ted_distribution_normalization, dict(max_n=5)),
+    "subsequence-total-probability": (check_subsequence_total_probability,
+                                      dict(exhaustive_len=6, samples=10)),
+    "string-trace-mc": (check_string_trace_mc, dict(n_samples=20_000)),
+    "ted-trace-mc": (check_ted_trace_mc, dict(n_samples=20_000)),
+    "mean-formula": (check_mean_formula, dict(exhaustive_len=6, samples=10)),
+    "mean-empirical": (check_mean_empirical, dict(n_strings=5, n_samples=20_000)),
+    "binomial-identity": (check_binomial_identity, dict()),
+    "ted-expectation-inequality": (check_ted_expectation_inequality, dict(max_n=5)),
+    "separation-existence": (check_separation_existence, dict(max_n=6)),
+    "arc-maxima": (check_arc_maxima, dict(max_n=8)),
+    "lp-pair-sets": (check_lp_pair_sets, dict(n_hi=8)),
+    "dual-roundtrip": (check_dual_roundtrip, dict(max_n=6)),
+    "fuzzy-positional": (check_fuzzy_positional, dict(max_n=7)),
+    "encoded-readback": (check_encoded_readback, dict(max_len=8)),
+    "known-topology-q0": (check_known_topology_q0, dict(max_n=6)),
+    "uniform-random-tree": (check_uniform_random_tree, dict(n_samples=20_000)),
+    "experiment-determinism": (check_experiment_determinism, dict()),
 }
 
-_FUNCTIONS = {
-    "dyck-roundtrip": check_dyck_roundtrip,
-    "parse-format-roundtrip": check_parse_format_roundtrip,
-    "ted-order-invariance": check_ted_order_invariance,
-    "traversal-preservation": check_traversal_preservation,
-    "dyck-pair-removal": check_dyck_pair_removal,
-    "ted-distribution-normalization": check_ted_distribution_normalization,
-    "subsequence-total-probability": check_subsequence_total_probability,
-    "string-trace-mc": check_string_trace_mc,
-    "ted-trace-mc": check_ted_trace_mc,
-    "mean-formula": check_mean_formula,
-    "mean-empirical": check_mean_empirical,
-    "binomial-identity": check_binomial_identity,
-    "ted-expectation-inequality": check_ted_expectation_inequality,
-    "separation-existence": check_separation_existence,
-    "arc-maxima": check_arc_maxima,
-    "lp-pair-sets": check_lp_pair_sets,
-    "dual-roundtrip": check_dual_roundtrip,
-    "fuzzy-positional": check_fuzzy_positional,
-    "encoded-readback": check_encoded_readback,
-    "known-topology-q0": check_known_topology_q0,
-    "uniform-random-tree": check_uniform_random_tree,
-    "experiment-determinism": check_experiment_determinism,
-}
+# The name -> function dict that run_checks calls through, so that a caller
+# can wrap a check by replacing its entry in place.
+_FUNCTIONS = {name: fn for name, (fn, _) in CHECKS.items()}
 
 
 def run_checks(level: str):
@@ -544,6 +521,6 @@ def run_checks(level: str):
     if level not in (QUICK, FULL):
         raise ValueError(f"level must be '{QUICK}' or '{FULL}'")
     for name, fn in _FUNCTIONS.items():
-        kwargs = CHECKS[name] if level == QUICK else {}
+        kwargs = CHECKS[name][1] if level == QUICK else {}
         passed, detail = fn(**kwargs)
         yield name, passed, detail

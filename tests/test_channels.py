@@ -31,7 +31,6 @@ from treetrace.instances import forked_tree, path_tree, random_labels, random_tr
 from treetrace.trees import (
     Node,
     Tree,
-    build_tree,
     enumerate_trees,
     parse_tree,
     preorder,
@@ -106,19 +105,19 @@ def _reference_ted_apply(t, deleted):
         else:
             expand[v] = [v]
     nodes = {}
-    stack = [(t.root, None)]
+    stack = [t.root]
     while stack:
-        v, par = stack.pop()
+        v = stack.pop()
         kids = []
         for c in t.nodes[v].children:
             kids.extend(expand[c])
-        nodes[v] = Node(t.nodes[v].label, tuple(kids), par)
-        stack.extend((c, v) for c in kids)
+        nodes[v] = Node(t.nodes[v].label, tuple(kids))
+        stack.extend(kids)
     return Tree(nodes, t.root, validate=False)
 
 
 def _assert_same_table(got, want):
-    # Records, not just canonical text: ids, labels, child order, parents.
+    # Records, not just canonical text: ids, labels, child order.
     assert got.root == want.root
     assert got.nodes == want.nodes
 
@@ -127,8 +126,7 @@ def _reversed_ids(t):
     """The same tree with id v renamed n - 1 - v: each parent id exceeds its children's."""
     top = t.n - 1
     nodes = {
-        top - v: Node(nd.label, tuple(top - c for c in nd.children),
-                      None if nd.parent is None else top - nd.parent)
+        top - v: Node(nd.label, tuple(top - c for c in nd.children))
         for v, nd in t.nodes.items()
     }
     return Tree(nodes, top - t.root)
@@ -229,7 +227,7 @@ def test_lp_apply_examples():
 
 def test_lp_apply_shifts_labels():
     # Deleting the top of a labeled path shifts every label one step up.
-    t = build_tree((0, [(1, [(0, [(1, [])])])]))  # labels 0,1,0,1 down the path
+    t = parse_tree("0(1(0(1)))")  # labels 0,1,0,1 down the path
     got = lp_apply(t, [preorder(t)[1]])
     labels = [got.label_of(v) for v in preorder(got)]
     assert labels == [0, 0, 1]

@@ -59,6 +59,8 @@ REJECTED = {
     "path n=20": dict(family="path", n=20, q=0.1, model="ted", trace_grid=(4,)),
     # m = 7 and up to 4 skeleton leaves: candidates 39 + 28 = 67 wide, past the ML cap.
     "fuzzy n=40 width 67": dict(family="fuzzy", n=40, q=0.2, model="ted", trace_grid=(64,)),
+    "delta=0": dict(family="random", n=6, q=0.1, model="ted", trace_grid=(4,), delta=0.0),
+    "delta=1": dict(family="random", n=6, q=0.1, model="ted", trace_grid=(4,), delta=1.0),
 }
 
 
@@ -69,6 +71,8 @@ def test_invalid_spec_rejected_when_built(kw, capsys, no_trials):
     argv = ["experiment", "--family", kw["family"], "--model", kw["model"],
             "--n", str(kw["n"]), "--q", str(kw["q"]), "--trials", "2",
             "--traces", ",".join(map(str, kw["trace_grid"]))]
+    if "delta" in kw:
+        argv += ["--delta", str(kw["delta"])]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -209,14 +213,14 @@ def test_verify_detects_mutated_splice_order():
             else:
                 expand[v] = [v]
         nodes = {}
-        stack = [(t.root, None)]
+        stack = [t.root]
         while stack:
-            v, par = stack.pop()
+            v = stack.pop()
             kids = []
             for c in t.nodes[v].children:
                 kids.extend(expand[c])
-            nodes[v] = Node(t.nodes[v].label, tuple(kids), par)
-            stack.extend((c, v) for c in kids)
+            nodes[v] = Node(t.nodes[v].label, tuple(kids))
+            stack.extend(kids)
         return Tree(nodes, t.root, validate=False)
 
     ok, detail = check_traversal_preservation(max_n=5, ted_apply_fn=mutated)

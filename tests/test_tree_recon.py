@@ -17,7 +17,6 @@ from treetrace.tree_recon import (
     reconstruct_labels_known_topology,
 )
 from treetrace.trees import (
-    build_tree,
     enumerate_trees,
     parse_tree,
     preorder,
@@ -60,7 +59,7 @@ def test_known_topology_under_lp_channel():
 def test_dual_strings_examples():
     s0, s1 = dual_strings(parse_tree("0(0,0)"))
     assert (s0, s1) == ("2020", "1212")
-    s0, s1 = dual_strings(build_tree(0))
+    s0, s1 = dual_strings(parse_tree("0"))
     assert (s0, s1) == ("2", "2")
 
 

@@ -10,7 +10,6 @@ from treetrace.trees import (
     Node,
     Tree,
     TreeTextError,
-    build_tree,
     dyck_string,
     dyck_words,
     enumerate_trees,
@@ -26,12 +25,12 @@ from conftest import make_rng
 
 
 def test_preorder_single_node():
-    t = build_tree(1)
+    t = parse_tree("1")
     assert preorder(t) == [t.root]
 
 
 def test_preorder_root_with_children():
-    t = build_tree((0, [1, 0]))
+    t = parse_tree("0(1,0)")
     order = preorder(t)
     assert order[0] == t.root
     assert len(order) == 3
@@ -39,22 +38,22 @@ def test_preorder_root_with_children():
 
 def test_preorder_hand_simulated():
     # root(a(c), b): visit root, a, c, then b.
-    t = build_tree((0, [(0, [0]), 0]))
+    t = parse_tree("0(0(0),0)")
     assert preorder(t) == [0, 1, 2, 3]
 
 
 def test_label_string_examples():
-    assert preorder_label_string(build_tree(1)) == "1"
-    assert preorder_label_string(build_tree((0, [1, 0]))) == "010"
-    t = build_tree((1, [(0, [1]), 1]))
+    assert preorder_label_string(parse_tree("1")) == "1"
+    assert preorder_label_string(parse_tree("0(1,0)")) == "010"
+    t = parse_tree("1(0(1),1)")
     assert preorder_label_string(t) == "1011"
 
 
 def test_dyck_examples():
-    assert dyck_string(build_tree(0)) == ""
-    assert dyck_string(build_tree((0, [0]))) == "10"
-    assert dyck_string(build_tree((0, [(0, [0])]))) == "1100"
-    assert dyck_string(build_tree((0, [0, 0]))) == "1010"
+    assert dyck_string(parse_tree("0")) == ""
+    assert dyck_string(parse_tree("0(0)")) == "10"
+    assert dyck_string(parse_tree("0(0(0))")) == "1100"
+    assert dyck_string(parse_tree("0(0,0)")) == "1010"
 
 
 def test_tree_from_dyck_examples():
@@ -111,14 +110,14 @@ def test_enumerate_trees_catalan_counts():
 
 
 def test_trees_equal_spec_examples():
-    t = build_tree((0, [1, 0]))
+    t = parse_tree("0(1,0)")
     assert trees_equal(t, t)
-    assert not trees_equal(build_tree((0, [0, 1])), build_tree((0, [1, 0])))
-    assert not trees_equal(build_tree((0, [1, 1])), build_tree((0, [1, 0])))
+    assert not trees_equal(parse_tree("0(0,1)"), parse_tree("0(1,0)"))
+    assert not trees_equal(parse_tree("0(1,1)"), parse_tree("0(1,0)"))
 
 
 def test_equality_ignores_node_ids():
-    a = build_tree((1, [0, 1]))
+    a = parse_tree("1(0,1)")
     b = parse_tree(format_tree(a))
     assert a == b and hash(a) == hash(b)
 
@@ -160,16 +159,13 @@ def test_parse_deep_path_roundtrip():
     assert format_tree(t) == text
 
 
-def test_build_tree_deep_chain_and_wide_fan():
-    spec = 1
-    for _ in range(2999):
-        spec = (0, [spec])
-    chain = build_tree(spec)
+def test_parse_tree_deep_chain_and_wide_fan():
+    chain = parse_tree("0(" * 2999 + "1" + ")" * 2999)
     assert chain.n == 3000
     assert preorder(chain) == list(range(3000))
     assert preorder_label_string(chain) == "0" * 2999 + "1"
-    assert chain.parent_of(2999) == 2998
-    fan = build_tree((1, [(0, [1]) if i == 7 else i % 2 for i in range(2000)]))
+    assert chain.children_of(2998) == (2999,)
+    fan = parse_tree("1(" + ",".join("0(1)" if i == 7 else str(i % 2) for i in range(2000)) + ")")
     assert fan.n == 2002
     assert preorder(fan) == list(range(2002))
     assert fan.children_of(0) == tuple(range(1, 9)) + tuple(range(10, 2002))
@@ -178,14 +174,28 @@ def test_build_tree_deep_chain_and_wide_fan():
 
 
 def test_tree_copies_its_node_table():
-    table = {0: Node(0, (1,)), 1: Node(1, (), 0)}
+    table = {0: Node(0, (1,)), 1: Node(1)}
     t = Tree(table, 0)
     table[0] = Node(0, ())
     del table[1]
     assert t.n == 2 and format_tree(t) == "0(1)"
-    proxied = Tree(types.MappingProxyType({0: Node(1, (1,)), 1: Node(0, (), 0)}), 0)
+    proxied = Tree(types.MappingProxyType({0: Node(1, (1,)), 1: Node(0)}), 0)
     assert type(proxied.nodes) is dict
     assert format_tree(proxied) == "1(0)"
+
+
+@pytest.mark.parametrize("table, root, message", [
+    ({1: Node(0)}, 0, "root identifier missing from node table"),
+    ({0: Node(0, (1,)), 1: Node(0, (0,))}, 0, r"node 0 reached twice \(cycle"),
+    ({0: Node(0, (1, 2)), 1: Node(0, (3,)), 2: Node(0, (3,)), 3: Node(0)}, 0,
+     "node 3 reached twice"),
+    ({0: Node(0, (1, 5)), 1: Node(0)}, 0, "child 5 of node 0 missing from node table"),
+    ({0: Node(0, (1,)), 1: Node(2)}, 0, "label of node 1 must be a bit, got 2"),
+    ({0: Node(0, (1,)), 1: Node(0), 2: Node(1, (1,))}, 0, "unreachable nodes present"),
+])
+def test_tree_rejects_malformed_tables(table, root, message):
+    with pytest.raises(ValueError, match=message):
+        Tree(table, root)
 
 
 @st.composite
@@ -199,9 +209,8 @@ def deep_and_wide_trees(draw):
     path_kids = {v: [v + 1] if v < depth else [] for v in range(depth + 1)}
     fan = list(range(depth + 1, depth + 1 + width))
     path_kids[at] = fan + path_kids[at] if fan_first else path_kids[at] + fan
-    nodes = {v: Node(rnd.randint(0, 1), tuple(kids), v - 1 if v else None)
-             for v, kids in path_kids.items()}
-    nodes.update({v: Node(rnd.randint(0, 1), (), at) for v in fan})
+    nodes = {v: Node(rnd.randint(0, 1), tuple(kids)) for v, kids in path_kids.items()}
+    nodes.update({v: Node(rnd.randint(0, 1)) for v in fan})
     return Tree(nodes, 0)
 
 
