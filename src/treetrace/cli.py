@@ -195,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an invalid spec or input exits 2 with one line."""
+    """Run one subcommand; an invalid spec or input exits 2 with one line.
+
+    A file that cannot be read or written counts as invalid input.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
             flags = [f"--{k}={v}" for k, v in load_spec_file(args.specfile).items()]
             args = parser.parse_args(argv[:1] + flags + argv[1:])
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"treetrace {argv[0]}: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,10 @@ same streams regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from dataclasses import astuple, dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -284,17 +284,19 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list[ResultRow
     the byte-identical reproducibility contract, so they are opt-in.
     """
     rows = []
-    for gi, n_traces in enumerate(spec.trace_grid):
-        start = time.perf_counter()
-        successes = _successes(spec.family, spec.model, spec.n, spec.q, spec.delta,
-                               n_traces, spec.trials, spec.master_seed, gi)
-        elapsed_ms = int((time.perf_counter() - start) * 1000) if timing else 0
-        rows.append(ResultRow(
-            experiment=spec.experiment_id, family=spec.family, n=spec.n, q=spec.q,
-            model=spec.model, traces=n_traces, trials=spec.trials, successes=successes,
-            rate=successes / spec.trials, wall_time_ms=elapsed_ms, seed=spec.master_seed))
-    if spec.out:
-        Path(spec.out).write_text(rows_to_csv(rows))
+    # The output opens first, so that a path it cannot write fails before any trial.
+    with open(spec.out, "w") if spec.out else contextlib.nullcontext() as sink:
+        for gi, n_traces in enumerate(spec.trace_grid):
+            start = time.perf_counter()
+            successes = _successes(spec.family, spec.model, spec.n, spec.q, spec.delta,
+                                   n_traces, spec.trials, spec.master_seed, gi)
+            elapsed_ms = int((time.perf_counter() - start) * 1000) if timing else 0
+            rows.append(ResultRow(
+                experiment=spec.experiment_id, family=spec.family, n=spec.n, q=spec.q,
+                model=spec.model, traces=n_traces, trials=spec.trials, successes=successes,
+                rate=successes / spec.trials, wall_time_ms=elapsed_ms, seed=spec.master_seed))
+        if sink:
+            sink.write(rows_to_csv(rows))
     return rows
 
 

@@ -123,6 +123,24 @@ def test_recon_rejects_nonbinary_string_trace(tmp_path, capsys):
     assert err.splitlines() == ["treetrace recon: traces must be binary strings"]
 
 
+@pytest.mark.parametrize("command, target", [
+    ("recon", "missing.txt"),
+    ("recon", "."),
+    ("trace --traces 4 --out", "missing/traces.txt"),
+    ("experiment --traces 1,2 --trials 3 --out", "missing/sweep.csv"),
+])
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys, no_trials, command, target):
+    # A file that cannot be read or written is invalid input; no_trials shows
+    # that experiment fails on its --out path before the first trial.
+    path = str(tmp_path / target)
+    first, *rest = command.split()
+    code = main([first, "--n", "6", *rest, path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"treetrace {first}: ") and path in line
+
+
 def test_experiment_csv(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, _ = run(capsys, "experiment", "--family", "random", "--model", "ted",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -225,3 +226,49 @@ def test_verify_detects_mutated_splice_order():
 
     ok, detail = check_traversal_preservation(max_n=5, ted_apply_fn=mutated)
     assert not ok
+
+
+def test_order_check_catches_a_wrong_splice_on_pairs():
+    # Right on every single deletion, so only a subset of two can show it:
+    # on pairs, each parent that takes spliced children lists them backwards.
+    from treetrace import channels
+    from treetrace.trees import Node, Tree
+
+    def backwards_on_pairs(t, deleted):
+        dels = set(deleted)
+        out = channels.ted_apply(t, dels)
+        if len(dels) != 2:
+            return out
+        nodes = {
+            v: nd if nd.children == t.nodes[v].children else Node(nd.label, nd.children[::-1])
+            for v, nd in out.nodes.items()
+        }
+        return Tree(nodes, out.root, validate=False)
+
+    # Below six nodes, two deletions leave at most two leaves under the root,
+    # which read the same either way round.
+    ok, detail = verify.check_ted_order_invariance(max_n=6, ted_apply_fn=backwards_on_pairs)
+    assert not ok
+    assert detail.startswith("flatten != sequential contraction on ")
+    assert re.search(r"deleting \[\d+, \d+\]$", detail)
+
+
+def test_order_check_catches_order_dependent_single_deletions(monkeypatch):
+    # A single deletion that appends the children at the end of the parent's
+    # list: deleting v then w and w then v give different id tables.
+    from treetrace import channels
+    from treetrace.trees import Node, Tree
+
+    def append_children(t, deleted):
+        nodes = dict(t.nodes)
+        for v in deleted:
+            kids = nodes.pop(v).children
+            u = next(u for u, nd in nodes.items() if v in nd.children)
+            rest = tuple(c for c in nodes[u].children if c != v)
+            nodes[u] = Node(nodes[u].label, rest + kids)
+        return Tree(nodes, t.root, validate=False)
+
+    monkeypatch.setattr(channels, "ted_apply", append_children)
+    ok, detail = verify.check_ted_order_invariance(max_n=5)
+    assert not ok
+    assert detail.startswith("sequential contraction depends on the order on ")

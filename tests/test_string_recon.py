@@ -61,6 +61,28 @@ def test_empirical_mean_concentrates():
     assert np.max(np.abs(emp - exact)) <= 5 / math.sqrt(n_samples)
 
 
+def scatter_empirical_mean(s: str, q: float, n_samples: int, rng) -> np.ndarray:
+    """The (n_samples, n) float scatter that sample_empirical_mean replaced."""
+    n = len(s)
+    keep = rng.random((n_samples, n)) >= q
+    ranks = keep.cumsum(axis=1) - 1
+    bits = np.frombuffer(s.encode(), np.uint8) - ord("0")
+    acc = np.zeros((n_samples, n))
+    rows, cols = np.nonzero(keep)
+    acc[rows, ranks[rows, cols]] = bits[cols]
+    return acc.mean(axis=0)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5])
+@pytest.mark.parametrize("s", ["0", "1", "0000011111", "1011010010", "111111111111"])
+def test_sample_empirical_mean_matches_the_scatter_bitwise(s, q):
+    ours, theirs = make_rng(f"emp-scatter:{s}"), make_rng(f"emp-scatter:{s}")
+    got = sample_empirical_mean(s, q, 5_000, ours)
+    want = scatter_empirical_mean(s, q, 5_000, theirs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_find_separation_examples():
     wit = find_separation("10", "01", 0.5)
     assert wit.j == 0
