@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
+import numpy as np
+
 from .channels import _binary, _check_q
 from .trees import Node, Tree, dyck_words, preorder, tree_from_dyck
 
@@ -230,6 +232,15 @@ def enumerate_fuzzy_trees(n: int, m: int) -> list[Tree]:
     ]
 
 
+def _cycle_lemma_word(ups: list[bool]) -> str:
+    """Dyck word of n ups and n-1 downs rotated to start after the last prefix-sum minimum."""
+    prefix = list(accumulate(1 if up else -1 for up in ups))
+    last_min = len(ups) - 1 - prefix[::-1].index(min(prefix))
+    start = (last_min + 1) % len(ups)
+    rotated = ups[start:] + ups[:start]
+    return "".join("1" if up else "0" for up in rotated[1:])  # less the leading up
+
+
 def random_tree(n: int, rng) -> Tree:
     """Uniform ordered rooted tree on n nodes via the cycle lemma.
 
@@ -241,16 +252,31 @@ def random_tree(n: int, rng) -> Tree:
         raise ValueError("need n >= 1")
     if n == 1:
         return Tree({0: Node(0)}, 0)
-    m = n - 1
-    # Shuffling 0..2m permutes positions exactly as shuffling the m + 1 ups
-    # and m downs would, from the same draws; ids 0..m are the ups.
-    ups = [x <= m for x in rng.permutation(2 * m + 1).tolist()]
-    prefix = list(accumulate(1 if up else -1 for up in ups))
-    # Start right after the last position attaining the minimum prefix sum.
-    last_min = 2 * m - prefix[::-1].index(min(prefix))
-    start = (last_min + 1) % (2 * m + 1)
-    rotated = ups[start:] + ups[:start]
-    return tree_from_dyck("".join("1" if up else "0" for up in rotated[1:]))
+    # Ids below n are the ups: shuffling 0..2n-2 places them as shuffling the steps would.
+    return tree_from_dyck(_cycle_lemma_word([x < n for x in rng.permutation(2 * n - 1).tolist()]))
+
+
+_DRAW_ROWS = 4096  # permutations random_dyck_words draws at once: a memory bound
+
+
+def random_dyck_words(n: int, count: int, rng) -> list[str]:
+    """Dyck words of `count` random_tree(n, rng) calls: permuted draws each row as a call would.
+
+    A word depends only on where its ups sit, so the cycle lemma runs once per pattern.
+    """
+    if n < 1 or count < 0:
+        raise ValueError(f"need n >= 1 and count >= 0, got n={n}, count={count}")
+    k = 2 * n - 1
+    ids = np.arange(k, dtype=np.min_scalar_type(k))
+    words: list[str] = []
+    for done in range(0, count, _DRAW_ROWS):
+        drawn = rng.permuted(np.broadcast_to(ids, (min(_DRAW_ROWS, count - done), k)), axis=1)
+        ups = np.ascontiguousarray(drawn < n)  # permuted returns Fortran order
+        codes = np.packbits(ups, axis=1).view(np.dtype((np.void, (k + 7) // 8))).ravel()
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        found = [_cycle_lemma_word(ups[i].tolist()) for i in first.tolist()]
+        words += [found[j] for j in inverse.ravel().tolist()]
+    return words
 
 
 def random_labels(t: Tree, rng) -> Tree:

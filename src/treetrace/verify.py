@@ -461,9 +461,8 @@ def check_known_topology_q0(max_n: int = 8, seed: int = 0):
 
 def check_uniform_random_tree(n: int = 4, n_samples: int = 100_000, seed: int = 0):
     rng = _rng("uniform-tree", seed)
-    counts: Counter = Counter()
-    for _ in range(n_samples):
-        counts[instances.random_tree(n, rng).canonical()] += 1
+    words = Counter(instances.random_dyck_words(n, n_samples, rng))
+    counts = {trees.tree_from_dyck(w).canonical(): c for w, c in words.items()}
     catalan = math.comb(2 * (n - 1), n - 1) // n
     if len(counts) != catalan:
         return False, f"saw {len(counts)} shapes, expected {catalan}"

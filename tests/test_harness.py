@@ -272,3 +272,24 @@ def test_order_check_catches_order_dependent_single_deletions(monkeypatch):
     ok, detail = verify.check_ted_order_invariance(max_n=5)
     assert not ok
     assert detail.startswith("sequential contraction depends on the order on ")
+
+
+@pytest.mark.parametrize("every", [1, 10])
+def test_uniform_tree_check_catches_a_biased_sampler(monkeypatch, every):
+    # One shape's words rewritten as another's: all of them (a shape goes
+    # missing) or every tenth (all five shapes seen, one too often).
+    from treetrace import instances
+
+    sampler = instances.random_dyck_words
+
+    def biased(n, count, rng):
+        words = sampler(n, count, rng)
+        hits = [i for i, w in enumerate(words) if w == "101010"]
+        for i in hits[::every]:
+            words[i] = "111000"
+        return words
+
+    monkeypatch.setattr(instances, "random_dyck_words", biased)
+    ok, detail = verify.check_uniform_random_tree(n_samples=20_000)
+    assert not ok
+    assert ("saw 4 shapes, expected 5" if every == 1 else "outside 3 sigma of 0.2") in detail

@@ -14,6 +14,7 @@ from treetrace.instances import (
     forked_tree,
     fuzzy_degree,
     path_tree,
+    random_dyck_words,
     random_fuzzy_tree,
     random_labels,
     random_tree,
@@ -22,6 +23,7 @@ from treetrace.instances import (
 from treetrace.trees import (
     Node,
     Tree,
+    dyck_string,
     format_tree,
     is_fuzzy,
     preorder,
@@ -172,7 +174,8 @@ def test_enumerate_fuzzy_trees_small_complete():
 def test_random_tree_uniform_n4():
     rng = make_rng("uniform4")
     n_samples = 100_000
-    counts = Counter(random_tree(4, rng).canonical() for _ in range(n_samples))
+    # Words and shapes are one to one, so the words' counts are the shapes'.
+    counts = Counter(random_dyck_words(4, n_samples, rng))
     assert len(counts) == 5  # Catalan(3)
     sigma = math.sqrt(0.2 * 0.8 / n_samples)
     for c in counts.values():
@@ -201,6 +204,35 @@ def test_random_tree_matches_reference(n):
         got, want = random_tree(n, got_rng), _reference_random_tree(n, want_rng)
         assert got.root == want.root and got.nodes == want.nodes
         assert got_rng.random() == want_rng.random()
+
+
+def _assert_words_match_random_tree_calls(n, count, seed):
+    # The same words, and the generator left where the calls leave it.
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    got = random_dyck_words(n, count, got_rng)
+    assert got == [dyck_string(random_tree(n, want_rng)) for _ in range(count)]
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30, 200])
+def test_random_dyck_words_match_random_tree_calls(n):
+    # Pins numpy's row-by-row permuted to sequential permutation draws.
+    # n = 200 needs 50-byte pattern codes.
+    for count in (0, 1, 50):
+        for seed in range(5):
+            _assert_words_match_random_tree_calls(n, count, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_dyck_words_match_across_draw_blocks(seed):
+    _assert_words_match_random_tree_calls(7, 5000, seed)  # 4096 rows, then 904
+
+
+@pytest.mark.parametrize("n, count", [(0, 5), (-1, 0), (3, -1)])
+def test_random_dyck_words_rejects_bad_sizes(n, count):
+    with pytest.raises(ValueError):
+        random_dyck_words(n, count, np.random.default_rng(0))
 
 
 def test_random_labels_are_fair_bits():
