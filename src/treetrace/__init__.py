@@ -9,17 +9,12 @@ and a reproducible Monte Carlo experiment harness.
 from .channels import (
     InvalidDeletionError,
     SizeCapError,
-    StaleTargetError,
     Trace,
-    lp_apply,
-    lp_trace,
     lp_trace_set,
     lp_traces,
-    string_trace,
     string_trace_prob,
     string_traces,
     ted_apply,
-    ted_trace,
     ted_trace_distribution,
     ted_traces,
     trace_of,

@@ -4,18 +4,28 @@ Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
 one call and return a tree trace as a `Trace`: its Dyck word, its preorder
 labels and its node ids.  Equal draws share one immutable `Trace`, also
-across calls on the same small source tree object (see `_sampled`).  The dict
-samplers (`string_trace`, `ted_trace`, `lp_trace`) build one `Tree` per
-trace from the same random stream and stay as their oracles.  Exact-analysis
+across calls on the same small source tree object (see `_sampled`).  The
+dict samplers that build one `Tree` per trace from the same random stream
+live in tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
 functions (`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are
 pure enumeration oracles with hard size caps.
+
+Left propagation (LP) marks each non-root node with probability q and
+deletes the marks in ascending preorder.  A deletion at a node shifts the
+labels one step up its first-child path and removes the last node of that
+path, so each mark's label goes wherever it has moved to.  On the preorder
+form that is one rule.  Only leaves are ever removed, so survivors keep
+their depths, and the survivors' labels are the source labels without the
+marked positions: the j-th mark, at source index i, sits at rank r = i - j
+among the survivors.  Deleting it removes the first survivor at or after
+rank r whose successor in preorder is no deeper, or that has none.  On a
+Dyck word, that is the first `10` at or after node r's `1`, and label r goes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,10 +46,6 @@ class InvalidDeletionError(ValueError):
     """Deletion set targets the root or an unknown node."""
 
 
-class StaleTargetError(ValueError):
-    """A deletion target was already removed by an earlier label shift."""
-
-
 def _check_q(q: float) -> None:
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
@@ -57,8 +63,8 @@ def _binary(text: str, name: str | None = None) -> str:
 class Trace(NamedTuple):
     """A tree trace: Dyck word, preorder label string, node ids in preorder.
 
-    The ids are those the dict samplers' tree would carry, so `tree_of`
-    rebuilds exactly that tree.
+    The ids are the source ids of the surviving nodes, so `tree_of` rebuilds
+    the trace as a tree with the source's ids.
     """
 
     word: str
@@ -78,15 +84,6 @@ def tree_of(tr: Trace) -> Tree:
     nodes = {ids[v]: Node(int(tr.labels[v]), tuple(ids[c] for c in cs))
              for v, cs in enumerate(kids)}
     return Tree(nodes, ids[0], validate=False)
-
-
-def string_trace(s: str, q: float, rng) -> str:
-    """Delete each symbol independently with probability q, keep the rest in order."""
-    _check_q(q)
-    if len(s) == 0:
-        return s
-    keep = rng.random(len(s)) >= q
-    return "".join(ch for ch, k in zip(s, keep) if k)
 
 
 def _check_deletions(t: Tree, deleted: Iterable[int]) -> set[int]:
@@ -126,19 +123,8 @@ def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
     return Tree(nodes, t.root, validate=False)
 
 
-def ted_trace(t: Tree, q: float, rng) -> Tree:
-    """Mark each non-root node independently with probability q, then splice."""
-    _check_q(q)
-    order = preorder(t)[1:]
-    if not order:
-        return t
-    marks = rng.random(len(order)) < q
-    dels = {v for v, m in zip(order, marks) if m}
-    return ted_apply(t, dels)
-
-
 def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
-    """Exact distribution of ted_trace over all 2^(n-1) deletion subsets.
+    """Exact law of a TED trace of t over all 2^(n-1) deletion subsets.
 
     Keys are the canonical texts of the traces; the probabilities sum to 1.
     """
@@ -159,85 +145,10 @@ def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
     return entries
 
 
-def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
-    """One left-propagation deletion at position v on a mutable tree.
-
-    Labels shift one step up the left-only (first-child) path from v and the
-    last node of that path is removed.  Returns the path for callers that
-    track shifted contents.
-    """
-    path = [v]
-    while children[path[-1]]:
-        path.append(children[path[-1]][0])
-    for a, b in zip(path, path[1:]):
-        labels[a] = labels[b]
-    last = path[-1]
-    children[parent[last]].remove(last)
-    del labels[last], children[last], parent[last]
-    return path
-
-
-def _mutable(t: Tree):
-    labels = {v: nd.label for v, nd in t.nodes.items()}
-    children = {v: list(nd.children) for v, nd in t.nodes.items()}
-    parent = {c: v for v, kids in children.items() for c in kids}  # the root has none
-    return labels, children, parent
-
-
-def _freeze(labels: dict, children: dict, root: int) -> Tree:
-    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
-    return Tree(nodes, root, validate=False)
-
-
-def lp_apply(t: Tree, deleted: Sequence[int]) -> Tree:
-    """Apply left-propagation deletions one at a time in the given order.
-
-    Targets are structural node identifiers; an identifier that an earlier
-    deletion's shift removed raises StaleTargetError.
-    """
-    _check_deletions(t, deleted)
-    labels, children, parent = _mutable(t)
-    for v in deleted:
-        if v not in labels:
-            raise StaleTargetError(f"node {v} already removed by an earlier label shift")
-        if v == t.root:
-            raise InvalidDeletionError("the root is never deleted")
-        _lp_delete(labels, children, parent, v)
-    return _freeze(labels, children, t.root)
-
-
-def lp_trace(t: Tree, q: float, rng) -> Tree:
-    """Mark non-root nodes with probability q; delete marks in ascending preorder.
-
-    Each mark names a node of the original tree.  Because deletions shift
-    labels up left-only paths, a marked node's content may sit at a different
-    position by the time its turn comes; the deletion is applied wherever the
-    content currently lives, so every mark is effective exactly once.
-    """
-    _check_q(q)
-    order = preorder(t)[1:]
-    if not order:
-        return t
-    marks = rng.random(len(order)) < q
-    marked = [v for v, m in zip(order, marks) if m]
-    labels, children, parent = _mutable(t)
-    pos_of = {v: v for v in t.nodes}  # original node -> current position
-    content_at = {v: v for v in t.nodes}
-    for c in marked:
-        path = _lp_delete(labels, children, parent, pos_of[c])
-        for a, b in zip(path, path[1:]):
-            moved = content_at[b]
-            content_at[a] = moved
-            pos_of[moved] = a
-        del content_at[path[-1]]
-        del pos_of[c]
-    return _freeze(labels, children, t.root)
-
-
 # ---------------------------------------------------------------------------
 # Batched samplers.  Row r of rng.random((count, k)) holds the draws that the
-# r-th of count sequential dict-sampler calls would make, so both read the
-# same stream; k = 0 draws nothing, as the dict samplers do on one node.
+# r-th of count sequential dict-sampler calls (tests/oracles.py) would make,
+# so both read the same stream; k = 0 draws nothing, as they do on one node.
 
 
 class _Layout(NamedTuple):
@@ -247,17 +158,16 @@ class _Layout(NamedTuple):
     word: np.ndarray  # character codes of the Dyck word
     labels: np.ndarray  # character codes of the preorder labels
     walk: np.ndarray  # index of the node each word symbol opens or closes
-    kids: list[list[int]]  # child indices of each index
 
 
 def _layout(t: Tree) -> _Layout:
     word, labels, order = _preorder_form(t)
-    kids, walk = _dyck_links(word)
+    _, walk = _dyck_links(word)
     ids = np.array(order)
     if ids.dtype.kind == "f":  # ids past int64 beside smaller ones: keep them exact
         ids = np.array(order, dtype=object)
     return _Layout(ids, np.frombuffer(word.encode(), np.uint8),
-                   np.frombuffer(labels.encode(), np.uint8), np.array(walk, dtype=np.intp), kids)
+                   np.frombuffer(labels.encode(), np.uint8), np.array(walk, dtype=np.intp))
 
 
 def _joined(codes: np.ndarray, keep: np.ndarray) -> str:
@@ -324,13 +234,13 @@ def _sample(t: Tree, q: float, count: int, rng, build) -> list[Trace]:
 
 
 def string_traces(s: str, q: float, count: int, rng) -> list[str]:
-    """count string_trace draws in one call."""
+    """count string traces in one call: each symbol is deleted with probability q."""
     _check_q(q)
     return _strings(s, rng.random((count, len(s))) >= q)
 
 
 def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
-    """count ted_trace draws in one call.
+    """count TED traces in one call: each non-root node is deleted with probability q.
 
     A deleted node's children splice into its place, so a trace's word is the
     source word without the matched 1 and 0 of each deleted node, and its
@@ -343,44 +253,23 @@ def _ted_traces(lay: _Layout, keep: np.ndarray) -> list[Trace]:
     return _traces(lay, keep, keep)
 
 
-def _lp_removed(marks: list[int], kids: list[list[int]]) -> list[int]:
-    """Indices of the nodes that lp_trace removes for marks in ascending order.
+def _lp_removed(marks: list[int], depth: list[int]) -> list[int]:
+    """Indices of the nodes removed for marks in ascending order, by the LP rule.
 
-    The labels of the survivors are the source labels without the marked
-    positions, so the j-th mark, at index i, sits at rank i - j among the
-    surviving nodes in preorder, and its deletion removes the first leaf at
-    or after that rank: the end of the first-child chain from there.  Ranks
-    never decrease, so the walk reads only nodes at or after the current
-    rank, each of which has lost only its first nxt[v] children, and the
-    chain is kept from one mark to the next.
+    The rule is the module docstring's: the j-th mark, at index i, removes
+    the first survivor at or after rank i - j whose successor is no deeper.
+    Ranks never decrease, and the survivors from one mark's rank up to the
+    leaf it removed still form a chain, so the next walk resumes at the
+    chain's end: the walks read each survivor about once in all.
     """
-    nxt = [0] * len(kids)
+    alive = list(range(len(depth)))
     removed: list[int] = []
-    pending: list[int] = []  # heap of removed indices not yet counted in passed
-    passed = 0  # removed indices known to lie below the head
-    chain: list[int] = []
-    rank = 0
+    r = 0
     for j, i in enumerate(marks):
-        step, rank = i - j - rank, i - j
-        if step < len(chain):
-            del chain[:step]
-        else:
-            # The surviving node at this rank is rank + (removed nodes before it).
-            head = rank + passed
-            while pending and pending[0] <= head:
-                heapq.heappop(pending)
-                passed += 1
-                head = rank + passed
-            chain = [head]
-        v = chain[-1]
-        while nxt[v] < len(kids[v]):
-            v = kids[v][nxt[v]]
-            chain.append(v)
-        chain.pop()
-        if chain:
-            nxt[chain[-1]] += 1
-        heapq.heappush(pending, v)
-        removed.append(v)
+        r = max(i - j, r - 1)
+        while r + 1 < len(alive) and depth[alive[r + 1]] > depth[alive[r]]:
+            r += 1
+        removed.append(alive.pop(r))
     return removed
 
 
@@ -388,16 +277,18 @@ def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Trace]:
     marked = ~labels
     rows, cols = marked.nonzero()
     marks = cols.tolist()
+    up = lay.word == ord("1")
+    depth = [0] + np.where(up, 1, -1).cumsum()[up].tolist()  # by node index
     removed: list[int] = []
     for a, b in _bounds(marked.sum(axis=1)):
-        removed += _lp_removed(marks[a:b], lay.kids)
+        removed += _lp_removed(marks[a:b], depth)
     nodes = np.ones_like(labels)
     nodes[rows, removed] = False
     return _traces(lay, nodes, labels)
 
 
 def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
-    """count lp_trace draws in one call.
+    """count LP traces in one call: each non-root node is marked with probability q.
 
     Each deletion removes a leaf, so a trace's word is the source word
     without the matched 1 and 0 of each removed node; its labels lose the
@@ -406,29 +297,33 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     return _sample(t, q, count, rng, _lp_traces)
 
 
+def _lp_step(word: str, labels: str, r: int) -> tuple[str, str]:
+    """The word and labels after an LP deletion at rank r >= 1, by the LP rule."""
+    at = -1
+    for _ in range(r):  # node r opens at the r-th 1
+        at = word.index("1", at + 1)
+    leaf = word.index("10", at)
+    return word[:leaf] + word[leaf + 2:], labels[:r] + labels[r + 1:]
+
+
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     """All trees reachable by k left-propagation deletions, any targets, any order.
 
-    Implemented as a k-step closure: from each reachable tree, delete at every
-    current non-root position.  Step by step this covers every mark subset and
-    every application order, because a deletion at a position is exactly a
-    deletion of the (not yet deleted) content living there.
+    A k-step closure over (word, labels) pairs: from each reachable pair,
+    delete at every non-root rank.  Step by step this covers every mark
+    subset and every application order, because a deletion at a rank is
+    exactly a deletion of the (not yet deleted) label living there.  The
+    trees carry ids 0, 1, ... in preorder.
     """
     if t.n > TED_ENUM_CAP:
         raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
-    if k > t.n - 1:
-        raise ValueError(f"k={k} exceeds the {t.n - 1} non-root nodes")
-    frontier = {t.canonical(): t}
+    if not 0 <= k < t.n:
+        raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
+    word, labels, _ = _preorder_form(t)
+    frontier = {(word, labels)}
     for _ in range(k):
-        nxt: dict[str, Tree] = {}
-        for tree in frontier.values():
-            for v in preorder(tree)[1:]:
-                labels, children, parent = _mutable(tree)
-                _lp_delete(labels, children, parent, v)
-                out = _freeze(labels, children, tree.root)
-                nxt.setdefault(out.canonical(), out)
-        frontier = nxt
-    return set(frontier.values())
+        frontier = {_lp_step(w, s, r) for w, s in frontier for r in range(1, len(s))}
+    return {tree_of(Trace(w, s, tuple(range(len(s))))) for w, s in frontier}
 
 
 def count_embeddings(s: str, trace: str) -> int:
@@ -443,9 +338,9 @@ def count_embeddings(s: str, trace: str) -> int:
 
 
 def string_trace_prob(s: str, trace: str, q: float) -> float:
-    """Exact P[string_trace(s, q) == trace] for binary strings and q in [0, 1].
+    """Exact probability that the string channel at rate q turns s into trace.
 
-    Zero when trace is not a subsequence of s.
+    For binary strings and q in [0, 1]; zero when trace is not a subsequence of s.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")

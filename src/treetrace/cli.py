@@ -18,19 +18,16 @@ from . import channels, harness, trees, verify
 from .trees import Tree
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_instance(p: argparse.ArgumentParser):
     p.add_argument("--model", choices=channels.MODELS, default="ted")
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
     p.add_argument("--traces", default="64",
                    help="trace count; a comma-separated grid for `experiment`; "
                         "the deletion count k for `enumerate --model lp`")
     p.add_argument("--family", choices=tuple(harness.FAMILIES), default="random")
-    p.add_argument("--out", default=None)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--level", choices=["quick", "full"], default="quick")
 
 
 def _emit(text: str, out: str | None):
@@ -181,9 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     parsers = {}
     for name, (fn, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        if name != "verify":  # verify picks no instance, channel or trace count
+            _add_instance(p)
+        p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
         parsers[name] = p
+    parsers["verify"].add_argument("--level", choices=["quick", "full"], default="quick")
+    for name in ("experiment", "search"):
+        parsers[name].add_argument("--trials", type=int, default=50)
     parsers["recon"].add_argument("tracefile", help="file of traces, one per line")
     parsers["experiment"].add_argument("specfile", nargs="?", default=None,
                                        help="flat key=value spec file")

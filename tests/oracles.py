@@ -1,0 +1,117 @@
+"""Dict samplers and dict-based left propagation: the oracles of the batched channels.
+
+Each sampler builds one `Tree` (or str) per trace.  Call r of count
+sequential calls reads the draws of row r of a batched sampler's
+rng.random((count, k)), so `string_traces`, `ted_traces` and `lp_traces`
+must return exactly these draws from a generator seeded alike.  `lp_apply`
+deletes by node id on a mutable dict tree: the definition of left
+propagation that `channels.lp_trace_set` and the LP rule are checked against.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from treetrace.channels import InvalidDeletionError, _check_deletions, _check_q, ted_apply
+from treetrace.trees import Node, Tree, preorder
+
+
+class StaleTargetError(ValueError):
+    """A deletion target was already removed by an earlier label shift."""
+
+
+def string_trace(s: str, q: float, rng) -> str:
+    """Delete each symbol independently with probability q, keep the rest in order."""
+    _check_q(q)
+    if len(s) == 0:
+        return s
+    keep = rng.random(len(s)) >= q
+    return "".join(ch for ch, k in zip(s, keep) if k)
+
+
+def ted_trace(t: Tree, q: float, rng) -> Tree:
+    """Mark each non-root node independently with probability q, then splice."""
+    _check_q(q)
+    order = preorder(t)[1:]
+    if not order:
+        return t
+    marks = rng.random(len(order)) < q
+    dels = {v for v, m in zip(order, marks) if m}
+    return ted_apply(t, dels)
+
+
+def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
+    """One left-propagation deletion at position v on a mutable tree.
+
+    Labels shift one step up the left-only (first-child) path from v and the
+    last node of that path is removed.  Returns the path for callers that
+    track shifted contents.
+    """
+    path = [v]
+    while children[path[-1]]:
+        path.append(children[path[-1]][0])
+    for a, b in zip(path, path[1:]):
+        labels[a] = labels[b]
+    last = path[-1]
+    children[parent[last]].remove(last)
+    del labels[last], children[last], parent[last]
+    return path
+
+
+def _mutable(t: Tree):
+    labels = {v: nd.label for v, nd in t.nodes.items()}
+    children = {v: list(nd.children) for v, nd in t.nodes.items()}
+    parent = {c: v for v, kids in children.items() for c in kids}  # the root has none
+    return labels, children, parent
+
+
+def _freeze(labels: dict, children: dict, root: int) -> Tree:
+    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
+    return Tree(nodes, root, validate=False)
+
+
+def lp_apply(t: Tree, deleted: Sequence[int]) -> Tree:
+    """Apply left-propagation deletions one at a time in the given order.
+
+    Targets are structural node identifiers; an identifier that an earlier
+    deletion's shift removed raises StaleTargetError.
+    """
+    _check_deletions(t, deleted)
+    labels, children, parent = _mutable(t)
+    for v in deleted:
+        if v not in labels:
+            raise StaleTargetError(f"node {v} already removed by an earlier label shift")
+        if v == t.root:
+            raise InvalidDeletionError("the root is never deleted")
+        _lp_delete(labels, children, parent, v)
+    return _freeze(labels, children, t.root)
+
+
+def lp_trace(t: Tree, q: float, rng) -> Tree:
+    """Mark non-root nodes with probability q; delete marks in ascending preorder.
+
+    Each mark names a node of the original tree.  Because deletions shift
+    labels up left-only paths, a marked node's content may sit at a different
+    position by the time its turn comes; the deletion is applied wherever the
+    content currently lives, so every mark is effective exactly once.
+    """
+    _check_q(q)
+    order = preorder(t)[1:]
+    if not order:
+        return t
+    marks = rng.random(len(order)) < q
+    marked = [v for v, m in zip(order, marks) if m]
+    labels, children, parent = _mutable(t)
+    pos_of = {v: v for v in t.nodes}  # original node -> current position
+    content_at = {v: v for v in t.nodes}
+    for c in marked:
+        path = _lp_delete(labels, children, parent, pos_of[c])
+        for a, b in zip(path, path[1:]):
+            moved = content_at[b]
+            content_at[a] = moved
+            pos_of[moved] = a
+        del content_at[path[-1]]
+        del pos_of[c]
+    return _freeze(labels, children, t.root)
+
+

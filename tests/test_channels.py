@@ -10,18 +10,13 @@ from treetrace import channels, harness
 from treetrace.channels import (
     InvalidDeletionError,
     SizeCapError,
-    StaleTargetError,
     count_embeddings,
     distinct_subsequences,
-    lp_apply,
-    lp_trace,
     lp_trace_set,
     lp_traces,
-    string_trace,
     string_trace_prob,
     string_traces,
     ted_apply,
-    ted_trace,
     ted_trace_distribution,
     ted_traces,
     trace_of,
@@ -38,6 +33,7 @@ from treetrace.trees import (
     trees_equal,
 )
 from conftest import make_rng
+from oracles import StaleTargetError, lp_apply, lp_trace, string_trace, ted_trace
 
 
 def test_string_trace_q0_identity():
@@ -271,10 +267,28 @@ def test_lp_trace_set_examples():
     assert lp_trace_set(path_tree(6), 0) == {path_tree(6)}
     assert lp_trace_set(path_tree(6), 2) == {path_tree(4)}
     assert lp_trace_set(forked_tree(6), 3) == lp_trace_set(path_tree(6), 3)
-    with pytest.raises(ValueError):
-        lp_trace_set(path_tree(3), 4)
+    for k in (4, -1):
+        with pytest.raises(ValueError, match=rf"k={k} must lie in \[0, 3\]"):
+            lp_trace_set(path_tree(3), k)
     with pytest.raises(SizeCapError):
         lp_trace_set(path_tree(30), 1)
+
+
+def test_lp_trace_set_matches_lp_apply_closure():
+    # Every order of k distinct targets that an earlier shift leaves in place.
+    rng = make_rng("lp-set-closure")
+    for n in range(1, 7):
+        for shape in enumerate_trees(n):
+            t = random_labels(shape, rng)
+            others = preorder(t)[1:]
+            for k in range(min(3, n - 1) + 1):
+                want = set()
+                for seq in itertools.permutations(others, k):
+                    try:
+                        want.add(lp_apply(t, seq))
+                    except StaleTargetError:
+                        continue
+                assert lp_trace_set(t, k) == want
 
 
 def test_lp_trace_lands_in_trace_set():
@@ -342,13 +356,19 @@ def test_distinct_subsequences_small():
 BATCH_QS = [0.0, 0.1, 0.3, 0.5, 0.8]
 
 
-def _matches_tree_oracle(batched, oracle, q, tag):
-    """Batched draws equal the dict sampler's draws from a generator seeded alike."""
+def _matches_tree_oracle(batched, oracle, q, tag, large=()):
+    """Batched draws equal the dict sampler's draws from a generator seeded alike.
+
+    Sixty small random trees with 0 to 8 draws each, then the large trees given,
+    with four.
+    """
     rng = make_rng(tag)
+    cases = []
     for i in range(60):
         n = 1 if i == 0 else int(rng.integers(1, 16))
-        t = random_labels(random_tree(n, rng), rng)
-        count = int(rng.integers(0, 9))
+        cases.append((random_labels(random_tree(n, rng), rng), int(rng.integers(0, 9))))
+    cases += [(t, 4) for t in large]
+    for i, (t, count) in enumerate(cases):
         rng_a, rng_b = make_rng(f"{tag}:{i}"), make_rng(f"{tag}:{i}")
         got = batched(t, q, count, rng_a)
         want = [oracle(t, q, rng_b) for _ in range(count)]
@@ -364,7 +384,12 @@ def test_ted_traces_match_ted_trace(q):
 
 @pytest.mark.parametrize("q", BATCH_QS)
 def test_lp_traces_match_lp_trace(q):
-    _matches_tree_oracle(lp_traces, lp_trace, q, f"batched-lp-{q}")
+    # Large trees too, with ids that are not preorder indices: each parent's
+    # id exceeds its children's.
+    rng = make_rng(f"batched-lp-large-{q}")
+    large = [_reversed_ids(random_labels(t, rng)) for t in
+             (path_tree(300), random_tree(400, rng), random_tree(1000, rng))]
+    _matches_tree_oracle(lp_traces, lp_trace, q, f"batched-lp-{q}", large)
 
 
 @pytest.mark.parametrize("q", BATCH_QS)

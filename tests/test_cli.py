@@ -181,6 +181,14 @@ def test_spec_file_values_go_through_argparse(tmp_path, capsys, line):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", ["verify --n 3", "gen --level full", "trace --trials 5"])
+def test_flags_belong_to_the_subcommands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_load_spec_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("this is not key value\n")

@@ -24,6 +24,7 @@ from treetrace.string_recon import (
 from treetrace.trees import dyck_string, enumerate_trees
 from treetrace.verify import enumeration_mean_vector, sample_empirical_mean
 from conftest import make_rng
+import oracles
 
 
 def test_exact_mean_examples():
@@ -147,7 +148,7 @@ def test_default_arc_parameter():
 def test_distinguish_pair_examples():
     rng = make_rng("distinguish")
     x, y = "10", "01"
-    traces = [channels.string_trace(x, 0.0, rng) for _ in range(5)]
+    traces = [oracles.string_trace(x, 0.0, rng) for _ in range(5)]
     assert distinguish_pair(x, y, traces, 0.0) == x
     # Empirical mean [0.51, 0.01]: 50 "1", 1 "11", 49 empty traces.
     traces = ["1"] * 50 + ["11"] + [""] * 49
@@ -160,7 +161,7 @@ def test_distinguish_pair_error_rate_hoeffding():
     x, y = "10", "01"
     errors = 0
     for _ in range(300):
-        traces = [channels.string_trace(x, 0.5, rng) for _ in range(1000)]
+        traces = channels.string_traces(x, 0.5, 1000, rng)
         errors += distinguish_pair(x, y, traces, 0.5) != x
     assert errors == 0
 
@@ -299,7 +300,7 @@ def test_ml_recovery_improves_with_traces():
         ok = 0
         for _ in range(20):
             s = "".join(rng.choice(["0", "1"], size=n))
-            traces = [channels.string_trace(s, q, rng) for _ in range(n_traces)]
+            traces = [oracles.string_trace(s, q, rng) for _ in range(n_traces)]
             ok += ml_reconstruct(traces, n, q) == s
         rates[n_traces] = ok / 20
     assert rates[64] >= rates[1]
@@ -312,7 +313,7 @@ def _random_strings_and_traces(tag: str, n: int):
     for q in (0.1, 0.4, 0.8):
         for n_traces in (1, 3, 16):
             s = "".join(rng.choice(["0", "1"], size=n))
-            yield q, [channels.string_trace(s, q, rng) for _ in range(n_traces)]
+            yield q, [oracles.string_trace(s, q, rng) for _ in range(n_traces)]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -401,7 +402,7 @@ def test_mean_reconstruct_examples():
     assert mean_reconstruct(["101"] * 10, 3, 0.0) == "101"
     rng = make_rng("mean-pair")
     x, y = "1001", "0110"
-    traces = [channels.string_trace(x, 0.3, rng) for _ in range(10_000)]
+    traces = [oracles.string_trace(x, 0.3, rng) for _ in range(10_000)]
     by_mean = mean_reconstruct(traces, 4, 0.3, candidates=[x, y])
     by_pair = distinguish_pair(x, y, traces, 0.3)
     assert by_mean == by_pair == x
@@ -421,7 +422,7 @@ def test_mean_reconstruct_dyck_candidates_under_ted():
         word = cands[int(rng.integers(len(cands)))]
         truth = by_word[word]
         traces = [
-            dyck_string(channels.ted_trace(truth, 0.1, rng)) for _ in range(500)
+            dyck_string(oracles.ted_trace(truth, 0.1, rng)) for _ in range(500)
         ]
         ok += mean_reconstruct(traces, len(word), 0.1, candidates=cands) == word
     assert ok / trials >= 0.8

@@ -23,6 +23,7 @@ from treetrace.trees import (
     trees_equal,
 )
 from conftest import make_rng
+import oracles
 
 
 def test_known_topology_q0_single_trace():
@@ -39,7 +40,7 @@ def test_known_topology_path_is_string_reconstruction():
     rng = make_rng("kt-path")
     topo = instances.path_tree(7)
     truth = instances.random_labels(topo, rng)
-    traces = [trace_of(channels.ted_trace(truth, 0.1, rng)) for _ in range(64)]
+    traces = [trace_of(oracles.ted_trace(truth, 0.1, rng)) for _ in range(64)]
     got = reconstruct_labels_known_topology(topo, traces, 0.1)
     assert trees_equal(got, truth)
 
@@ -50,7 +51,7 @@ def test_known_topology_under_lp_channel():
     for _ in range(20):
         topo = instances.random_tree(8, rng)
         truth = instances.random_labels(topo, rng)
-        traces = [trace_of(channels.lp_trace(truth, 0.1, rng)) for _ in range(64)]
+        traces = [trace_of(oracles.lp_trace(truth, 0.1, rng)) for _ in range(64)]
         got = reconstruct_labels_known_topology(topo, traces, 0.1)
         ok += trees_equal(got, truth)
     assert ok >= 18
@@ -127,7 +128,7 @@ def test_reconstruct_fuzzy_monte_carlo():
     ok = 0
     for _ in range(10):
         truth = instances.random_fuzzy_tree(n, m, rng)
-        traces = [trace_of(channels.ted_trace(truth, q, rng)) for _ in range(64)]
+        traces = [trace_of(oracles.ted_trace(truth, q, rng)) for _ in range(64)]
         try:
             got = reconstruct_fuzzy(traces, n, m, q)
         except ReconstructionFailedError:
@@ -161,7 +162,7 @@ def test_reconstruct_encoded_monte_carlo():
         s = "".join(str(int(b)) for b in rng.integers(0, 2, size=8))
         ell = instances.buffer_length(0.05, 32, q)
         inst = instances.encode_string_as_tree(s, ell)
-        traces = [trace_of(channels.ted_trace(inst.tree, q, rng)) for _ in range(32)]
+        traces = [trace_of(oracles.ted_trace(inst.tree, q, rng)) for _ in range(32)]
         try:
             ok += reconstruct_encoded(traces, 8, ell, q) == s
         except UndecidedPositionsError:
@@ -176,7 +177,7 @@ def test_encoded_removal_stats_match_q_squared():
     ell = 4
     inst = instances.encode_string_as_tree(s, ell)
     n_traces = 4000
-    traces = [trace_of(channels.ted_trace(inst.tree, q, rng)) for _ in range(n_traces)]
+    traces = [trace_of(oracles.ted_trace(inst.tree, q, rng)) for _ in range(n_traces)]
     stats = encoded_removal_stats(traces, 8, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])
