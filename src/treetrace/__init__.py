@@ -33,7 +33,6 @@ from .instances import (
     EncodedInstance,
     buffer_length,
     encode_string_as_tree,
-    enumerate_fuzzy_trees,
     forked_tree,
     fuzzy_degree,
     path_tree,
@@ -45,7 +44,6 @@ from .string_recon import (
     DegeneratePairError,
     InconsistentTracesError,
     SeparationWitness,
-    distinguish_pair,
     empirical_mean_vector,
     exact_mean_vector,
     find_separation,

@@ -23,9 +23,6 @@ def _add_instance(p: argparse.ArgumentParser):
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--traces", default="64",
-                   help="trace count; a comma-separated grid for `experiment`; "
-                        "the deletion count k for `enumerate --model lp`")
     p.add_argument("--family", choices=tuple(harness.FAMILIES), default="random")
     p.add_argument("--delta", type=float, default=0.05)
 
@@ -184,6 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         parsers[name] = p
     parsers["verify"].add_argument("--level", choices=["quick", "full"], default="quick")
+    for name in ("gen", "trace", "enumerate", "experiment"):  # recon counts its file's lines
+        parsers[name].add_argument("--traces", default="64",
+                                   help="trace count; a comma-separated grid for `experiment`; "
+                                        "the deletion count k for `enumerate --model lp`")
     for name in ("experiment", "search"):
         parsers[name].add_argument("--trials", type=int, default=50)
     parsers["recon"].add_argument("tracefile", help="file of traces, one per line")

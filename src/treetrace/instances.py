@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .channels import _binary, _check_q
-from .trees import Node, Tree, dyck_words, preorder, tree_from_dyck
+from .trees import Node, Tree, dyck_string, dyck_words, preorder, tree_from_dyck
 
 
 def _check_delta(delta: float) -> None:
@@ -151,85 +151,60 @@ def _feasible_leaf_counts(n: int, m: int) -> list[int]:
     return out
 
 
+def _fuzzy_words_of(skeletons: Iterable[str], m: int) -> Iterator[str]:
+    """Each skeleton's Dyck word with every leaf replaced by a node with m leaf children.
+
+    A skeleton word is wrapped in an outer 1...0, so that a one-node
+    skeleton is a peak too; every peak 10 then becomes the block 1(10)^m 0,
+    and the wrap comes off again.  The block is built once for all words.
+    """
+    block = "1" + "10" * m + "0"
+    for skeleton in skeletons:
+        yield ("1" + skeleton + "0").replace("10", block)[1:-1]
+
+
 def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     """Random tree on n nodes where every leaf sits in a block of m siblings.
 
-    Built by growing a random skeleton with a chosen number of leaves, then
-    replacing each skeleton leaf by a node with m leaf children.  The output
-    always satisfies the degree-m invariant exactly; the distribution over
-    shapes is not uniform.
+    Grows a random skeleton with a chosen number of leaves, then builds the
+    tree from the skeleton's word as fuzzy_words does (ids in preorder).  The
+    output always satisfies the degree-m invariant exactly; the distribution
+    over shapes is not uniform.
     """
     check_fuzzy_size(n, m)
     feasible = _feasible_leaf_counts(n, m)
     lam = int(feasible[rng.integers(len(feasible))])
     k = n - m * lam
-    labels = {0: 0}
-    children: dict[int, list[int]] = {0: []}
-    nxt = 1
-
-    def add_child(u: int, slot: int) -> int:
-        nonlocal nxt
-        v = nxt
-        nxt += 1
-        labels[v] = 0
-        children[v] = []
-        children[u].insert(slot, v)
-        return v
-
+    kids: list[list[int]] = [[]]  # skeleton child lists, ids in order of growth
     if k > 1:
-        # Grow the skeleton: a move onto a leaf keeps the leaf count, a move
-        # onto an internal node raises it by one.  First move must hit a leaf.
-        moves = ["L"] * (k - 1 - (lam - 1)) + ["I"] * (lam - 1)
-        body = moves[1:]
+        # An L move keeps the leaf count and an I move adds one; the first, onto the root, is L.
+        body = ["L"] * (k - lam - 1) + ["I"] * (lam - 1)
         rng.shuffle(body)
-        moves = ["L"] + body
-        leaves_now = [0]
-        internal_now: list[int] = []
-        for mv in moves:
+        leaves, internal = [0], []
+        for mv in ["L"] + body:
             if mv == "L":
-                i = int(rng.integers(len(leaves_now)))
-                u = leaves_now.pop(i)
-                internal_now.append(u)
-                leaves_now.append(add_child(u, 0))
+                u = leaves.pop(int(rng.integers(len(leaves))))
+                internal.append(u)
+                slot = 0
             else:
-                u = internal_now[int(rng.integers(len(internal_now)))]
-                slot = int(rng.integers(len(children[u]) + 1))
-                leaves_now.append(add_child(u, slot))
-    skeleton_leaves = [v for v in labels if not children[v]]
-    for u in skeleton_leaves:
-        for j in range(m):
-            add_child(u, j)
-    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
-    tree = Tree(nodes, 0)
-    assert tree.n == n
-    return tree
+                u = internal[int(rng.integers(len(internal)))]
+                slot = int(rng.integers(len(kids[u]) + 1))
+            kids[u].insert(slot, len(kids))
+            leaves.append(len(kids))
+            kids.append([])
+    skeleton = Tree({v: Node(0, tuple(c)) for v, c in enumerate(kids)}, 0, validate=False)
+    return tree_from_dyck(next(_fuzzy_words_of([dyck_string(skeleton)], m)))
 
 
 def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
     """Dyck words of the fuzzy trees on n nodes whose skeleton has lam leaves.
 
-    Each skeleton word (n - m*lam nodes, lam peaks) is wrapped in an outer
-    1...0, so that a one-node skeleton is a peak too; every peak 10 then
-    becomes a node with m leaf children, and the wrap comes off again.
+    The skeleton words have n - m*lam nodes and lam peaks (a one-node
+    skeleton has none), each built out by _fuzzy_words_of.  This is the
+    class random_fuzzy_tree samples from and reconstruct_fuzzy searches.
     """
-    block = "1" + "10" * m + "0"
     k = n - m * lam
-    for skeleton in dyck_words(k - 1, lam if k > 1 else 0):
-        yield ("1" + skeleton + "0").replace("10", block)[1:-1]
-
-
-def enumerate_fuzzy_trees(n: int, m: int) -> list[Tree]:
-    """The random_fuzzy_tree family: every leaf terminal, in blocks of m.
-
-    The trees of fuzzy_words over every feasible skeleton leaf count.  This
-    is the candidate class the fuzzy reconstruction pipeline searches, one
-    leaf count at a time.
-    """
-    if m < 2:
-        raise ValueError("fuzzy degree m must be >= 2")
-    return [
-        tree_from_dyck(w) for lam in _feasible_leaf_counts(n, m) for w in fuzzy_words(n, m, lam)
-    ]
+    yield from _fuzzy_words_of(dyck_words(k - 1, lam if k > 1 else 0), m)
 
 
 def _cycle_lemma_word(ups: list[bool]) -> str:

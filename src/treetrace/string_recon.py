@@ -2,12 +2,12 @@
 
 Expected-value formulas for zero-padded traces, a batched exact-mean gap and
 polynomial arc search that certify how distinguishable pairs of candidate
-strings are (`find_separation` is the one-pair case), a single-coordinate
-pairwise test, and two candidate-sweep reconstructors (max-likelihood and
-nearest-exact-mean).  The mean sweep scores candidates as rows of one uint8
-bit matrix.  Maximum likelihood walks the candidates' prefix trie once for
-all traces and scores only the candidates in which every trace embeds; its
-likelihood sums accumulate in log space.
+strings are (`find_separation` is the one-pair case), and two
+candidate-sweep reconstructors (max-likelihood and nearest-exact-mean).
+The mean sweep scores candidates as rows of one uint8 bit matrix.  Maximum
+likelihood walks the candidates' prefix trie once for all traces and scores
+only the candidates in which every trace embeds; its likelihood sums
+accumulate in log space.
 """
 
 from __future__ import annotations
@@ -218,19 +218,6 @@ def find_separation(x: str, y: str, q: float) -> SeparationWitness:
     z = complex(z)
     w = (z - q) / (1.0 - q)
     return SeparationWitness(int(j), float(gap), default_arc_parameter(len(x)), z, w, float(value))
-
-
-def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:
-    """Pick whichever candidate's exact mean is closer at the witness coordinate."""
-    wit = find_separation(x, y, q)
-    emp = empirical_mean_vector(traces, len(x))[wit.j]
-    dx = abs(emp - exact_mean_vector(x, q)[wit.j])
-    dy = abs(emp - exact_mean_vector(y, q)[wit.j])
-    if dx < dy:
-        return x
-    if dy < dx:
-        return y
-    return min(x, y)
 
 
 def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):

@@ -218,34 +218,3 @@ def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float)
     if undecided:
         raise UndecidedPositionsError(undecided)
     return "".join(bits)
-
-
-def encoded_removal_stats(traces: Sequence[Trace], s_len: int, ell: int) -> dict[str, float]:
-    """Leaf survival statistics across traces for the encoding family.
-
-    complete_removal counts (trace, position) pairs where the leaf and its
-    parent are both gone, the event that erases all positional evidence.
-    """
-    complete = both_alive = leaf_only = parent_only = 0
-    for tr in traces:
-        present = set(tr.ids)
-        for i in range(1, s_len + 1):
-            leaf_in = encoded_leaf_id(s_len, ell, i) in present
-            par_in = encoded_parent_id(s_len, ell, i) in present
-            if leaf_in and par_in:
-                both_alive += 1
-            elif leaf_in:
-                leaf_only += 1
-            elif par_in:
-                parent_only += 1
-            else:
-                complete += 1
-    total = len(traces) * s_len
-    return {
-        "trials": float(total),
-        "complete_removal": float(complete),
-        "complete_removal_rate": complete / total if total else 0.0,
-        "both_alive": float(both_alive),
-        "leaf_only": float(leaf_only),
-        "parent_only": float(parent_only),
-    }

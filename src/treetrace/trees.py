@@ -80,17 +80,11 @@ class Tree:
     def n(self) -> int:
         return len(self.nodes)
 
-    def label_of(self, v: int) -> int:
-        return self.nodes[v].label
-
     def children_of(self, v: int) -> tuple[int, ...]:
         return self.nodes[v].children
 
     def is_leaf(self, v: int) -> bool:
         return not self.nodes[v].children
-
-    def leaves(self) -> list[int]:
-        return [v for v in preorder(self) if self.is_leaf(v)]
 
     def with_labels(self, labels: Mapping[int, int]) -> "Tree":
         """Copy of this tree with labels replaced where the mapping says so."""

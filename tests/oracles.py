@@ -1,18 +1,31 @@
-"""Dict samplers and dict-based left propagation: the oracles of the batched channels.
+"""Reference code that only the tests call.
 
-Each sampler builds one `Tree` (or str) per trace.  Call r of count
-sequential calls reads the draws of row r of a batched sampler's
+Dict samplers and dict-based left propagation, the oracles of the batched
+channels: each sampler builds one `Tree` (or str) per trace.  Call r of
+count sequential calls reads the draws of row r of a batched sampler's
 rng.random((count, k)), so `string_traces`, `ted_traces` and `lp_traces`
 must return exactly these draws from a generator seeded alike.  `lp_apply`
 deletes by node id on a mutable dict tree: the definition of left
 propagation that `channels.lp_trace_set` and the LP rule are checked against.
+
+Also two statistics the tests measure: `distinguish_pair`, the
+single-coordinate test between two candidate strings, and
+`encoded_removal_stats`, leaf survival counts in encoded-family traces.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from treetrace.channels import InvalidDeletionError, _check_deletions, _check_q, ted_apply
+from treetrace.channels import (
+    InvalidDeletionError,
+    Trace,
+    _check_deletions,
+    _check_q,
+    ted_apply,
+)
+from treetrace.instances import encoded_leaf_id, encoded_parent_id
+from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
 from treetrace.trees import Node, Tree, preorder
 
 
@@ -115,3 +128,47 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
     return _freeze(labels, children, t.root)
 
 
+
+
+def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:
+    """Pick whichever candidate's exact mean is closer at the witness coordinate."""
+    wit = find_separation(x, y, q)
+    emp = empirical_mean_vector(traces, len(x))[wit.j]
+    dx = abs(emp - exact_mean_vector(x, q)[wit.j])
+    dy = abs(emp - exact_mean_vector(y, q)[wit.j])
+    if dx < dy:
+        return x
+    if dy < dx:
+        return y
+    return min(x, y)
+
+
+def encoded_removal_stats(traces: Sequence[Trace], s_len: int, ell: int) -> dict[str, float]:
+    """Leaf survival statistics across traces for the encoding family.
+
+    complete_removal counts (trace, position) pairs where the leaf and its
+    parent are both gone, the event that erases all positional evidence.
+    """
+    complete = both_alive = leaf_only = parent_only = 0
+    for tr in traces:
+        present = set(tr.ids)
+        for i in range(1, s_len + 1):
+            leaf_in = encoded_leaf_id(s_len, ell, i) in present
+            par_in = encoded_parent_id(s_len, ell, i) in present
+            if leaf_in and par_in:
+                both_alive += 1
+            elif leaf_in:
+                leaf_only += 1
+            elif par_in:
+                parent_only += 1
+            else:
+                complete += 1
+    total = len(traces) * s_len
+    return {
+        "trials": float(total),
+        "complete_removal": float(complete),
+        "complete_removal_rate": complete / total if total else 0.0,
+        "both_alive": float(both_alive),
+        "leaf_only": float(leaf_only),
+        "parent_only": float(parent_only),
+    }

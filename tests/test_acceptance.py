@@ -22,6 +22,7 @@ from treetrace.harness import (
     run_trial,
     trial_rng,
 )
+import oracles
 
 MASTER = 20260810
 
@@ -262,7 +263,7 @@ def test_criterion_9_removal_rate_and_recovery():
     ell = instances.buffer_length(0.01, n_traces, q)
     inst = instances.encode_string_as_tree(s, ell)
     traces = channels.ted_traces(inst.tree, q, n_traces, rng)
-    stats = tree_recon.encoded_removal_stats(traces, s_len, ell)
+    stats = oracles.encoded_removal_stats(traces, s_len, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])
     gap = abs(stats["complete_removal_rate"] - expect)

@@ -225,7 +225,7 @@ def test_lp_apply_shifts_labels():
     # Deleting the top of a labeled path shifts every label one step up.
     t = parse_tree("0(1(0(1)))")  # labels 0,1,0,1 down the path
     got = lp_apply(t, [preorder(t)[1]])
-    labels = [got.label_of(v) for v in preorder(got)]
+    labels = [got.nodes[v].label for v in preorder(got)]
     assert labels == [0, 0, 1]
 
 

@@ -94,13 +94,13 @@ def test_trace_and_recon_replay_trial_zero(tmp_path, capsys, family, model, n):
     traces = tmp_path / "traces.txt"
     for seed in range(4):
         flags = ["--family", family, "--model", model, "--n", str(n), "--q", "0.3",
-                 "--traces", "4", "--seed", str(seed)]
-        _, shown = run(capsys, "gen", *flags)
+                 "--seed", str(seed)]
+        _, shown = run(capsys, "gen", *flags, "--traces", "4")
         truth = shown.strip()
         if family == "forked":
             truth = "forked" if "," in truth else "path"
-        assert run(capsys, "trace", *flags, "--out", str(traces))[0] == 0
-        code, got = run(capsys, "recon", *flags, str(traces))
+        assert run(capsys, "trace", *flags, "--traces", "4", "--out", str(traces))[0] == 0
+        code, got = run(capsys, "recon", *flags, str(traces))  # 4 lines: 4 planned traces
         success = harness.run_trial(family, model, n, 0.3, 0.05, 4, trial_rng(seed, 0, 0))
         assert (code == 0 and got.strip() == truth) == success
 
@@ -108,8 +108,8 @@ def test_trace_and_recon_replay_trial_zero(tmp_path, capsys, family, model, n):
 def test_recon_reads_empty_string_traces(tmp_path, capsys):
     # At q = 0.9 both traces of trial (0, 0, 0) lose every symbol.
     traces = tmp_path / "traces.txt"
-    flags = ["--model", "string", "--n", "2", "--q", "0.9", "--traces", "2"]
-    assert run(capsys, "trace", *flags, "--out", str(traces))[0] == 0
+    flags = ["--model", "string", "--n", "2", "--q", "0.9"]
+    assert run(capsys, "trace", *flags, "--traces", "2", "--out", str(traces))[0] == 0
     assert traces.read_text() == "\n\n"
     assert run(capsys, "recon", *flags, str(traces)) == (0, "00\n")
 
@@ -181,7 +181,8 @@ def test_spec_file_values_go_through_argparse(tmp_path, capsys, line):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv", ["verify --n 3", "gen --level full", "trace --trials 5"])
+@pytest.mark.parametrize("argv", ["verify --n 3", "gen --level full", "trace --trials 5",
+                                  "recon --traces 5 f.txt", "search --traces 5"])
 def test_flags_belong_to_the_subcommands_that_read_them(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())

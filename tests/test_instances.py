@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from treetrace.instances import (
+    _feasible_leaf_counts,
+    _fuzzy_words_of,
     buffer_length,
     encode_string_as_tree,
     encoded_leaf_id,
     encoded_parent_id,
-    enumerate_fuzzy_trees,
     forked_tree,
     fuzzy_degree,
+    fuzzy_words,
     path_tree,
     random_dyck_words,
     random_fuzzy_tree,
@@ -138,26 +140,83 @@ def test_random_fuzzy_tree_incompatible():
         random_fuzzy_tree(5, 1, rng)
 
 
-def test_enumerate_fuzzy_trees_counts():
+# random_fuzzy_tree(n, m, default_rng(seed)).canonical() and the generator's
+# next random(), recorded from the dict-based builder that the Dyck-word
+# construction replaced: the two draw alike.
+FUZZY_PINS = {
+    (12, 2, 0): ("0(0(0,0),0(0(0,0)),0(0(0,0)))", 0.9127555772777217),
+    (12, 2, 1): ("0(0(0(0(0(0(0,0),0(0(0,0)))))))", 0.42332644897257565),
+    (12, 2, 2): ("0(0(0,0),0(0(0(0,0))),0(0,0))", 0.7285605268117946),
+    (30, 5, 0): ("0(0(0(0(0(0,0,0,0,0)),0(0(0,0,0,0,0),0(0,0,0,0,0)))),0(0(0,0,0,0,0)))",
+                 0.5436249914654229),
+    (30, 5, 1): ("0(0(0(0(0(0(0(0(0(0(0(0(0(0(0(0(0(0,0,0,0,0)))),0(0(0(0,0,0,0,0))))))))))))))))",
+                 0.7884287034284043),
+    (30, 5, 2): ("0(0(0(0(0,0,0,0,0)),0(0(0,0,0,0,0)),0(0(0,0,0,0,0))),0(0(0,0,0,0,0)))",
+                 0.43263079080478717),
+    (40, 3, 0): ("0(0(0(0(0(0,0,0),0(0,0,0),0(0(0(0(0,0,0)),0(0(0,0,0),0(0,0,0))),0(0,0,0))),"
+                 "0(0,0,0),0(0,0,0))))", 0.028319671145462966),
+    (40, 3, 1): ("0(0(0(0(0,0,0))),0(0(0(0(0(0(0(0(0(0,0,0))))))),0(0(0(0(0(0(0(0,0,0))))))),"
+                 "0(0(0(0(0,0,0))))),0(0,0,0)))", 0.5412268555474342),
+    (40, 3, 2): ("0(0(0,0,0),0(0(0(0,0,0)),0(0,0,0)),0(0(0(0(0,0,0)),0(0(0,0,0)),0(0,0,0)),"
+                 "0(0(0,0,0))),0(0,0,0))", 0.3459606655717331),
+}
+
+
+@pytest.mark.parametrize("n, m, seed", sorted(FUZZY_PINS))
+def test_random_fuzzy_tree_pinned(n, m, seed):
+    rng = np.random.default_rng(seed)
+    shape = random_fuzzy_tree(n, m, rng).canonical()
+    assert (shape, rng.random()) == FUZZY_PINS[n, m, seed]
+
+
+def fuzzy_class(n: int, m: int) -> set[str]:
+    return {w for lam in _feasible_leaf_counts(n, m) for w in fuzzy_words(n, m, lam)}
+
+
+def in_fuzzy_class(word: str, n: int, m: int) -> bool:
+    """Whether a Dyck word is in fuzzy_words(n, m, lam) for a feasible lam, without listing it.
+
+    fuzzy_words(n, m, lam) is _fuzzy_words_of over the skeleton words with
+    k - 1 = n - m*lam - 1 pairs and lam peaks.  Each block 1(10)^m 0 of the
+    wrapped word is one node with exactly m leaf children, so putting back a
+    peak for each block gives the only skeleton that could have built it; it
+    is a Dyck word because the word is.
+    """
+    block = "1" + "10" * m + "0"
+    wrapped = "1" + word + "0"
+    lam = wrapped.count(block)
+    skeleton = wrapped.replace(block, "10")[1:-1]
+    k = n - m * lam
+    return (
+        lam in _feasible_leaf_counts(n, m)
+        and len(skeleton) == 2 * (k - 1)
+        and skeleton.count("10") == (lam if k > 1 else 0)
+        and list(_fuzzy_words_of([skeleton], m)) == [word]
+    )
+
+
+def test_fuzzy_words_counts():
     # n=30, m=8 decomposes into skeletons (22,1), (14,2), (6,3):
     # 1 path + Narayana(13,2)=78 + Narayana(5,3)=20 shapes.  m = 5, 6, 7 are
     # the classes the fuzzy-sweep benchmark searches.
     for m, count in ((8, 99), (7, 302), (6, 972), (5, 3714)):
-        fam = enumerate_fuzzy_trees(30, m)
-        assert len(fam) == count
-        assert all(t.n == 30 and is_fuzzy(t, m) for t in fam)
-        assert len({t.canonical() for t in fam}) == count
+        words = [w for lam in _feasible_leaf_counts(30, m) for w in fuzzy_words(30, m, lam)]
+        assert len(words) == len(set(words)) == count
+        assert all(t.n == 30 and is_fuzzy(t, m) for t in map(tree_from_dyck, words))
 
 
-def test_enumerate_fuzzy_trees_small_complete():
-    # For n<=11, every all-leaves-terminal fuzzy tree appears in the family.
+def test_fuzzy_words_small_complete():
+    # For n<=11, the class is every tree whose leaves are all terminal, in
+    # blocks of m; in_fuzzy_class tells its members from every other tree.
     from treetrace.trees import enumerate_trees
 
     for m in (2, 3, 4):
         for n in range(m + 1, 12):
-            family = {t.canonical() for t in enumerate_fuzzy_trees(n, m)}
+            family = fuzzy_class(n, m)
             expected = set()
             for t in enumerate_trees(n):
+                word = dyck_string(t)
+                assert in_fuzzy_class(word, n, m) == (word in family)
                 if not is_fuzzy(t, m):
                     continue
                 leaves = [v for v in t.nodes if t.is_leaf(v)]
@@ -167,8 +226,21 @@ def test_enumerate_fuzzy_trees_small_complete():
                     if all(t.is_leaf(c) for c in t.children_of(parent[v]))
                 ]
                 if len(terminal) == len(leaves):
-                    expected.add(t.canonical())
+                    expected.add(word)
             assert family == expected
+
+
+def test_random_fuzzy_tree_draws_from_fuzzy_words():
+    # The sampler's trees are the decoder's candidates, at sizes past the
+    # exhaustive test above; up to n = 16 the class is listed outright.
+    rng = make_rng("fuzzy-class")
+    for _ in range(300):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 1, 41))
+        word = dyck_string(random_fuzzy_tree(n, m, rng))
+        assert in_fuzzy_class(word, n, m)
+        if n <= 16:
+            assert word in fuzzy_class(n, m)
 
 
 def test_random_tree_uniform_n4():
@@ -241,6 +313,6 @@ def test_random_labels_are_fair_bits():
     ones = 0
     for _ in range(2000):
         lt = random_labels(t, rng)
-        ones += sum(lt.label_of(v) for v in lt.nodes)
+        ones += sum(nd.label for nd in lt.nodes.values())
     freq = ones / (2000 * 10)
     assert abs(freq - 0.5) < 0.02

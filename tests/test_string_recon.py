@@ -14,7 +14,6 @@ from treetrace.string_recon import (
     default_arc_parameter,
     _candidate_matrix,
     _row_string,
-    distinguish_pair,
     empirical_mean_vector,
     exact_mean_vector,
     find_separation,
@@ -149,10 +148,10 @@ def test_distinguish_pair_examples():
     rng = make_rng("distinguish")
     x, y = "10", "01"
     traces = [oracles.string_trace(x, 0.0, rng) for _ in range(5)]
-    assert distinguish_pair(x, y, traces, 0.0) == x
+    assert oracles.distinguish_pair(x, y, traces, 0.0) == x
     # Empirical mean [0.51, 0.01]: 50 "1", 1 "11", 49 empty traces.
     traces = ["1"] * 50 + ["11"] + [""] * 49
-    assert distinguish_pair(x, y, traces, 0.5) == x
+    assert oracles.distinguish_pair(x, y, traces, 0.5) == x
 
 
 def test_distinguish_pair_error_rate_hoeffding():
@@ -162,7 +161,7 @@ def test_distinguish_pair_error_rate_hoeffding():
     errors = 0
     for _ in range(300):
         traces = channels.string_traces(x, 0.5, 1000, rng)
-        errors += distinguish_pair(x, y, traces, 0.5) != x
+        errors += oracles.distinguish_pair(x, y, traces, 0.5) != x
     assert errors == 0
 
 
@@ -388,7 +387,7 @@ def test_reconstructors_reject_q_outside_unit_interval(reconstruct, q):
     [
         (lambda: exact_mean_vector("012", 0.3), "s"),
         (lambda: find_separation("02", "01", 0.3), "x"),
-        (lambda: distinguish_pair("02", "01", ["0"], 0.3), "x"),
+        (lambda: oracles.distinguish_pair("02", "01", ["0"], 0.3), "x"),
         (lambda: find_separation("01", "21", 0.3), "y"),
     ],
     ids=["exact_mean_vector", "find_separation", "distinguish_pair", "find_separation_y"],
@@ -404,7 +403,7 @@ def test_mean_reconstruct_examples():
     x, y = "1001", "0110"
     traces = [oracles.string_trace(x, 0.3, rng) for _ in range(10_000)]
     by_mean = mean_reconstruct(traces, 4, 0.3, candidates=[x, y])
-    by_pair = distinguish_pair(x, y, traces, 0.3)
+    by_pair = oracles.distinguish_pair(x, y, traces, 0.3)
     assert by_mean == by_pair == x
 
 

@@ -10,7 +10,6 @@ from treetrace.tree_recon import (
     UndecidedPositionsError,
     dual_strings,
     dual_strings_with_owners,
-    encoded_removal_stats,
     merge_dual_strings,
     reconstruct_encoded,
     reconstruct_fuzzy,
@@ -68,7 +67,7 @@ def test_dual_strings_lengths():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             s0, s1 = dual_strings(t)
-            n_leaves = len(t.leaves())
+            n_leaves = sum(map(t.is_leaf, t.nodes))
             assert len(s0) == len(s1) == (t.n - 1) + n_leaves
             # The word-based strings agree with the owner-tracking walk.
             w0, _, w1, _ = dual_strings_with_owners(t)
@@ -80,10 +79,10 @@ def test_single_deletion_removes_owned_symbols():
     # deleted node's symbols from both strings.
     for t in enumerate_trees(6):
         s0, own0, s1, own1 = dual_strings_with_owners(t)
-        original_leaves = set(t.leaves())
+        original_leaves = {u for u in t.nodes if t.is_leaf(u)}
         for v in preorder(t)[1:]:
             trace = channels.ted_apply(t, {v})
-            if any(u not in original_leaves for u in trace.leaves()):
+            if any(trace.is_leaf(u) and u not in original_leaves for u in trace.nodes):
                 continue  # orphaned parent: not a pure symbol deletion
             got0, got1 = dual_strings(trace)
             assert got0 == "".join(c for c, u in zip(s0, own0) if u != v)
@@ -178,7 +177,7 @@ def test_encoded_removal_stats_match_q_squared():
     inst = instances.encode_string_as_tree(s, ell)
     n_traces = 4000
     traces = [trace_of(oracles.ted_trace(inst.tree, q, rng)) for _ in range(n_traces)]
-    stats = encoded_removal_stats(traces, 8, ell)
+    stats = oracles.encoded_removal_stats(traces, 8, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])
     assert abs(stats["complete_removal_rate"] - expect) <= 4 * sigma

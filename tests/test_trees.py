@@ -127,7 +127,7 @@ def test_parse_examples():
     t = parse_tree("0(1,0(1),1)")
     assert format_tree(t) == "0(1,0(1),1)"
     kids = t.children_of(t.root)
-    assert [t.label_of(v) for v in kids] == [1, 0, 1]
+    assert [t.nodes[v].label for v in kids] == [1, 0, 1]
 
 
 def test_parse_ignores_whitespace_format_emits_none():
