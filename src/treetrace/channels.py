@@ -7,8 +7,10 @@ labels and its node ids.  Equal draws share one immutable `Trace`, also
 across calls on the same small source tree object (see `_sampled`).  The
 dict samplers that build one `Tree` per trace from the same random stream
 live in tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
-functions (`ted_trace_distribution`, `lp_trace_set`, `string_trace_prob`) are
-pure enumeration oracles with hard size caps.
+functions have hard size caps: `ted_trace_distribution` and
+`string_trace_prob` are pure enumeration oracles, while `lp_trace_set`
+enumerates mark sets under the sampler's LP rule, which the tests check
+against `lp_apply` (tests/oracles.py).
 
 Left propagation (LP) marks each non-root node with probability q and
 deletes the marks in ascending preorder.  A deletion at a node shifts the
@@ -24,6 +26,7 @@ Dyck word, that is the first `10` at or after node r's `1`, and label r goes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -297,33 +300,24 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     return _sample(t, q, count, rng, _lp_traces)
 
 
-def _lp_step(word: str, labels: str, r: int) -> tuple[str, str]:
-    """The word and labels after an LP deletion at rank r >= 1, by the LP rule."""
-    at = -1
-    for _ in range(r):  # node r opens at the r-th 1
-        at = word.index("1", at + 1)
-    leaf = word.index("10", at)
-    return word[:leaf] + word[leaf + 2:], labels[:r] + labels[r + 1:]
-
-
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:
-    """All trees reachable by k left-propagation deletions, any targets, any order.
+    """All trees that k left-propagation deletions can leave, any targets.
 
-    A k-step closure over (word, labels) pairs: from each reachable pair,
-    delete at every non-root rank.  Step by step this covers every mark
-    subset and every application order, because a deletion at a rank is
-    exactly a deletion of the (not yet deleted) label living there.  The
-    trees carry ids 0, 1, ... in preorder.
+    Every set of k marks goes through the sampler's rule (`_lp_traces`), as
+    one row of a label mask, and each distinct (word, labels) pair becomes a
+    tree with ids 0, 1, ... in preorder.  So the set is the support of
+    `lp_traces` with k marks by construction; that no order of deletion
+    reaches a tree outside it is checked against `lp_apply` in the tests.
     """
     if t.n > TED_ENUM_CAP:
         raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
-    word, labels, _ = _preorder_form(t)
-    frontier = {(word, labels)}
-    for _ in range(k):
-        frontier = {_lp_step(w, s, r) for w, s in frontier for r in range(1, len(s))}
-    return {tree_of(Trace(w, s, tuple(range(len(s))))) for w, s in frontier}
+    marks = np.array(list(itertools.combinations(range(1, t.n), k)), dtype=np.intp)
+    labels = np.ones((len(marks), t.n), dtype=bool)
+    labels[np.arange(len(marks))[:, None], marks] = False
+    pairs = {(tr.word, tr.labels) for tr in _lp_traces(_sampled(t)[0], labels)}
+    return {tree_of(Trace(w, s, tuple(range(len(s))))) for w, s in pairs}
 
 
 def count_embeddings(s: str, trace: str) -> int:

@@ -176,13 +176,7 @@ def _decode_encoded(public, traces, n, q):
 
 
 def _check_fuzzy(n, q, delta, planned_traces) -> None:
-    m = instances.fuzzy_degree(n, planned_traces, delta, q)
-    instances.check_fuzzy_size(n, m)
-    # Dual strings of the widest candidates: n - 1 edges plus m leaves per skeleton leaf.
-    width = (n - 1) + m * max(instances._feasible_leaf_counts(n, m))
-    if width > string_recon._EMBED_LEN_CAP:
-        raise ValueError(f"fuzzy n={n}, m={m}: candidate width {width} exceeds the "
-                         f"exact-count cap of {string_recon._EMBED_LEN_CAP}")
+    tree_recon.check_fuzzy_decodable(n, instances.fuzzy_degree(n, planned_traces, delta, q))
 
 
 @dataclass(frozen=True)

@@ -115,23 +115,22 @@ def mean_matrix(n: int, q: float) -> np.ndarray:
     return M
 
 
-def _exact_means(codes: np.ndarray, q: float) -> np.ndarray:
-    """Row i is the exact mean vector of bit row i: codes @ M.T.
+def _row_sums(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """codes @ table, summed over k in a fixed order from exact 0/1 terms.
 
-    The product is summed over k in a fixed order, so a row gets bitwise the
-    same vector alone as in a batch, and ties between candidates stay ties.
+    So a row gets bitwise the same values alone as in a batch, and ties
+    between candidates stay ties; a BLAS product does not promise that.
     """
-    mt = mean_matrix(codes.shape[1], q).T
-    out = np.zeros(codes.shape)
-    for k, col in enumerate(codes.T):
-        out += col[:, None] * mt[k]
+    out = np.zeros((len(codes), table.shape[1]))
+    for col, row in zip(codes.T, table):
+        out += col[:, None] * row
     return out
 
 
 def exact_mean_vector(s: str, q: float) -> np.ndarray:
     """E[padded trace] under the plain string deletion channel, coordinatewise."""
     _check_q(q)
-    return _exact_means(_bits(_binary(s, "s"))[None, :], q)[0]
+    return _row_sums(_bits(_binary(s, "s"))[None, :], mean_matrix(len(s), q).T)[0]
 
 
 def empirical_mean_vector(traces: Sequence[str], n: int) -> np.ndarray:
@@ -164,20 +163,6 @@ def _arc_grid(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return z, powers
 
 
-def _arc_tables(codes: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of each bit row's polynomial at the grid points.
-
-    Summed over k in a fixed order from exact 0/1 terms, so a row gets
-    bitwise the same values alone as in a batch; a BLAS product does not.
-    """
-    re = np.zeros((len(codes), ARC_GRID_POINTS))
-    im = np.zeros_like(re)
-    for col, zk in zip(codes.T, powers.T):
-        re += col[:, None] * zk.real
-        im += col[:, None] * zk.imag
-    return re, im
-
-
 def _separations(codes: np.ndarray, left: np.ndarray, right: np.ndarray, q: float):
     """Witness parts (j, magnitude, z, poly_value) for each pair of bit rows.
 
@@ -188,8 +173,9 @@ def _separations(codes: np.ndarray, left: np.ndarray, right: np.ndarray, q: floa
     _check_q(q)
     n = codes.shape[1]
     z, powers = _arc_grid(n, default_arc_parameter(n))
-    means = _exact_means(codes, q)
-    re, im = _arc_tables(codes, powers)
+    means = _row_sums(codes, mean_matrix(n, q).T)
+    arcs = _row_sums(codes, np.hstack([powers.real.T, powers.imag.T]))
+    re, im = arcs[:, :ARC_GRID_POINTS], arcs[:, ARC_GRID_POINTS:]
     js, magnitudes, at, values = [], [], [], []
     for lo in range(0, len(left), _PAIR_BLOCK_ROWS):
         a, b = left[lo : lo + _PAIR_BLOCK_ROWS], right[lo : lo + _PAIR_BLOCK_ROWS]
@@ -333,7 +319,7 @@ def mean_reconstruct(
     emp = empirical_mean_vector(traces, n)
     codes = _candidate_matrix(n, candidates)
     gaps = np.concatenate([
-        np.abs(_exact_means(block, q) - emp).max(axis=1, initial=0.0)
+        np.abs(_row_sums(block, mean_matrix(n, q).T) - emp).max(axis=1, initial=0.0)
         for block in np.split(codes, range(_MEAN_BLOCK_ROWS, len(codes), _MEAN_BLOCK_ROWS))
     ])
     return _row_string(codes[np.argmin(gaps)])

@@ -19,7 +19,7 @@ from .instances import (
     encoded_parent_id,
     fuzzy_words,
 )
-from .string_recon import ml_reconstruct
+from .string_recon import _EMBED_LEN_CAP, ml_reconstruct
 from .trees import (
     DyckStringError,
     Tree,
@@ -147,6 +147,24 @@ def _binary_to_fuzzy(s: str, other: str) -> str:
     return s.translate(str.maketrans({"1": other, "0": "2"}))
 
 
+def _dual_width(n: int, m: int, lam: int) -> int:
+    """Dual-string length of a class member: n - 1 edges plus m leaves per skeleton leaf."""
+    return (n - 1) + m * lam
+
+
+def check_fuzzy_decodable(n: int, m: int) -> None:
+    """Raise ValueError unless reconstruct_fuzzy can take every class at (n, m).
+
+    The class must exist, and the widest candidates' dual strings must fit
+    the exact-count cap of ml_reconstruct.
+    """
+    check_fuzzy_size(n, m)
+    width = _dual_width(n, m, max(_feasible_leaf_counts(n, m)))
+    if width > _EMBED_LEN_CAP:
+        raise ValueError(f"fuzzy n={n}, m={m}: candidate width {width} exceeds the "
+                         f"exact-count cap of {_EMBED_LEN_CAP}")
+
+
 def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree:
     """Recover the topology of a degree-m fuzzy tree from TED traces.
 
@@ -167,7 +185,7 @@ def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree
     lam_est = mean_leaves / p / m
     feasible = _feasible_leaf_counts(n, m)
     lam = min(feasible, key=lambda x: abs(x - lam_est))
-    width = (n - 1) + m * lam
+    width = _dual_width(n, m, lam)
     bin0 = [_fuzzy_to_binary(t) for t in tr0]
     bin1 = [_fuzzy_to_binary(t) for t in tr1]
     duals = [_dual_of_word(w) for w in fuzzy_words(n, m, lam)]

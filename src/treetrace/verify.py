@@ -34,6 +34,29 @@ def _subsets(items):
         yield from itertools.combinations(items, r)
 
 
+def _binary_strings(exhaustive_len: int, sampled_lens, samples: int, rng):
+    """Every binary string of length 1..exhaustive_len, then samples drawn per sampled length."""
+    for L in range(1, exhaustive_len + 1):
+        for bits in itertools.product("01", repeat=L):
+            yield "".join(bits)
+    for L in sampled_lens:
+        for _ in range(samples):
+            yield "".join(rng.choice(["0", "1"], size=L))
+
+
+def _frequencies_match(freq, law, n_samples: int):
+    """(passed, detail): every outcome's frequency within 5 / sqrt(N) of its exact law."""
+    bound = 5.0 / math.sqrt(n_samples)
+    worst = 0.0
+    for key in set(freq) | set(law):
+        exact = law.get(key, 0.0)
+        emp = freq.get(key, 0) / n_samples
+        worst = max(worst, abs(emp - exact))
+        if abs(emp - exact) > bound:
+            return False, f"trace {key!r}: |{emp} - {exact}| > {bound}"
+    return True, f"max |freq - exact| = {worst:.5f} <= {bound:.5f} over {n_samples} samples"
+
+
 # ---------------------------------------------------------------------------
 # tree_core properties
 
@@ -163,27 +186,11 @@ def check_subsequence_total_probability(
 ):
     rng = _rng("subseq-total", seed)
     tested = 0
-
-    def total(s: str) -> float:
-        return sum(
-            channels.string_trace_prob(s, t, q)
-            for t in channels.distinct_subsequences(s)
-        )
-
-    for L in range(1, exhaustive_len + 1):
-        for bits in itertools.product("01", repeat=L):
-            s = "".join(bits)
-            tot = total(s)
-            if abs(tot - 1.0) > 1e-9:
-                return False, f"sum {tot} for s={s}"
-            tested += 1
-    for L in sampled_lens:
-        for _ in range(samples):
-            s = "".join(rng.choice(["0", "1"], size=L))
-            tot = total(s)
-            if abs(tot - 1.0) > 1e-9:
-                return False, f"sum {tot} for s={s}"
-            tested += 1
+    for s in _binary_strings(exhaustive_len, sampled_lens, samples, rng):
+        tot = sum(channels.string_trace_prob(s, t, q) for t in channels.distinct_subsequences(s))
+        if abs(tot - 1.0) > 1e-9:
+            return False, f"sum {tot} for s={s}"
+        tested += 1
     return True, f"{tested} strings: subsequence probabilities sum to 1 within 1e-9"
 
 
@@ -191,15 +198,8 @@ def check_string_trace_mc(s: str = "10110100", q: float = 0.5,
                           n_samples: int = 100_000, seed: int = 0):
     rng = _rng("string-mc", seed)
     freq = Counter(channels.string_traces(s, q, n_samples, rng))
-    bound = 5.0 / math.sqrt(n_samples)
-    worst = 0.0
-    for t in channels.distinct_subsequences(s):
-        exact = channels.string_trace_prob(s, t, q)
-        emp = freq.get(t, 0) / n_samples
-        worst = max(worst, abs(emp - exact))
-        if abs(emp - exact) > bound:
-            return False, f"trace {t!r}: |{emp} - {exact}| > {bound}"
-    return True, f"max |freq - exact| = {worst:.5f} <= {bound:.5f} over {n_samples} samples"
+    law = {t: channels.string_trace_prob(s, t, q) for t in channels.distinct_subsequences(s)}
+    return _frequencies_match(freq, law, n_samples)
 
 
 def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, seed: int = 0):
@@ -212,16 +212,7 @@ def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, see
         channels.tree_of(channels.Trace(word, labels, tuple(range(len(labels))))).canonical(): c
         for (word, labels), c in pairs.items()
     }
-    bound = 5.0 / math.sqrt(n_samples)
-    keys = set(freq) | set(dist)
-    worst = 0.0
-    for key in keys:
-        exact = dist.get(key, 0.0)
-        emp = freq.get(key, 0) / n_samples
-        worst = max(worst, abs(emp - exact))
-        if abs(emp - exact) > bound:
-            return False, f"trace {key}: |{emp} - {exact}| > {bound}"
-    return True, f"max |freq - exact| = {worst:.5f} <= {bound:.5f} over {n_samples} samples"
+    return _frequencies_match(freq, dist, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +234,13 @@ def check_mean_formula(exhaustive_len: int = 7, sampled_lens=(8, 9, 10),
                        samples: int = 30, qs=(0.1, 0.5), seed: int = 0):
     rng = _rng("mean-formula", seed)
     tested = 0
-
-    def gap(s: str, q: float) -> float:
-        exact = string_recon.exact_mean_vector(s, q)
-        oracle = enumeration_mean_vector(s, q)
-        return float(np.max(np.abs(exact - oracle))) if len(s) else 0.0
-
     for q in qs:
-        for L in range(1, exhaustive_len + 1):
-            for bits in itertools.product("01", repeat=L):
-                s = "".join(bits)
-                g = gap(s, q)
-                if g > 1e-12:
-                    return False, f"gap {g} for s={s}, q={q}"
-                tested += 1
-        for L in sampled_lens:
-            for _ in range(samples):
-                s = "".join(rng.choice(["0", "1"], size=L))
-                g = gap(s, q)
-                if g > 1e-12:
-                    return False, f"gap {g} for s={s}, q={q}"
-                tested += 1
+        for s in _binary_strings(exhaustive_len, sampled_lens, samples, rng):
+            exact = string_recon.exact_mean_vector(s, q)
+            g = float(np.abs(exact - enumeration_mean_vector(s, q)).max(initial=0.0))
+            if g > 1e-12:
+                return False, f"gap {g} for s={s}, q={q}"
+            tested += 1
     return True, f"{tested} strings: formula matches enumeration within 1e-12"
 
 
@@ -360,16 +337,8 @@ def check_arc_maxima(max_n: int = 10, chunk: int = 64):
         _, powers = string_recon._arc_grid(n, L)
         worst = math.inf
         total = 3**n - 1
-        coeff_iter = itertools.product((-1, 0, 1), repeat=n)
-        batch: list = []
-        for a in coeff_iter:
-            if any(a):
-                batch.append(a)
-            if len(batch) == chunk:
-                vals = np.abs(np.asarray(batch, dtype=float) @ powers.T).max(axis=1)
-                worst = min(worst, float(vals.min()))
-                batch = []
-        if batch:
+        nonzero = (a for a in itertools.product((-1, 0, 1), repeat=n) if any(a))
+        while batch := list(itertools.islice(nonzero, chunk)):
             vals = np.abs(np.asarray(batch, dtype=float) @ powers.T).max(axis=1)
             worst = min(worst, float(vals.min()))
         if worst <= 1e-12:
@@ -406,9 +375,8 @@ def check_dual_roundtrip(max_n: int = 8):
     return True, f"{count} trees round-tripped through the dual-string encoding"
 
 
-def _non_orphaning(t: Tree, dels: set[int], trace: Tree) -> bool:
-    original_leaves = {v for v in t.nodes if t.is_leaf(v)}
-    return all(v in original_leaves for v in trace.nodes if trace.is_leaf(v))
+def _non_orphaning(leaves: set[int], trace: Tree) -> bool:
+    return all(v in leaves for v in trace.nodes if trace.is_leaf(v))
 
 
 def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
@@ -418,10 +386,11 @@ def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
             if t.n == 1 or not trees.is_fuzzy(t, m):
                 continue
             s0, own0, s1, own1 = tree_recon.dual_strings_with_owners(t)
+            leaves = {v for v in t.nodes if t.is_leaf(v)}
             for subset in _subsets(trees.preorder(t)[1:]):
                 dels = set(subset)
                 trace = channels.ted_apply(t, dels)
-                if not _non_orphaning(t, dels, trace):
+                if not _non_orphaning(leaves, trace):
                     continue
                 got0, got1 = tree_recon.dual_strings(trace)
                 want0 = "".join(c for c, v in zip(s0, own0) if v not in dels)

@@ -275,20 +275,37 @@ def test_lp_trace_set_examples():
 
 
 def test_lp_trace_set_matches_lp_apply_closure():
-    # Every order of k distinct targets that an earlier shift leaves in place.
+    # lp_trace_set deletes each mark set in ascending preorder, as the sampler
+    # does; lp_apply reaches the same trees by every order of k distinct
+    # targets that an earlier shift leaves in place.  So the order of the
+    # marks does not change the set, for every k.
     rng = make_rng("lp-set-closure")
-    for n in range(1, 7):
+    cases = [random_labels(shape, rng) for n in range(1, 7) for shape in enumerate_trees(n)]
+    cases += [random_labels(random_tree(8, rng), rng) for _ in range(5)]
+    for t in cases:
+        others = preorder(t)[1:]
+        for k in range(t.n):
+            want = set()
+            for seq in itertools.permutations(others, k):
+                try:
+                    want.add(lp_apply(t, seq))
+                except StaleTargetError:
+                    continue
+            assert lp_trace_set(t, k) == want
+
+
+def test_lp_trace_set_is_the_support_of_lp_traces():
+    # Every mark set of a small tree is drawn many times over at q = 0.5, and
+    # a trace with k marks has k fewer nodes; tr[:2] is its (word, labels).
+    rng = make_rng("lp-set-support")
+    for n in range(1, 6):
         for shape in enumerate_trees(n):
             t = random_labels(shape, rng)
-            others = preorder(t)[1:]
-            for k in range(min(3, n - 1) + 1):
-                want = set()
-                for seq in itertools.permutations(others, k):
-                    try:
-                        want.add(lp_apply(t, seq))
-                    except StaleTargetError:
-                        continue
-                assert lp_trace_set(t, k) == want
+            seen = {k: set() for k in range(n)}
+            for tr in lp_traces(t, 0.5, 2000, rng):
+                seen[n - len(tr.labels)].add(tr[:2])
+            for k, pairs in seen.items():
+                assert {trace_of(u)[:2] for u in lp_trace_set(t, k)} == pairs
 
 
 def test_lp_trace_lands_in_trace_set():

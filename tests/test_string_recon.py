@@ -133,7 +133,7 @@ def test_batched_witnesses_equal_one_pair_calls(monkeypatch, block):
 
 @pytest.mark.parametrize("q", [1.0, 1.5, -0.5])
 def test_find_separation_rejects_q_outside_unit_interval(monkeypatch, q):
-    monkeypatch.setattr(string_recon, "_arc_tables", None)  # no arc work may start
+    monkeypatch.setattr(string_recon, "_row_sums", None)  # no mean or arc work may start
     with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\), got "):
         find_separation("10", "01", q)
 
