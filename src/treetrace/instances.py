@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channels import _binary, _check_q
-from .trees import Node, Tree, dyck_string, dyck_words, preorder, tree_from_dyck
+from .trees import Node, Tree, dyck_string, preorder, tree_from_dyck
 
 
 def _check_delta(delta: float) -> None:
@@ -145,10 +145,7 @@ def check_fuzzy_size(n: int, m: int) -> None:
 
 def _feasible_leaf_counts(n: int, m: int) -> list[int]:
     """Skeleton leaf counts lam with a valid skeleton of n - m*lam nodes."""
-    out = list(range(1, (n - 1) // (m + 1) + 1))
-    if n == m + 1:
-        out = [1]
-    return out
+    return [1] if n == m + 1 else list(range(1, (n - 1) // (m + 1) + 1))
 
 
 def _fuzzy_words_of(skeletons: Iterable[str], m: int) -> Iterator[str]:
@@ -167,7 +164,7 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     """Random tree on n nodes where every leaf sits in a block of m siblings.
 
     Grows a random skeleton with a chosen number of leaves, then builds the
-    tree from the skeleton's word as fuzzy_words does (ids in preorder).  The
+    tree from the skeleton's word by _fuzzy_words_of (ids in preorder).  The
     output always satisfies the degree-m invariant exactly; the distribution
     over shapes is not uniform.
     """
@@ -194,17 +191,6 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
             kids.append([])
     skeleton = Tree({v: Node(0, tuple(c)) for v, c in enumerate(kids)}, 0, validate=False)
     return tree_from_dyck(next(_fuzzy_words_of([dyck_string(skeleton)], m)))
-
-
-def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
-    """Dyck words of the fuzzy trees on n nodes whose skeleton has lam leaves.
-
-    The skeleton words have n - m*lam nodes and lam peaks (a one-node
-    skeleton has none), each built out by _fuzzy_words_of.  This is the
-    class random_fuzzy_tree samples from and reconstruct_fuzzy searches.
-    """
-    k = n - m * lam
-    yield from _fuzzy_words_of(dyck_words(k - 1, lam if k > 1 else 0), m)
 
 
 def _cycle_lemma_word(ups: list[bool]) -> str:

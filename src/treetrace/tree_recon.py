@@ -9,6 +9,7 @@ bit string; the encoded pipeline decodes by majority vote instead.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .channels import Trace, tree_of
@@ -17,7 +18,6 @@ from .instances import (
     check_fuzzy_size,
     encoded_leaf_id,
     encoded_parent_id,
-    fuzzy_words,
 )
 from .string_recon import _EMBED_LEN_CAP, ml_reconstruct
 from .trees import (
@@ -152,6 +152,23 @@ def _dual_width(n: int, m: int, lam: int) -> int:
     return (n - 1) + m * lam
 
 
+def _fuzzy_candidates(n: int, m: int, lam: int) -> tuple[list[str], list[str]]:
+    """Sorted binary S0 and S1 strings of the fuzzy class (n, m, lam), from run lengths.
+
+    A member's dual strings depend only on its skeleton word's runs: per
+    skeleton leaf j, S1 has "1" * u_j + "10" * m and S0 has "01" * m + "1" * d_j,
+    where u_j and d_j are the j-th up-run and down-run.  Either run sequence
+    ranges over every composition of the skeleton's k - 1 pairs into lam
+    parts (a one-node skeleton has the single run 0), so no member is listed.
+    """
+    k = n - m * lam
+    runs = [[b - a for a, b in zip((0, *cuts), (*cuts, k - 1))]
+            for cuts in combinations(range(1, k - 1), lam - 1)]
+    cands0 = sorted("".join("01" * m + "1" * d for d in r) for r in runs)
+    cands1 = sorted("".join("1" * u + "10" * m for u in r) for r in runs)
+    return cands0, cands1
+
+
 def check_fuzzy_decodable(n: int, m: int) -> None:
     """Raise ValueError unless reconstruct_fuzzy can take every class at (n, m).
 
@@ -171,26 +188,22 @@ def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree
     Builds both dual strings from each trace's word, maps each family to
     binary, runs max-likelihood on the two families independently, maps
     back, and merges.
-    The candidates are the fuzzy class's dual strings for the skeleton leaf
-    count nearest the average surviving leaf count.
+    The candidates (_fuzzy_candidates) are the fuzzy class's dual strings for
+    the skeleton leaf count nearest the average surviving leaf count.
     """
     check_fuzzy_size(n, m)
     if not traces:
         raise ValueError("empty trace list")
     pairs = [_dual_of_word(tr.word) for tr in traces]
-    tr0 = [a for a, _ in pairs]
-    tr1 = [b for _, b in pairs]
-    mean_leaves = sum(t.count("2") for t in tr1) / len(tr1)
+    bin0 = [_fuzzy_to_binary(a) for a, _ in pairs]
+    bin1 = [_fuzzy_to_binary(b) for _, b in pairs]
+    mean_leaves = sum(t.count("0") for t in bin1) / len(bin1)  # a 0 is a leaf marker
     p = 1.0 - q
     lam_est = mean_leaves / p / m
     feasible = _feasible_leaf_counts(n, m)
     lam = min(feasible, key=lambda x: abs(x - lam_est))
     width = _dual_width(n, m, lam)
-    bin0 = [_fuzzy_to_binary(t) for t in tr0]
-    bin1 = [_fuzzy_to_binary(t) for t in tr1]
-    duals = [_dual_of_word(w) for w in fuzzy_words(n, m, lam)]
-    cands0 = sorted({_fuzzy_to_binary(a) for a, _ in duals})
-    cands1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
+    cands0, cands1 = _fuzzy_candidates(n, m, lam)
     got0 = ml_reconstruct(bin0, width, q, candidates=cands0)
     got1 = ml_reconstruct(bin1, width, q, candidates=cands1)
     s0 = _binary_to_fuzzy(got0, "0")

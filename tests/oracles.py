@@ -8,6 +8,9 @@ must return exactly these draws from a generator seeded alike.  `lp_apply`
 deletes by node id on a mutable dict tree: the definition of left
 propagation that `channels.lp_trace_set` and the LP rule are checked against.
 
+`fuzzy_words` lists a fuzzy class member by member: the class oracle of
+`random_fuzzy_tree` and of the fuzzy decoder's candidates.
+
 Also two statistics the tests measure: `distinguish_pair`, the
 single-coordinate test between two candidate strings, and
 `encoded_removal_stats`, leaf survival counts in encoded-family traces.
@@ -15,7 +18,7 @@ single-coordinate test between two candidate strings, and
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from treetrace.channels import (
     InvalidDeletionError,
@@ -24,9 +27,9 @@ from treetrace.channels import (
     _check_q,
     ted_apply,
 )
-from treetrace.instances import encoded_leaf_id, encoded_parent_id
+from treetrace.instances import _fuzzy_words_of, encoded_leaf_id, encoded_parent_id
 from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
-from treetrace.trees import Node, Tree, preorder
+from treetrace.trees import Node, Tree, dyck_words, preorder
 
 
 class StaleTargetError(ValueError):
@@ -128,6 +131,17 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
     return _freeze(labels, children, t.root)
 
 
+
+
+def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
+    """Dyck words of the fuzzy trees on n nodes whose skeleton has lam leaves.
+
+    The skeleton words have n - m*lam nodes and lam peaks (a one-node
+    skeleton has none), each built out by _fuzzy_words_of.  This is the
+    class random_fuzzy_tree samples from and reconstruct_fuzzy searches.
+    """
+    k = n - m * lam
+    yield from _fuzzy_words_of(dyck_words(k - 1, lam if k > 1 else 0), m)
 
 
 def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:

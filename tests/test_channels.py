@@ -309,15 +309,25 @@ def test_lp_trace_set_is_the_support_of_lp_traces():
 
 
 def test_lp_trace_lands_in_trace_set():
+    # The drawn marks, deleted in ascending preorder by lp_apply, give a tree
+    # in the trace set of that many marks; so does a sampled trace with k
+    # nodes fewer.  lp_apply refuses a mark that an earlier shift removed.
     rng = make_rng("lp-set-member")
+    applied = 0
     for _ in range(50):
         t = random_tree(6, rng)
         marks = [v for v in preorder(t)[1:] if rng.random() < 0.4]
-        # Re-run the channel with a forced mark set via lp_trace's own rng
-        # is awkward; instead check every k-trace lies in the k-th trace set.
+        try:
+            chosen = lp_apply(t, marks)
+        except StaleTargetError:
+            pass
+        else:
+            applied += 1
+            assert chosen in lp_trace_set(t, len(marks))
         trace = lp_trace(t, 0.4, rng)
         k = t.n - trace.n
         assert any(trees_equal(trace, u) for u in lp_trace_set(t, k))
+    assert applied >= 25
 
 
 def test_count_embeddings_and_prob_examples():

@@ -14,7 +14,6 @@ from treetrace.instances import (
     encoded_parent_id,
     forked_tree,
     fuzzy_degree,
-    fuzzy_words,
     path_tree,
     random_dyck_words,
     random_fuzzy_tree,
@@ -32,6 +31,7 @@ from treetrace.trees import (
     tree_from_dyck,
 )
 from conftest import make_rng
+from oracles import fuzzy_words
 
 
 def test_buffer_length_examples():

@@ -8,6 +8,10 @@ from treetrace.tree_recon import (
     MergeError,
     ReconstructionFailedError,
     UndecidedPositionsError,
+    _dual_of_word,
+    _dual_width,
+    _fuzzy_candidates,
+    _fuzzy_to_binary,
     dual_strings,
     dual_strings_with_owners,
     merge_dual_strings,
@@ -111,13 +115,45 @@ def test_merge_rejects_bad_pairs():
 
 
 def test_reconstruct_fuzzy_q0():
+    # At n = 36, m = 3 and lam = 6 the class has Narayana(17, 6) = 4,504,864
+    # members but only C(16, 5) = 4,368 candidates a side.
     rng = make_rng("fuzzy-q0")
-    for _ in range(10):
-        truth = instances.random_fuzzy_tree(17, 3, rng)
-        got = reconstruct_fuzzy([trace_of(truth)], 17, 3, 0.0)
-        assert trees_equal(got, truth)
+    for n in (17, 36):
+        for _ in range(10):
+            truth = instances.random_fuzzy_tree(n, 3, rng)
+            got = reconstruct_fuzzy([trace_of(truth)], n, 3, 0.0)
+            assert trees_equal(got, truth)
     with pytest.raises(ValueError, match="no fuzzy tree with n=3, m=3"):
         reconstruct_fuzzy([trace_of(instances.path_tree(2))], 3, 3, 0.1)
+
+
+def fuzzy_classes(sizes):
+    """Every feasible (n, m, lam) with n in sizes and m in 2 .. n - 1."""
+    return [(n, m, lam) for n in sizes for m in range(2, n)
+            for lam in instances._feasible_leaf_counts(n, m)]
+
+
+def test_fuzzy_candidates_are_the_class_dual_strings():
+    # Run-length compositions give exactly the sorted binary dual strings of
+    # the listed class: 349 classes up to n = 22, and the fuzzy-sweep sizes.
+    classes = fuzzy_classes(range(3, 23))
+    assert len(classes) == 349
+    classes += [(30, m, lam) for m in range(5, 9) for lam in instances._feasible_leaf_counts(30, m)]
+    for n, m, lam in classes:
+        duals = [_dual_of_word(w) for w in oracles.fuzzy_words(n, m, lam)]
+        want0 = sorted({_fuzzy_to_binary(a) for a, _ in duals})
+        want1 = sorted({_fuzzy_to_binary(b) for _, b in duals})
+        assert _fuzzy_candidates(n, m, lam) == (want0, want1), (n, m, lam)
+
+
+def test_fuzzy_candidates_count_and_width():
+    # C(k - 2, lam - 1) compositions of the skeleton's k - 1 pairs; one run when k = 1.
+    for n, m, lam in fuzzy_classes([*range(3, 23), 30, 36]):
+        k = n - m * lam
+        count = math.comb(k - 2, lam - 1) if k > 1 else 1
+        for side in _fuzzy_candidates(n, m, lam):
+            assert len(side) == len(set(side)) == count
+            assert {len(s) for s in side} == {_dual_width(n, m, lam)}
 
 
 def test_reconstruct_fuzzy_monte_carlo():
