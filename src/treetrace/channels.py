@@ -323,11 +323,13 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
 def count_embeddings(s: str, trace: str) -> int:
     """Number of ways trace occurs in s as a subsequence (exact integer)."""
     m = len(trace)
+    at: dict[str, list[int]] = {}  # each symbol's trace positions
+    for j in range(m - 1, -1, -1):  # descending, so dp[j] is read before it grows
+        at.setdefault(trace[j], []).append(j)
     dp = [1] + [0] * m
     for ch in s:
-        for j in range(m - 1, -1, -1):
-            if trace[j] == ch:
-                dp[j + 1] += dp[j]
+        for j in at.get(ch, ()):
+            dp[j + 1] += dp[j]
     return dp[m]
 
 

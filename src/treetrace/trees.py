@@ -271,33 +271,22 @@ def parse_tree(text: str) -> Tree:
     return Tree(nodes, 0, validate=False)
 
 
-def dyck_words(pairs: int, peaks: int | None = None) -> Iterator[str]:
-    """Every Dyck word with `pairs` 1s, trying 1 before 0 at each position.
-
-    Given `peaks`, only the words with exactly that many factors 10; for
-    pairs >= 1 these are the trees with that many leaves (Narayana many).
-    """
+def dyck_words(pairs: int) -> Iterator[str]:
+    """Every Dyck word with `pairs` 1s, trying 1 before 0 at each position."""
     if pairs < 0:
         raise ValueError("need pairs >= 0")
 
-    def words(ones_left: int, open_count: int, peaks_left: int, after_one: bool) -> Iterator[str]:
-        # The rest of the word makes between lo and hi peaks: each 1 still to
-        # come can start one, as can a 1 just written, and the last 1 of the
-        # word is always followed by a 0.  Pruning outside that range leaves
-        # no dead branches, so the cost follows the words yielded.
-        lo = 1 if ones_left else int(after_one)
-        if peaks is not None and not lo <= peaks_left <= ones_left + after_one:
-            return
+    def words(ones_left: int, open_count: int) -> Iterator[str]:
         if ones_left == 0:
             yield "0" * open_count
             return
-        for w in words(ones_left - 1, open_count + 1, peaks_left, True):
+        for w in words(ones_left - 1, open_count + 1):
             yield "1" + w
         if open_count > 0:
-            for w in words(ones_left, open_count - 1, peaks_left - after_one, False):
+            for w in words(ones_left, open_count - 1):
                 yield "0" + w
 
-    yield from words(pairs, 0, peaks or 0, False)
+    yield from words(pairs, 0)
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:

@@ -86,8 +86,7 @@ def check_parse_format_roundtrip(n_random: int = 500, max_n: int = 50, seed: int
         n = int(rng.integers(1, max_n + 1))
         t = instances.random_labels(instances.random_tree(n, rng), rng)
         text = trees.format_tree(t)
-        back = trees.parse_tree(text)
-        if not trees.trees_equal(back, t) or trees.format_tree(back) != text:
+        if trees.parse_tree(text).canonical() != text:
             return False, f"round-trip failed for {text}"
     return True, f"{n_random} random trees round-tripped through the text format"
 
@@ -219,15 +218,26 @@ def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, see
 # mean machinery
 
 
+def _masks(s: str) -> np.ndarray:
+    """The 2^n retention masks of s as boolean rows; bit j of a mask keeps symbol j."""
+    if len(s) > channels.SUBSEQ_ENUM_CAP:
+        raise channels.SizeCapError(
+            f"|s|={len(s)} exceeds enumeration cap {channels.SUBSEQ_ENUM_CAP}")
+    return (np.arange(1 << len(s))[:, None] >> np.arange(len(s))) & 1 == 1
+
+
+def _mask_mean(s: str, keep: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of weights[mask] times the padded trace of each mask; a kept 1 lands at its rank."""
+    hit = keep & (np.frombuffer(s.encode(), np.uint8) == ord("1"))
+    ranks = keep.cumsum(axis=1) - 1
+    return np.bincount(ranks[hit], weights=weights[hit.nonzero()[0]], minlength=len(s))
+
+
 def enumeration_mean_vector(s: str, q: float) -> np.ndarray:
-    """Independent oracle: expectation of the padded trace by full enumeration."""
-    n = len(s)
-    acc = np.zeros(n)
-    for t in channels.distinct_subsequences(s):
-        prob = channels.string_trace_prob(s, t, q)
-        if t:
-            acc[: len(t)] += prob * (np.frombuffer(t.encode(), np.uint8) - ord("0"))
-    return acc
+    """Independent oracle: expectation of the padded trace over every retention mask."""
+    keep = _masks(s)
+    kept = keep.sum(axis=1)
+    return _mask_mean(s, keep, (1.0 - q) ** kept * q ** (len(s) - kept))
 
 
 def check_mean_formula(exhaustive_len: int = 7, sampled_lens=(8, 9, 10),
@@ -245,16 +255,10 @@ def check_mean_formula(exhaustive_len: int = 7, sampled_lens=(8, 9, 10),
 
 
 def sample_empirical_mean(s: str, q: float, n_samples: int, rng) -> np.ndarray:
-    """Vectorised empirical mean of padded traces.
-
-    A kept 1 lands at its rank among the kept symbols of its row, so the
-    mean is a count of those ranks; the counts are exact in float64.
-    """
-    n = len(s)
-    keep = rng.random((n_samples, n)) >= q
-    ranks = keep.cumsum(axis=1) - 1
-    ones = np.frombuffer(s.encode(), np.uint8) == ord("1")
-    return np.bincount(ranks[keep & ones], minlength=n) / n_samples
+    """Empirical mean of padded traces: each drawn retention mask counted, summed exactly."""
+    keep = _masks(s)
+    codes = (rng.random((n_samples, len(s))) >= q) @ (1 << np.arange(len(s)))
+    return _mask_mean(s, keep, np.bincount(codes, minlength=len(keep))) / n_samples
 
 
 def check_mean_empirical(n: int = 10, qs=(0.1, 0.5), n_strings: int = 20,
@@ -325,25 +329,29 @@ def check_separation_existence(max_n: int = 8, q: float = 0.5):
     return True, f"{pairs} pairs separated; smallest magnitude {smallest:.3e}"
 
 
-def check_arc_maxima(max_n: int = 10, chunk: int = 64):
-    """Max |A(z)| on the arc for every nonzero a in {-1,0,1}^n; reports the worst.
+def _arc_worst(n: int, chunk: int = 64) -> float:
+    """Min over nonzero a in {-1,0,1}^n of max |A(z)| on the arc.
 
-    A chunk's product holds chunk x ARC_GRID_POINTS complex values, 1 MiB at
-    64 rows; a larger chunk makes this check the battery's largest allocation.
+    -a scores as a, so only the a whose first nonzero entry is +1 are scored: the
+    upper half of the base-3 indices (digit - 1).  A chunk's product is 1 MiB at 64 rows.
     """
+    _, powers = string_recon._arc_grid(n, string_recon.default_arc_parameter(n))
+    place = 3 ** np.arange(n - 1, -1, -1)
+    worst = math.inf
+    for lo in range((3**n + 1) // 2, 3**n, chunk):
+        a = np.arange(lo, min(lo + chunk, 3**n))[:, None] // place % 3 - 1.0
+        worst = min(worst, float(np.abs(a @ powers.T).max(axis=1).min()))
+    return worst
+
+
+def check_arc_maxima(max_n: int = 10, chunk: int = 64):
+    """Max |A(z)| on the arc for every nonzero a in {-1,0,1}^n; reports the worst."""
     report = []
     for n in range(1, max_n + 1):
-        L = string_recon.default_arc_parameter(n)
-        _, powers = string_recon._arc_grid(n, L)
-        worst = math.inf
-        total = 3**n - 1
-        nonzero = (a for a in itertools.product((-1, 0, 1), repeat=n) if any(a))
-        while batch := list(itertools.islice(nonzero, chunk)):
-            vals = np.abs(np.asarray(batch, dtype=float) @ powers.T).max(axis=1)
-            worst = min(worst, float(vals.min()))
+        worst, L = _arc_worst(n, chunk), string_recon.default_arc_parameter(n)
         if worst <= 1e-12:
             return False, f"arc maximum {worst} at n={n}"
-        report.append(f"n={n}: min over {total} vectors = {worst:.3e} (L={L})")
+        report.append(f"n={n}: min over {3**n - 1} vectors = {worst:.3e} (L={L})")
     return True, "; ".join(report)
 
 

@@ -9,7 +9,14 @@ deletes by node id on a mutable dict tree: the definition of left
 propagation that `channels.lp_trace_set` and the LP rule are checked against.
 
 `fuzzy_words` lists a fuzzy class member by member: the class oracle of
-`random_fuzzy_tree` and of the fuzzy decoder's candidates.
+`random_fuzzy_tree` and of the fuzzy decoder's candidates.  It lists each
+class's skeletons with `peaked_dyck_words`, the Dyck words with a given
+number of peaks.
+
+`count_embeddings` is the full O(|s| |t|) embedding DP, and
+`subsequence_mean_vector` the expected padded trace summed over the
+distinct subsequences and their exact laws: the references of
+`channels.count_embeddings` and `verify.enumeration_mean_vector`.
 
 Also two statistics the tests measure: `distinguish_pair`, the
 single-coordinate test between two candidate strings, and
@@ -20,16 +27,20 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from treetrace.channels import (
     InvalidDeletionError,
     Trace,
     _check_deletions,
     _check_q,
+    distinct_subsequences,
+    string_trace_prob,
     ted_apply,
 )
 from treetrace.instances import _fuzzy_words_of, encoded_leaf_id, encoded_parent_id
 from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
-from treetrace.trees import Node, Tree, dyck_words, preorder
+from treetrace.trees import Node, Tree, preorder
 
 
 class StaleTargetError(ValueError):
@@ -141,7 +152,56 @@ def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
     class random_fuzzy_tree samples from and reconstruct_fuzzy searches.
     """
     k = n - m * lam
-    yield from _fuzzy_words_of(dyck_words(k - 1, lam if k > 1 else 0), m)
+    yield from _fuzzy_words_of(peaked_dyck_words(k - 1, lam if k > 1 else 0), m)
+
+
+def peaked_dyck_words(pairs: int, peaks: int) -> Iterator[str]:
+    """The Dyck words with `pairs` 1s and exactly `peaks` factors 10, in
+    `trees.dyck_words` order; for pairs >= 1 these are the trees with that
+    many leaves (Narayana many).
+    """
+    if pairs < 0:
+        raise ValueError("need pairs >= 0")
+
+    def words(ones_left: int, open_count: int, peaks_left: int, after_one: bool) -> Iterator[str]:
+        # The rest of the word makes between lo and hi peaks: each 1 still to
+        # come can start one, as can a 1 just written, and the last 1 of the
+        # word is always followed by a 0.  Pruning outside that range leaves
+        # no dead branches, so the cost follows the words yielded.
+        lo = 1 if ones_left else int(after_one)
+        if not lo <= peaks_left <= ones_left + after_one:
+            return
+        if ones_left == 0:
+            yield "0" * open_count
+            return
+        for w in words(ones_left - 1, open_count + 1, peaks_left, True):
+            yield "1" + w
+        if open_count > 0:
+            for w in words(ones_left, open_count - 1, peaks_left - after_one, False):
+                yield "0" + w
+
+    yield from words(pairs, 0, peaks, False)
+
+
+def count_embeddings(s: str, trace: str) -> int:
+    """Number of ways trace occurs in s as a subsequence, every (symbol, position) visited."""
+    m = len(trace)
+    dp = [1] + [0] * m
+    for ch in s:
+        for j in range(m - 1, -1, -1):
+            if trace[j] == ch:
+                dp[j + 1] += dp[j]
+    return dp[m]
+
+
+def subsequence_mean_vector(s: str, q: float) -> np.ndarray:
+    """Expected padded trace: each distinct subsequence weighted by its exact law."""
+    acc = np.zeros(len(s))
+    for t in distinct_subsequences(s):
+        if t:
+            prob = string_trace_prob(s, t, q)
+            acc[: len(t)] += prob * (np.frombuffer(t.encode(), np.uint8) - ord("0"))
+    return acc
 
 
 def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:

@@ -34,6 +34,7 @@ from treetrace.trees import (
 )
 from conftest import make_rng
 from oracles import StaleTargetError, lp_apply, lp_trace, string_trace, ted_trace
+import oracles
 
 
 def test_string_trace_q0_identity():
@@ -335,6 +336,22 @@ def test_count_embeddings_and_prob_examples():
     assert string_trace_prob("11", "1", 0.5) == pytest.approx(0.5)
     assert string_trace_prob("101", "101", 0.0) == pytest.approx(1.0)
     assert string_trace_prob("00", "1", 0.5) == 0.0
+
+
+def test_count_embeddings_matches_the_full_dp():
+    # Every distinct subsequence of every s with |s| <= 10, every short
+    # binary t of up to |s| + 1 symbols (zero counts included), and symbols
+    # outside {0, 1}.
+    for L in range(11):
+        for bits in itertools.product("01", repeat=L):
+            s = "".join(bits)
+            ts = channels.distinct_subsequences(s)
+            if L <= 4:
+                ts |= {"".join(t) for k in range(L + 2) for t in itertools.product("01", repeat=k)}
+            for t in ts:
+                assert count_embeddings(s, t) == oracles.count_embeddings(s, t), (s, t)
+    for s, t in [("abcab", "ab"), ("abcab", "ba"), ("aab", "ab"), ("abc", "d"), ("", "")]:
+        assert count_embeddings(s, t) == oracles.count_embeddings(s, t)
 
 
 def test_string_trace_prob_long_strings_in_log_space():

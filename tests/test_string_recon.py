@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from treetrace import channels, string_recon
+from treetrace import channels, string_recon, verify
 from treetrace.string_recon import (
     FULL_SWEEP_CAP,
     DegeneratePairError,
@@ -74,13 +74,50 @@ def scatter_empirical_mean(s: str, q: float, n_samples: int, rng) -> np.ndarray:
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5])
-@pytest.mark.parametrize("s", ["0", "1", "0000011111", "1011010010", "111111111111"])
+@pytest.mark.parametrize("s", ["0", "1", "0000011111", "1011010010", "111111111111",
+                               "101101001", "1011010010111011"])
 def test_sample_empirical_mean_matches_the_scatter_bitwise(s, q):
     ours, theirs = make_rng(f"emp-scatter:{s}"), make_rng(f"emp-scatter:{s}")
     got = sample_empirical_mean(s, q, 5_000, ours)
     want = scatter_empirical_mean(s, q, 5_000, theirs)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_enumeration_mean_matches_the_subsequence_law():
+    for L in range(9):
+        for bits in itertools.product("01", repeat=L):
+            s = "".join(bits)
+            for q in (0.0, 0.1, 0.5, 0.9):
+                got = enumeration_mean_vector(s, q)
+                want = oracles.subsequence_mean_vector(s, q)
+                assert got.shape == (L,)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-14, (s, q)
+
+
+def test_mean_helpers_reject_strings_past_the_enumeration_cap():
+    s = "10" * 8 + "1"
+    assert len(s) == channels.SUBSEQ_ENUM_CAP + 1
+    with pytest.raises(channels.SizeCapError):
+        enumeration_mean_vector(s, 0.5)
+    with pytest.raises(channels.SizeCapError):
+        sample_empirical_mean(s, 0.5, 10, make_rng("mean-cap"))
+
+
+def full_arc_scan(n: int) -> float:
+    """Min over all 3^n - 1 nonzero a of max |A(z)|, in itertools order."""
+    _, powers = string_recon._arc_grid(n, default_arc_parameter(n))
+    nonzero = (a for a in itertools.product((-1, 0, 1), repeat=n) if any(a))
+    worst = math.inf
+    while batch := list(itertools.islice(nonzero, 64)):
+        vals = np.abs(np.asarray(batch, dtype=float) @ powers.T).max(axis=1)
+        worst = min(worst, float(vals.min()))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_arc_worst_half_scan_matches_the_full_scan(n):
+    assert verify._arc_worst(n) == pytest.approx(full_arc_scan(n), rel=1e-15, abs=0)
 
 
 def test_find_separation_examples():

