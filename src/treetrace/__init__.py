@@ -9,7 +9,6 @@ and a reproducible Monte Carlo experiment harness.
 from .channels import (
     InvalidDeletionError,
     SizeCapError,
-    Trace,
     lp_trace_set,
     lp_traces,
     string_trace_prob,
@@ -17,8 +16,6 @@ from .channels import (
     ted_apply,
     ted_trace_distribution,
     ted_traces,
-    trace_of,
-    tree_of,
 )
 from .harness import (
     BudgetExceededError,
@@ -62,17 +59,12 @@ from .tree_recon import (
 )
 from .trees import (
     DyckStringError,
-    Node,
     Tree,
     TreeTextError,
-    dyck_string,
     enumerate_trees,
     format_tree,
     parse_tree,
-    preorder,
-    preorder_label_string,
     tree_from_dyck,
-    trees_equal,
 )
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 
 Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
-one call and return a tree trace as a `Trace`: its Dyck word, its preorder
-labels and its node ids.  Equal draws share one immutable `Trace`, also
-across calls on the same small source tree object (see `_sampled`).  The
-dict samplers that build one `Tree` per trace from the same random stream
-live in tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
+one call and return a tree trace as a `Tree` whose ids are the source ids of
+the surviving nodes.  Equal draws share one immutable `Tree`, also across
+calls on the same small source tree object (see `_sampled`).  The node-table
+samplers that build one tree per trace from the same random stream live in
+tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
 functions have hard size caps: `ted_trace_distribution` and
 `string_trace_prob` are pure enumeration oracles, while `lp_trace_set`
 enumerates mark sets under the sampler's LP rule, which the tests check
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trees import Node, Tree, _dyck_links, _preorder_form, preorder
+from .trees import Tree, _dyck_links
 
 MODELS = ("string", "ted", "lp")
 
@@ -63,67 +63,41 @@ def _binary(text: str, name: str | None = None) -> str:
     return text
 
 
-class Trace(NamedTuple):
-    """A tree trace: Dyck word, preorder label string, node ids in preorder.
-
-    The ids are the source ids of the surviving nodes, so `tree_of` rebuilds
-    the trace as a tree with the source's ids.
-    """
-
-    word: str
-    labels: str
-    ids: tuple[int, ...]
-
-
-def trace_of(t: Tree) -> Trace:
-    """The Trace of a tree; the inverse of tree_of."""
-    return Trace(*_preorder_form(t))
-
-
-def tree_of(tr: Trace) -> Tree:
-    """The Tree of a trace, with its labels and node ids."""
-    kids, _ = _dyck_links(tr.word)  # by preorder index
-    ids = tr.ids
-    nodes = {ids[v]: Node(int(tr.labels[v]), tuple(ids[c] for c in cs))
-             for v, cs in enumerate(kids)}
-    return Tree(nodes, ids[0], validate=False)
-
-
 def _check_deletions(t: Tree, deleted: Iterable[int]) -> set[int]:
     dels = set(deleted)
     if t.root in dels:
         raise InvalidDeletionError("the root is never deleted")
-    unknown = [v for v in dels if v not in t.nodes]
+    unknown = dels.difference(t.ids)
     if unknown:
         raise InvalidDeletionError(f"unknown node ids {sorted(unknown)}")
     return dels
 
 
 def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
-    """Remove a set of non-root nodes; children splice into the parent in place.
+    """Remove a set of non-root nodes, by id; children splice into the parent in place.
 
     Every deleted node's children take its position as a contiguous block in
-    the parent's left-to-right order, applied recursively in a single pass.
+    the parent's left-to-right order.  On the preorder form that is one pass
+    over the word: a deleted node's matched 1 and 0 go, as do its label and id.
     """
     dels = _check_deletions(t, deleted)
     if not dels:
         return t
-    old = t.nodes
-    nodes = dict(old)  # survivors share their records until one changes
-    for v in dels:
-        del nodes[v]
-    # No parent is stored: the records to edit are those listing a deleted child.
-    for u in [u for u, nd in nodes.items() if not dels.isdisjoint(nd.children)]:
-        kids: list[int] = []
-        stack = list(reversed(old[u].children))
-        while stack:
-            c = stack.pop()
-            if c in dels:
-                stack.extend(reversed(old[c].children))
-            else:
-                kids.append(c)
-        nodes[u] = Node(old[u].label, tuple(kids))
-    return Tree(nodes, t.root, validate=False)
+    kept = [v not in dels for v in t.ids]  # by preorder index
+    word: list[str] = []
+    open_kept: list[bool] = []  # kept flag of each open node
+    i = 0
+    for ch in t.word:
+        if ch == "1":  # opens the next node in preorder
+            i += 1
+            keep = kept[i]
+            open_kept.append(keep)
+        else:
+            keep = open_kept.pop()
+        if keep:
+            word.append(ch)
+    return Tree("".join(word), "".join(itertools.compress(t.labels, kept)),
+                tuple(itertools.compress(t.ids, kept)), validate=False)
 
 
 def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
@@ -134,7 +108,7 @@ def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
     _check_q(q)
     if t.n > TED_ENUM_CAP:
         raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
-    others = preorder(t)[1:]
+    others = t.ids[1:]
     k = len(others)
     p = 1.0 - q
     entries: dict[str, float] = {}
@@ -164,13 +138,12 @@ class _Layout(NamedTuple):
 
 
 def _layout(t: Tree) -> _Layout:
-    word, labels, order = _preorder_form(t)
-    _, walk = _dyck_links(word)
-    ids = np.array(order)
+    _, walk = _dyck_links(t.word)
+    ids = np.array(t.ids)
     if ids.dtype.kind == "f":  # ids past int64 beside smaller ones: keep them exact
-        ids = np.array(order, dtype=object)
-    return _Layout(ids, np.frombuffer(word.encode(), np.uint8),
-                   np.frombuffer(labels.encode(), np.uint8), np.array(walk, dtype=np.intp))
+        ids = np.array(t.ids, dtype=object)
+    return _Layout(ids, np.frombuffer(t.word.encode(), np.uint8),
+                   np.frombuffer(t.labels.encode(), np.uint8), np.array(walk, dtype=np.intp))
 
 
 def _joined(codes: np.ndarray, keep: np.ndarray) -> str:
@@ -189,8 +162,8 @@ def _strings(text: str, keep: np.ndarray) -> list[str]:
     return [joined[a:b] for a, b in _bounds(keep.sum(axis=1))]
 
 
-def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
-    """Traces that keep the nodes (count x n, by index) and the label positions.
+def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Tree]:
+    """The trees that keep the nodes (count x n, by index) and the label positions.
 
     Every row keeps as many labels as nodes and two word symbols per kept
     non-root node, so one cumulative sum bounds the ids, labels and words.
@@ -198,11 +171,11 @@ def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Trace]:
     ids = lay.ids[nodes.nonzero()[1]].tolist()
     labs = _joined(lay.labels, labels)
     words = _joined(lay.word, nodes[:, lay.walk])
-    return [Trace(words[2 * (a - r):2 * (b - r - 1)], labs[a:b], tuple(ids[a:b]))
+    return [Tree(words[2 * (a - r):2 * (b - r - 1)], labs[a:b], ids[a:b], validate=False)
             for r, (a, b) in enumerate(_bounds(nodes.sum(axis=1)))]
 
 
-# Built Traces are kept on the source tree, per builder, only for trees with
+# Built traces are kept on the source tree, per builder, only for trees with
 # at most _MEMO_MARKS non-root nodes: at most 2^12 = 4,096 rows per builder
 # (about 1.45 MB at 13 nodes).  They live exactly as long as the tree.
 _MEMO_MARKS = 12
@@ -216,10 +189,10 @@ def _sampled(t: Tree) -> tuple[_Layout, dict | None]:
     return kept
 
 
-def _sample(t: Tree, q: float, count: int, rng, build) -> list[Trace]:
+def _sample(t: Tree, q: float, count: int, rng, build) -> list[Tree]:
     """Draw count rows of keep marks, then build only the rows not built before.
 
-    Equal rows share one Trace, which is immutable.  A tree too large to keep
+    Equal rows share one trace, which is immutable.  A tree too large to keep
     its rows gets a fresh dict, which dedups within one call.
     """
     _check_q(q)
@@ -242,7 +215,7 @@ def string_traces(s: str, q: float, count: int, rng) -> list[str]:
     return _strings(s, rng.random((count, len(s))) >= q)
 
 
-def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
+def ted_traces(t: Tree, q: float, count: int, rng) -> list[Tree]:
     """count TED traces in one call: each non-root node is deleted with probability q.
 
     A deleted node's children splice into its place, so a trace's word is the
@@ -252,7 +225,7 @@ def ted_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
     return _sample(t, q, count, rng, _ted_traces)
 
 
-def _ted_traces(lay: _Layout, keep: np.ndarray) -> list[Trace]:
+def _ted_traces(lay: _Layout, keep: np.ndarray) -> list[Tree]:
     return _traces(lay, keep, keep)
 
 
@@ -276,7 +249,7 @@ def _lp_removed(marks: list[int], depth: list[int]) -> list[int]:
     return removed
 
 
-def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Trace]:
+def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Tree]:
     marked = ~labels
     rows, cols = marked.nonzero()
     marks = cols.tolist()
@@ -290,7 +263,7 @@ def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Trace]:
     return _traces(lay, nodes, labels)
 
 
-def lp_traces(t: Tree, q: float, count: int, rng) -> list[Trace]:
+def lp_traces(t: Tree, q: float, count: int, rng) -> list[Tree]:
     """count LP traces in one call: each non-root node is marked with probability q.
 
     Each deletion removes a leaf, so a trace's word is the source word
@@ -304,10 +277,10 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     """All trees that k left-propagation deletions can leave, any targets.
 
     Every set of k marks goes through the sampler's rule (`_lp_traces`), as
-    one row of a label mask, and each distinct (word, labels) pair becomes a
-    tree with ids 0, 1, ... in preorder.  So the set is the support of
-    `lp_traces` with k marks by construction; that no order of deletion
-    reaches a tree outside it is checked against `lp_apply` in the tests.
+    one row of a label mask; of equal traces the set keeps the first mark
+    set's, with its source ids.  So the set is the support of `lp_traces`
+    with k marks by construction; that no order of deletion reaches a tree
+    outside it is checked against `lp_apply` in the tests.
     """
     if t.n > TED_ENUM_CAP:
         raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
@@ -316,8 +289,7 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     marks = np.array(list(itertools.combinations(range(1, t.n), k)), dtype=np.intp)
     labels = np.ones((len(marks), t.n), dtype=bool)
     labels[np.arange(len(marks))[:, None], marks] = False
-    pairs = {(tr.word, tr.labels) for tr in _lp_traces(_sampled(t)[0], labels)}
-    return {tree_of(Trace(w, s, tuple(range(len(s))))) for w, s in pairs}
+    return set(_lp_traces(_sampled(t)[0], labels))
 
 
 def count_embeddings(s: str, trace: str) -> int:

@@ -47,8 +47,6 @@ def make_instance(args, planned_traces: int):
 
 
 def _render(value) -> str:
-    if isinstance(value, channels.Trace):
-        value = channels.tree_of(value)
     if isinstance(value, Tree):
         return trees.format_tree(value)
     if isinstance(value, bool):
@@ -75,7 +73,7 @@ def _cmd_recon(args) -> int:
     traces = Path(args.tracefile).read_text().splitlines()
     inst, _ = make_instance(args, max(len(traces), 1))
     if args.model != "string":
-        traces = [channels.trace_of(trees.parse_tree(ln)) for ln in traces]
+        traces = [trees.parse_tree(ln) for ln in traces]
     got = harness.FAMILIES[args.family].decode(inst.public, traces, args.n, args.q)
     _emit(_render(got) + "\n", args.out)
     return 0

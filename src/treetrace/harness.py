@@ -185,7 +185,7 @@ class Family:
 
     build(n, q, delta, planned_traces, model, rng) draws the instance from the
     trial's generator and decode(public, traces, n, q) returns the guess from
-    plain str traces (model string) or channels.Trace values; both look layer
+    plain str traces (model string) or trees.Tree traces; both look layer
     functions up in their modules at call time.  A truth and its guess are
     compared with ==: a plain str of bits, a Tree, or a bool.  n runs from
     min_n to max_n; check(n, q, delta, planned_traces) rejects unbuildable

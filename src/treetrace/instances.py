@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channels import _binary, _check_q
-from .trees import Node, Tree, dyck_string, preorder, tree_from_dyck
+from .trees import Tree, _walk, tree_from_dyck
 
 
 def _check_delta(delta: float) -> None:
@@ -79,30 +79,28 @@ def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
         raise ValueError("buffer length must be >= 1")
     s_len = len(s)
     P = s_len + 2 * ell
-    nodes: dict[int, Node] = {}
+    kids: dict[int, list[int]] = {}
     for pos in range(1, P + 1):
-        v = pos - 1
         nxt = [pos] if pos < P else []
         if ell + 1 <= pos <= ell + s_len:
             i = pos - ell
             leaf = encoded_leaf_id(s_len, ell, i)
-            kids = [leaf] + nxt if s[i - 1] == "0" else nxt + [leaf]
-            nodes[leaf] = Node(0)
-        else:
-            kids = nxt
-        nodes[v] = Node(0, tuple(kids))
-    return EncodedInstance(s, ell, Tree(nodes, 0))
+            kids[leaf] = []
+            nxt = [leaf] + nxt if s[i - 1] == "0" else nxt + [leaf]
+        kids[pos - 1] = nxt
+    word, ids = _walk(kids, 0)
+    return EncodedInstance(s, ell, Tree(word, "0" * len(ids), ids, validate=False))
 
 
 def read_encoded_string(inst: EncodedInstance) -> str:
     """Recover the source string from leaf orientations (construction inverse)."""
     s_len = len(inst.source_string)
+    kids = inst.tree.children()
     bits = []
     for i in range(1, s_len + 1):
         parent = encoded_parent_id(s_len, inst.buffer_len, i)
         leaf = encoded_leaf_id(s_len, inst.buffer_len, i)
-        kids = inst.tree.children_of(parent)
-        bits.append("0" if kids[0] == leaf else "1")
+        bits.append("0" if kids[parent][0] == leaf else "1")
     return "".join(bits)
 
 
@@ -189,8 +187,7 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
             kids[u].insert(slot, len(kids))
             leaves.append(len(kids))
             kids.append([])
-    skeleton = Tree({v: Node(0, tuple(c)) for v, c in enumerate(kids)}, 0, validate=False)
-    return tree_from_dyck(next(_fuzzy_words_of([dyck_string(skeleton)], m)))
+    return tree_from_dyck(next(_fuzzy_words_of([_walk(kids, 0)[0]], m)))
 
 
 def _cycle_lemma_word(ups: list[bool]) -> str:
@@ -212,7 +209,7 @@ def random_tree(n: int, rng) -> Tree:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return Tree({0: Node(0)}, 0)
+        return Tree("", "0")
     # Ids below n are the ups: shuffling 0..2n-2 places them as shuffling the steps would.
     return tree_from_dyck(_cycle_lemma_word([x < n for x in rng.permutation(2 * n - 1).tolist()]))
 
@@ -242,6 +239,4 @@ def random_dyck_words(n: int, count: int, rng) -> list[str]:
 
 def random_labels(t: Tree, rng) -> Tree:
     """Copy of t with independent fair-bit labels."""
-    order = preorder(t)
-    bits = rng.integers(0, 2, size=len(order))
-    return t.with_labels({v: int(b) for v, b in zip(order, bits)})
+    return t.with_labels("".join(map(str, rng.integers(0, 2, size=t.n).tolist())))

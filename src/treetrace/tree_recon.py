@@ -1,7 +1,7 @@
 """Reconstruction pipelines: known-topology labels, fuzzy topology, encoded strings.
 
-Each pipeline reads tree traces as channels.Trace values (Dyck word,
-preorder labels, node ids), turns them into strings, hands them to the
+Each pipeline reads tree traces as trees.Tree values (Dyck word, preorder
+labels, node ids), turns them into strings, hands them to the
 max-likelihood string reconstructor (over all of {0,1}^n for labels, over the
 fuzzy candidate class for topology), and maps the result back to a tree or
 bit string; the encoded pipeline decodes by majority vote instead.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .channels import Trace, tree_of
 from .instances import (
     _feasible_leaf_counts,
     check_fuzzy_size,
@@ -20,15 +19,7 @@ from .instances import (
     encoded_parent_id,
 )
 from .string_recon import _EMBED_LEN_CAP, ml_reconstruct
-from .trees import (
-    DyckStringError,
-    Tree,
-    _dyck_links,
-    _preorder_form,
-    dyck_string,
-    preorder,
-    tree_from_dyck,
-)
+from .trees import DyckStringError, Tree, _dyck_links, tree_from_dyck
 
 
 class MergeError(ValueError):
@@ -52,16 +43,16 @@ class UndecidedPositionsError(ValueError):
         self.positions = positions
 
 
-def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Trace], q: float) -> Tree:
+def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Tree], q: float) -> Tree:
     """Recover node labels of a known topology from tree traces.
 
     Max-likelihood over {0,1}^n recovers the full-length string from the
-    traces' preorder label strings, and bit i goes to the i-th preorder node.
+    traces' preorder label strings, and bit i labels the i-th preorder node.
     """
     if not traces:
         raise ValueError("empty trace list")
     s = ml_reconstruct([tr.labels for tr in traces], topology.n, q)
-    return topology.with_labels({v: int(s[i]) for i, v in enumerate(preorder(topology))})
+    return topology.with_labels(s)
 
 
 def _dual_of_word(word: str) -> tuple[str, str]:
@@ -83,10 +74,10 @@ def dual_strings_with_owners(t: Tree):
     strings.  A lone root counts as a leaf so the leaf anchors stay total.
     """
     # The edge walk with a 2 after each leaf's descent, as in _dual_of_word.
-    word, _, ids = _preorder_form(t)
-    kids, walk = _dyck_links(word)
+    ids = t.ids
+    kids, walk = _dyck_links(t.word)
     marked = [("2", t.root)] if t.n == 1 else []
-    for sym, i in zip(word, walk):
+    for sym, i in zip(t.word, walk):
         marked.append((sym, ids[i]))
         if sym == "1" and not kids[i]:
             marked.append(("2", ids[i]))
@@ -100,7 +91,7 @@ def dual_strings_with_owners(t: Tree):
 
 def dual_strings(t: Tree) -> tuple[str, str]:
     """(S0 over {0,2}, S1 over {1,2}): ascents/descents with leaf markers."""
-    return _dual_of_word(dyck_string(t))
+    return _dual_of_word(t.word)
 
 
 def merge_dual_strings(s0: str, s1: str) -> Tree:
@@ -182,7 +173,7 @@ def check_fuzzy_decodable(n: int, m: int) -> None:
                          f"exact-count cap of {_EMBED_LEN_CAP}")
 
 
-def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree:
+def reconstruct_fuzzy(traces: Sequence[Tree], n: int, m: int, q: float) -> Tree:
     """Recover the topology of a degree-m fuzzy tree from TED traces.
 
     Builds both dual strings from each trace's word, maps each family to
@@ -214,7 +205,7 @@ def reconstruct_fuzzy(traces: Sequence[Trace], n: int, m: int, q: float) -> Tree
         raise ReconstructionFailedError(s0, s1) from None
 
 
-def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float) -> str:
+def reconstruct_encoded(traces: Sequence[Tree], s_len: int, ell: int, q: float) -> str:
     """Decode the bit string hidden in an encoding tree from TED traces.
 
     Family knowledge is the fixed identifier layout of the generator (the
@@ -225,17 +216,17 @@ def reconstruct_encoded(traces: Sequence[Trace], s_len: int, ell: int, q: float)
     """
     if not traces:
         raise ValueError("empty trace list")
-    tables = [tree_of(tr).nodes for tr in traces]
+    tables = [tr.children() for tr in traces]
     bits: list[str] = []
     undecided: list[int] = []
     for i in range(1, s_len + 1):
         leaf = encoded_leaf_id(s_len, ell, i)
         par = encoded_parent_id(s_len, ell, i)
         zeros = ones = 0
-        for nodes in tables:
-            if leaf not in nodes or par not in nodes:
+        for kids in tables:
+            if leaf not in kids or par not in kids:
                 continue
-            sibs = nodes[par].children
+            sibs = kids[par]
             if len(sibs) < 2:
                 continue  # continuation gone; orientation unreadable
             if sibs[0] == leaf:

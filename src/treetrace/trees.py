@@ -1,17 +1,16 @@
-"""Ordered labeled rooted trees: traversal, Dyck encoding, text format, equality.
+"""Ordered labeled rooted trees: Dyck encoding, text format, equality.
 
-Child order is significant throughout.  A node records its label and its
-children only; the shape is stored once, in the child lists.  Node
-identifiers are arbitrary ints and stay stable when a tree passes through a
+Child order is significant throughout.  A tree is its preorder form: its
+Dyck word, its preorder label string and its node ids in preorder.  The
+ids are arbitrary ints and stay stable when a tree passes through a
 deletion channel, so deletions can be tracked; equality and hashing look
-only at shape and labels.  One preorder walk (`_preorder_form`) reads a tree
-out as its Dyck word, labels and ids, and one parse (`_dyck_links`) reads a
-Dyck word back in.
+only at the word and the labels.  One parse (`_dyck_links`) reads a Dyck
+word's child lists, and one walk (`_walk`) turns child lists into a word.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Sequence
 
 
 class TreeTextError(ValueError):
@@ -26,141 +25,73 @@ class DyckStringError(ValueError):
     """Input is not a balanced Dyck word over {0,1}."""
 
 
-class Node(NamedTuple):
-    """A node's label and its children's ids, left to right; nothing else."""
-
-    label: int
-    children: tuple[int, ...] = ()
-
-
 class Tree:
-    """Ordered rooted tree with one bit label per node.
+    """Ordered rooted tree with one bit label per node, in preorder form.
 
-    ``nodes`` maps identifier -> Node, which holds the label and the child
-    ids only: a parent is known from its child list, never stored beside it.
+    ``word`` is the Dyck word of the edge walk (a 1 per descent into a node,
+    a 0 per ascent out of it; length 2(n-1)), ``labels`` the n label bits in
+    preorder, and ``ids`` the n node ids in preorder, 0..n-1 unless given.
     An unlabeled tree is one whose labels are all zero.  Instances are
     immutable after construction; the batched samplers keep what they derive
     from one in ``_sampled`` (channels._sampled).
     """
 
-    __slots__ = ("nodes", "root", "_canon", "_sampled")
+    __slots__ = ("word", "labels", "ids", "_sampled")
 
-    def __init__(self, nodes: Mapping[int, Node], root: int, validate: bool = True):
-        # dict.copy keeps the table's layout; dict() re-inserts item by item,
-        # which is slow on the holey tables that deletions leave.
-        self.nodes = nodes.copy() if type(nodes) is dict else dict(nodes)
-        self.root = root
-        self._canon: str | None = None
+    def __init__(self, word: str, labels: str, ids: Sequence[int] | None = None,
+                 validate: bool = True):
+        self.word = word
+        self.labels = labels
+        self.ids = tuple(range(len(labels))) if ids is None else tuple(ids)
         if validate:
             self._validate()
 
     def _validate(self):
-        # With no parent field, a root listed as a child or a child listed
-        # under two parents shows up as a node reached twice or unreachable.
-        if self.root not in self.nodes:
-            raise ValueError("root identifier missing from node table")
-        seen = set()
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                raise ValueError(f"node {v} reached twice (cycle or shared child)")
-            seen.add(v)
-            node = self.nodes[v]
-            if node.label not in (0, 1):
-                raise ValueError(f"label of node {v} must be a bit, got {node.label}")
-            for c in node.children:
-                if c not in self.nodes:
-                    raise ValueError(f"child {c} of node {v} missing from node table")
-                stack.append(c)
-        if seen != set(self.nodes):
-            raise ValueError("unreachable nodes present")
+        if self.word.strip("01"):  # what is left holds a symbol other than 0 and 1
+            raise DyckStringError(f"non-binary symbol in {self.word!r}")
+        n = len(_dyck_links(self.word)[0])
+        if len(self.labels) != n or self.labels.strip("01"):
+            raise ValueError(f"need {n} label bits, got {self.labels!r}")
+        if len(self.ids) != n or len(set(self.ids)) != n:
+            raise ValueError(f"need {n} distinct node ids, got {self.ids!r}")
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
-    def children_of(self, v: int) -> tuple[int, ...]:
-        return self.nodes[v].children
+    @property
+    def root(self) -> int:
+        return self.ids[0]
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.nodes[v].children
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """Each node's child ids, left to right, by node id."""
+        kids, _ = _dyck_links(self.word)
+        ids = self.ids
+        return {ids[v]: tuple(ids[c] for c in cs) for v, cs in enumerate(kids)}
 
-    def with_labels(self, labels: Mapping[int, int]) -> "Tree":
-        """Copy of this tree with labels replaced where the mapping says so."""
-        nodes = {
-            v: Node(labels.get(v, nd.label), nd.children)
-            for v, nd in self.nodes.items()
-        }
-        return Tree(nodes, self.root, validate=False)
+    def with_labels(self, labels: str) -> "Tree":
+        """Copy of this tree with the given preorder labels."""
+        return Tree(self.word, labels, self.ids)
 
     def canonical(self) -> str:
-        if self._canon is None:
-            self._canon = format_tree(self)
-        return self._canon
+        return format_tree(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self.word == other.word and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash((self.word, self.labels))
 
     def __repr__(self) -> str:
         return f"Tree({self.canonical()!r})"
 
 
-def preorder(t: Tree) -> list[int]:
-    """Root first, then each subtree left to right."""
-    nodes = t.nodes
-    out = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack += nodes[v].children[::-1]
-    return out
-
-
-def _preorder_form(t: Tree) -> tuple[str, str, tuple[int, ...]]:
-    """t's Dyck word, preorder label string and preorder ids, in one walk.
-
-    The word has a 1 per descent into a node and a 0 per ascent out of it.
-    """
-    nodes = t.nodes
-    root = nodes[t.root]
-    ids, labels, word = [t.root], [str(root.label)], []
-    stack = [iter(root.children)]  # each open node's unvisited children
-    while stack:
-        v = next(stack[-1], None)  # ids are ints: None closes the node
-        if v is None:
-            stack.pop()
-            word.append("0")
-            continue
-        nd = nodes[v]
-        ids.append(v)
-        labels.append(str(nd.label))
-        word.append("1")
-        stack.append(iter(nd.children))
-    word.pop()  # the root has no closing 0
-    return "".join(word), "".join(labels), tuple(ids)
-
-
-def preorder_label_string(t: Tree) -> str:
-    """Labels read off in preorder; length equals the node count."""
-    return _preorder_form(t)[1]
-
-
-def dyck_string(t: Tree) -> str:
-    """Balanced word of the edge walk: 1 per descent, 0 per ascent; length 2(n-1)."""
-    return _preorder_form(t)[0]
-
-
 def _dyck_links(word: str) -> tuple[list[list[int]], list[int]]:
     """Parse a Dyck word: each node's child indices, and each symbol's node.
 
-    Node i is the i-th node in preorder, the root is 0, and symbol j opens
+    Index i is the i-th node in preorder, the root is 0, and symbol j opens
     (1) or closes (0) node walk[j].  Raises DyckStringError if unbalanced.
     """
     kids: list[list[int]] = [[]]
@@ -182,46 +113,47 @@ def _dyck_links(word: str) -> tuple[list[list[int]], list[int]]:
     return kids, walk
 
 
+def _walk(kids, root: int) -> tuple[str, tuple[int, ...]]:
+    """Dyck word and preorder ids of the tree whose child ids of v are kids[v]."""
+    ids, word = [root], []
+    stack = [iter(kids[root])]  # each open node's unvisited children
+    while stack:
+        v = next(stack[-1], None)  # ids are ints: None closes the node
+        if v is None:
+            stack.pop()
+            word.append("0")
+            continue
+        ids.append(v)
+        word.append("1")
+        stack.append(iter(kids[v]))
+    word.pop()  # the root has no closing 0
+    return "".join(word), tuple(ids)
+
+
 def tree_from_dyck(word: str) -> Tree:
-    """Inverse of dyck_string; all labels zero, ids 0..n-1 in preorder.
+    """The tree with this Dyck word; all labels zero, ids 0..n-1 in preorder.
 
     Raises DyckStringError if the word is not a balanced word over {0,1}.
     """
-    if set(word) - {"0", "1"}:
-        raise DyckStringError(f"non-binary symbol in {word!r}")
-    kids, _ = _dyck_links(word)
-    return Tree({v: Node(0, tuple(c)) for v, c in enumerate(kids)}, 0, validate=False)
-
-
-def trees_equal(a: Tree, b: Tree) -> bool:
-    """Shape and labels match from the roots; node identifiers are ignored."""
-    return a.canonical() == b.canonical()
+    return Tree(word, "0" * (word.count("1") + 1))
 
 
 def format_tree(t: Tree) -> str:
-    """Canonical text per the grammar node := LABEL ["(" node ("," node)* ")"]."""
-    nodes = t.nodes
-    root = nodes[t.root]
-    if not root.children:
-        return str(root.label)
-    out = [f"{root.label}("]
-    stack = [iter(root.children)]  # each open node's unwritten children
-    first = True
-    while stack:
-        v = next(stack[-1], None)  # ids are ints: None ends a frame
-        if v is None:
-            stack.pop()
+    """Canonical text per the grammar node := LABEL ["(" node ("," node)* ")"].
+
+    One pass over the word: a 1 opens a child list after a 1 and follows a
+    sibling after a 0, then writes its node's label; a 0 after a 0 closes a
+    child list, and the root's list closes at the end.
+    """
+    labels = iter(t.labels)
+    out = [next(labels)]
+    for prev, ch in zip("1" + t.word, t.word):
+        if ch == "1":
+            out.append(("(" if prev == "1" else ",") + next(labels))
+        elif prev == "0":
             out.append(")")
-            first = False
-            continue
-        node = nodes[v]
-        out.append(str(node.label) if first else f",{node.label}")
-        if node.children:
-            out.append("(")
-            stack.append(iter(node.children))
-            first = True
-        else:
-            first = False
+    if t.word:
+        out.append(")")
     return "".join(out)
 
 
@@ -230,9 +162,9 @@ def parse_tree(text: str) -> Tree:
 
     Iterative, so depth is bounded by memory, not the recursion limit.
     """
-    labels: list[int] = []
-    kids: list[list[int]] = []
-    open_nodes: list[int] = []  # nodes whose child list is being read
+    labels: list[str] = []
+    word: list[str] = []
+    depth = 0  # nodes whose child list is being read
     n = len(text)
 
     def skip_ws(i: int) -> int:
@@ -244,31 +176,29 @@ def parse_tree(text: str) -> Tree:
     while True:
         if i >= n or text[i] not in "01":
             raise TreeTextError("expected label 0 or 1", i)
-        v = len(labels)  # ids follow preorder
-        labels.append(int(text[i]))
-        kids.append([])
-        if open_nodes:
-            kids[open_nodes[-1]].append(v)
+        labels.append(text[i])
+        if depth:
+            word.append("1")
         i = skip_ws(i + 1)
         if i < n and text[i] == "(":
-            open_nodes.append(v)
+            depth += 1
             i = skip_ws(i + 1)
             continue
-        # v is complete: close child lists until a sibling follows.
-        while open_nodes:
+        # The node is complete: close child lists until a sibling follows.
+        while depth:
+            word.append("0")
             if i < n and text[i] == ",":
                 i = skip_ws(i + 1)
                 break
             if i >= n or text[i] != ")":
                 raise TreeTextError("expected ',' or ')'", i)
-            open_nodes.pop()
+            depth -= 1
             i = skip_ws(i + 1)
         else:
             break
     if i != n:
         raise TreeTextError("trailing input after tree", i)
-    nodes = {v: Node(labels[v], tuple(kids[v])) for v in range(len(labels))}
-    return Tree(nodes, 0, validate=False)
+    return Tree("".join(word), "".join(labels), validate=False)
 
 
 def dyck_words(pairs: int) -> Iterator[str]:
@@ -303,8 +233,5 @@ def is_fuzzy(t: Tree, m: int) -> bool:
     A leaf is terminal when all of its siblings are leaves, i.e. its parent's
     children are all leaves; such a parent must then have exactly m children.
     """
-    for v in t.nodes:
-        kids = t.nodes[v].children
-        if kids and all(t.is_leaf(c) for c in kids) and len(kids) != m:
-            return False
-    return True
+    kids = t.children()
+    return all(len(cs) == m for cs in kids.values() if cs and not any(kids[c] for c in cs))

@@ -64,7 +64,7 @@ def _frequencies_match(freq, law, n_samples: int):
 def check_dyck_roundtrip(max_n: int = 8):
     count = 0
     for t in _all_trees_up_to(max_n):
-        word = trees.dyck_string(t)
+        word = t.word
         if len(word) != 2 * (t.n - 1):
             return False, f"dyck length {len(word)} != 2(n-1) for {t!r}"
         depth = 0
@@ -74,7 +74,7 @@ def check_dyck_roundtrip(max_n: int = 8):
                 return False, f"unbalanced prefix in {word} for {t!r}"
         if depth != 0:
             return False, f"unbalanced word {word}"
-        if not trees.trees_equal(trees.tree_from_dyck(word), t):
+        if trees.tree_from_dyck(word) != t:
             return False, f"round-trip failed for {t!r}"
         count += 1
     return True, f"{count} trees round-tripped through the Dyck encoding"
@@ -100,25 +100,25 @@ def check_ted_order_invariance(max_n: int = 7, ted_apply_fn=None):
 
     Subsets are walked by size, keeping state[S], the tree that single
     deletions give for S.  For each v in S the one-step extension
-    ted_apply(state[S - {v}], {v}) must give one node table, ids included,
-    since the next step deletes by id.  By induction on |S| that table is
-    the result of all |S|! orders, and it must read as apply_fn(t, S).
+    ted_apply(state[S - {v}], {v}) must give one tree, ids included, since
+    the next step deletes by id.  By induction on |S| that tree is the
+    result of all |S|! orders, and it must read as apply_fn(t, S).
     """
     apply_fn = ted_apply_fn or channels.ted_apply
     checked = 0
     for t in _all_trees_up_to(max_n):
         state = {(): t}  # subset tuple, in preorder -> sequential contraction
-        for subset in _subsets(trees.preorder(t)[1:]):
+        for subset in _subsets(t.ids[1:]):
             if subset:
                 steps = [channels.ted_apply(state[subset[:i] + subset[i + 1:]], {v})
                          for i, v in enumerate(subset)]
-                if any(step.nodes != steps[0].nodes for step in steps[1:]):
+                if any(step.ids != steps[0].ids or step != steps[0] for step in steps[1:]):
                     return False, (
                         f"sequential contraction depends on the order on {t!r}, "
                         f"deleting {list(subset)}"
                     )
                 state[subset] = steps[0]
-            if not trees.trees_equal(state[subset], apply_fn(t, set(subset))):
+            if state[subset] != apply_fn(t, set(subset)):
                 return False, (
                     f"flatten != sequential contraction on {t!r}, "
                     f"deleting {list(subset)}"
@@ -131,19 +131,17 @@ def check_traversal_preservation(max_n: int = 7, ted_apply_fn=None):
     apply_fn = ted_apply_fn or channels.ted_apply
     checked = 0
     for t in _all_trees_up_to(max_n):
-        order = trees.preorder(t)
-        s_t = trees.preorder_label_string(t)
-        others = order[1:]
-        for subset in _subsets(others):
+        order = t.ids
+        for subset in _subsets(order[1:]):
             dels = set(subset)
             trace = apply_fn(t, dels)
-            expected_ids = [v for v in order if v not in dels]
-            if trees.preorder(trace) != expected_ids:
+            expected_ids = tuple(v for v in order if v not in dels)
+            if trace.ids != expected_ids:
                 return False, f"preorder id order broken on {t!r} deleting {sorted(dels)}"
             expected_s = "".join(
-                ch for v, ch in zip(order, s_t) if v not in dels
+                ch for v, ch in zip(order, t.labels) if v not in dels
             )
-            if trees.preorder_label_string(trace) != expected_s:
+            if trace.labels != expected_s:
                 return False, f"label string broken on {t!r} deleting {sorted(dels)}"
             checked += 1
     return True, f"{checked} (tree, subset) pairs preserve the traversal order"
@@ -154,13 +152,13 @@ def check_dyck_pair_removal(max_n: int = 8):
     for t in _all_trees_up_to(max_n):
         if t.n == 1:
             continue
-        word, _, ids = trees._preorder_form(t)
+        word, ids = t.word, t.ids
         # Positions of each node's matched descent and ascent in the word.
         pair: dict[int, list[int]] = {}
         for i, owner in enumerate(trees._dyck_links(word)[1]):
             pair.setdefault(ids[owner], []).append(i)
-        for v in trees.preorder(t)[1:]:
-            got = trees.dyck_string(channels.ted_apply(t, {v}))
+        for v in ids[1:]:
+            got = channels.ted_apply(t, {v}).word
             expect = "".join(ch for i, ch in enumerate(word) if i not in pair[v])
             if got != expect:
                 return False, f"pair removal mismatch deleting {v} from {t!r}"
@@ -205,12 +203,9 @@ def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, see
     rng = _rng("ted-mc", seed)
     t = instances.random_tree(n, rng)
     dist = channels.ted_trace_distribution(t, q)
-    pairs = Counter((tr.word, tr.labels) for tr in channels.ted_traces(t, q, n_samples, rng))
-    # Canonical text reads only the word and the labels: one tree per distinct pair.
-    freq = {
-        channels.tree_of(channels.Trace(word, labels, tuple(range(len(labels))))).canonical(): c
-        for (word, labels), c in pairs.items()
-    }
+    # Equal traces, one per (word, labels) pair, have one canonical text.
+    counts = Counter(channels.ted_traces(t, q, n_samples, rng))
+    freq = {tr.canonical(): c for tr, c in counts.items()}
     return _frequencies_match(freq, dist, n_samples)
 
 
@@ -296,11 +291,11 @@ def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
     p = 1.0 - q
     checked = 0
     for t in _all_trees_up_to(max_n):
-        a = np.array([int(c) for c in trees.dyck_string(t)])
+        a = np.array([int(c) for c in t.word])
         dist = channels.ted_trace_distribution(t, q)
         padded = {}
         for key, prob in dist.items():
-            word = trees.dyck_string(trees.parse_tree(key))
+            word = trees.parse_tree(key).word
             padded[word] = padded.get(word, 0.0) + prob
         for w in ws:
             lhs = 0.0
@@ -377,14 +372,14 @@ def check_dual_roundtrip(max_n: int = 8):
     for t in _all_trees_up_to(max_n):
         s0, s1 = tree_recon.dual_strings(t)
         back = tree_recon.merge_dual_strings(s0, s1)
-        if not trees.trees_equal(back, t):
+        if back != t:
             return False, f"dual round-trip failed for {t!r}"
         count += 1
     return True, f"{count} trees round-tripped through the dual-string encoding"
 
 
-def _non_orphaning(leaves: set[int], trace: Tree) -> bool:
-    return all(v in leaves for v in trace.nodes if trace.is_leaf(v))
+def _leaves(t: Tree) -> set[int]:
+    return {v for v, kids in t.children().items() if not kids}
 
 
 def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
@@ -394,11 +389,11 @@ def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
             if t.n == 1 or not trees.is_fuzzy(t, m):
                 continue
             s0, own0, s1, own1 = tree_recon.dual_strings_with_owners(t)
-            leaves = {v for v in t.nodes if t.is_leaf(v)}
-            for subset in _subsets(trees.preorder(t)[1:]):
+            leaves = _leaves(t)
+            for subset in _subsets(t.ids[1:]):
                 dels = set(subset)
                 trace = channels.ted_apply(t, dels)
-                if not _non_orphaning(leaves, trace):
+                if not _leaves(trace) <= leaves:  # the deletion orphans a node
                     continue
                 got0, got1 = tree_recon.dual_strings(trace)
                 want0 = "".join(c for c, v in zip(s0, own0) if v not in dels)
@@ -428,9 +423,8 @@ def check_known_topology_q0(max_n: int = 8, seed: int = 0):
     count = 0
     for t in _all_trees_up_to(max_n):
         labeled = instances.random_labels(t, rng)
-        got = tree_recon.reconstruct_labels_known_topology(
-            t, [channels.trace_of(labeled)], 0.0)
-        if not trees.trees_equal(got, labeled):
+        got = tree_recon.reconstruct_labels_known_topology(t, [labeled], 0.0)
+        if got != labeled:
             return False, f"q=0 pipeline failed on {t!r}"
         count += 1
     return True, f"{count} topologies recover their labels exactly from one clean trace"

@@ -1,6 +1,11 @@
 """Reference code that only the tests call.
 
-Dict samplers and dict-based left propagation, the oracles of the batched
+The node-table model: a tree as a table {id: (label, child ids)}, read from
+a `Tree` by `table_of` (through `Tree.children`) and back by
+`tree_of_table` (through `trees._walk`).  On tables live `ted_splice`, the
+splice that `channels.ted_apply` is checked against, `format_tree`, the
+stack-walk formatter that `trees.format_tree` is checked against, and the
+dict samplers and dict-based left propagation, the oracles of the batched
 channels: each sampler builds one `Tree` (or str) per trace.  Call r of
 count sequential calls reads the draws of row r of a batched sampler's
 rng.random((count, k)), so `string_traces`, `ted_traces` and `lp_traces`
@@ -31,16 +36,85 @@ import numpy as np
 
 from treetrace.channels import (
     InvalidDeletionError,
-    Trace,
     _check_deletions,
     _check_q,
     distinct_subsequences,
     string_trace_prob,
-    ted_apply,
 )
 from treetrace.instances import _fuzzy_words_of, encoded_leaf_id, encoded_parent_id
 from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
-from treetrace.trees import Node, Tree, preorder
+from treetrace.trees import Tree, _walk
+
+Table = dict[int, tuple[int, tuple[int, ...]]]
+
+
+def table_of(t: Tree) -> Table:
+    """t's node table: each id's label and child ids, left to right."""
+    kids = t.children()
+    return {v: (int(b), kids[v]) for v, b in zip(t.ids, t.labels)}
+
+
+def tree_of_table(table: Table, root: int) -> Tree:
+    """The tree of a node table; every node must be reachable from the root."""
+    word, ids = _walk({v: kids for v, (_, kids) in table.items()}, root)
+    assert len(ids) == len(table), "unreachable nodes in the table"
+    return Tree(word, "".join(str(table[v][0]) for v in ids), ids)
+
+
+def form(t: Tree) -> tuple[str, str, tuple[int, ...]]:
+    """Everything a tree holds: equality ignores the ids, this does not."""
+    return t.word, t.labels, t.ids
+
+
+def ted_splice(t: Tree, deleted) -> Tree:
+    """Remove non-root nodes by id; each deleted node's children splice into its place.
+
+    Only the records that list a deleted child change: each takes its
+    children's survivor blocks, found by a stack walk through deleted nodes.
+    """
+    dels = _check_deletions(t, deleted)
+    if not dels:
+        return t
+    old = table_of(t)
+    nodes = {v: rec for v, rec in old.items() if v not in dels}
+    for u in [u for u, (_, kids) in nodes.items() if not dels.isdisjoint(kids)]:
+        kids: list[int] = []
+        stack = list(reversed(old[u][1]))
+        while stack:
+            c = stack.pop()
+            if c in dels:
+                stack.extend(reversed(old[c][1]))
+            else:
+                kids.append(c)
+        nodes[u] = (old[u][0], tuple(kids))
+    return tree_of_table(nodes, t.root)
+
+
+def format_tree(t: Tree) -> str:
+    """Canonical text by a stack walk over the node table, one frame per open node."""
+    nodes = table_of(t)
+    label, kids = nodes[t.root]
+    if not kids:
+        return str(label)
+    out = [f"{label}("]
+    stack = [iter(kids)]  # each open node's unwritten children
+    first = True
+    while stack:
+        v = next(stack[-1], None)  # ids are ints: None ends a frame
+        if v is None:
+            stack.pop()
+            out.append(")")
+            first = False
+            continue
+        label, kids = nodes[v]
+        out.append(str(label) if first else f",{label}")
+        if kids:
+            out.append("(")
+            stack.append(iter(kids))
+            first = True
+        else:
+            first = False
+    return "".join(out)
 
 
 class StaleTargetError(ValueError):
@@ -59,12 +133,11 @@ def string_trace(s: str, q: float, rng) -> str:
 def ted_trace(t: Tree, q: float, rng) -> Tree:
     """Mark each non-root node independently with probability q, then splice."""
     _check_q(q)
-    order = preorder(t)[1:]
+    order = t.ids[1:]
     if not order:
         return t
     marks = rng.random(len(order)) < q
-    dels = {v for v, m in zip(order, marks) if m}
-    return ted_apply(t, dels)
+    return ted_splice(t, {v for v, m in zip(order, marks) if m})
 
 
 def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
@@ -86,15 +159,15 @@ def _lp_delete(labels: dict, children: dict, parent: dict, v: int) -> list[int]:
 
 
 def _mutable(t: Tree):
-    labels = {v: nd.label for v, nd in t.nodes.items()}
-    children = {v: list(nd.children) for v, nd in t.nodes.items()}
+    table = table_of(t)
+    labels = {v: label for v, (label, _) in table.items()}
+    children = {v: list(kids) for v, (_, kids) in table.items()}
     parent = {c: v for v, kids in children.items() for c in kids}  # the root has none
     return labels, children, parent
 
 
 def _freeze(labels: dict, children: dict, root: int) -> Tree:
-    nodes = {v: Node(labels[v], tuple(children[v])) for v in labels}
-    return Tree(nodes, root, validate=False)
+    return tree_of_table({v: (labels[v], tuple(children[v])) for v in labels}, root)
 
 
 def lp_apply(t: Tree, deleted: Sequence[int]) -> Tree:
@@ -123,14 +196,14 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
     content currently lives, so every mark is effective exactly once.
     """
     _check_q(q)
-    order = preorder(t)[1:]
+    order = t.ids[1:]
     if not order:
         return t
     marks = rng.random(len(order)) < q
     marked = [v for v, m in zip(order, marks) if m]
     labels, children, parent = _mutable(t)
-    pos_of = {v: v for v in t.nodes}  # original node -> current position
-    content_at = {v: v for v in t.nodes}
+    pos_of = {v: v for v in t.ids}  # original node -> current position
+    content_at = {v: v for v in t.ids}
     for c in marked:
         path = _lp_delete(labels, children, parent, pos_of[c])
         for a, b in zip(path, path[1:]):
@@ -140,8 +213,6 @@ def lp_trace(t: Tree, q: float, rng) -> Tree:
         del content_at[path[-1]]
         del pos_of[c]
     return _freeze(labels, children, t.root)
-
-
 
 
 def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
@@ -217,7 +288,7 @@ def distinguish_pair(x: str, y: str, traces: Sequence[str], q: float) -> str:
     return min(x, y)
 
 
-def encoded_removal_stats(traces: Sequence[Trace], s_len: int, ell: int) -> dict[str, float]:
+def encoded_removal_stats(traces: Sequence[Tree], s_len: int, ell: int) -> dict[str, float]:
     """Leaf survival statistics across traces for the encoding family.
 
     complete_removal counts (trace, position) pairs where the leaf and its

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from treetrace import channels, instances, string_recon, tree_recon, trees, verify
+from treetrace import channels, instances, string_recon, tree_recon, verify
 from treetrace.harness import (
     SEARCH_BUDGET_CAP,
     BudgetExceededError,
@@ -246,7 +246,7 @@ def test_criterion_8_fuzzy_pipeline():
         except (tree_recon.ReconstructionFailedError,
                 string_recon.InconsistentTracesError):
             continue
-        ok += trees.trees_equal(got, truth)
+        ok += got == truth
     rate = ok / trials
     report("8 (fuzzy pipeline)", rate >= 0.90,
            f"{d_p}; end-to-end n={n}, m={m}: {ok}/{trials} exact (rate {rate:.2f}, need >= 0.90)")
@@ -371,8 +371,7 @@ def test_criterion_10_clean_trace_fraction():
     rng = trial_rng(MASTER, 10, 0)
     b_n = instances.forked_tree(n)
     # One batched call reads the same stream as n_samples lp_trace calls.
-    source = channels.trace_of(b_n)
-    clean = sum(tr == source for tr in channels.lp_traces(b_n, q, n_samples, rng))
+    clean = sum(tr == b_n for tr in channels.lp_traces(b_n, q, n_samples, rng))
     expect = (1 - q) ** n
     sigma = math.sqrt(expect * (1 - expect) / n_samples)
     frac = clean / n_samples

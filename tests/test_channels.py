@@ -19,21 +19,11 @@ from treetrace.channels import (
     ted_apply,
     ted_trace_distribution,
     ted_traces,
-    trace_of,
-    tree_of,
 )
 from treetrace.instances import forked_tree, path_tree, random_labels, random_tree
-from treetrace.trees import (
-    Node,
-    Tree,
-    enumerate_trees,
-    parse_tree,
-    preorder,
-    tree_from_dyck,
-    trees_equal,
-)
+from treetrace.trees import Tree, enumerate_trees, parse_tree, tree_from_dyck
 from conftest import make_rng
-from oracles import StaleTargetError, lp_apply, lp_trace, string_trace, ted_trace
+from oracles import StaleTargetError, form, lp_apply, lp_trace, string_trace, ted_trace
 import oracles
 
 
@@ -58,7 +48,7 @@ def test_string_trace_half_on_double_one():
 
 def test_ted_apply_empty_and_root():
     t = parse_tree("0(1,0)")
-    assert trees_equal(ted_apply(t, set()), t)
+    assert ted_apply(t, set()) is t
     with pytest.raises(InvalidDeletionError):
         ted_apply(t, {t.root})
     with pytest.raises(InvalidDeletionError):
@@ -67,7 +57,7 @@ def test_ted_apply_empty_and_root():
 
 def test_ted_apply_splice_example():
     t = parse_tree("0(1(1,0),1)")
-    internal = t.children_of(t.root)[0]
+    internal = t.children()[t.root][0]
     assert ted_apply(t, {internal}).canonical() == "0(1,0,1)"
 
 
@@ -76,95 +66,63 @@ def test_ted_apply_multi_deletion_matches_sequential():
     # grandparent at the parent's position, same as one-at-a-time contraction.
     for n in range(2, 8):
         for t in enumerate_trees(n):
-            others = preorder(t)[1:]
+            others = t.ids[1:]
             for r in range(1, len(others) + 1):
                 for subset in itertools.combinations(others, r):
                     step = t
                     for v in subset:
                         step = ted_apply(step, {v})
-                    assert trees_equal(step, ted_apply(t, set(subset)))
-
-
-def _reference_ted_apply(t, deleted):
-    """ted_apply by rebuilding every record from each node's survivor block."""
-    dels = set(deleted)
-    if not dels:
-        return t
-    order = preorder(t)
-    # expand[v]: the contiguous survivor block that stands where v stood.
-    expand = {}
-    for v in reversed(order):
-        if v in dels:
-            block = []
-            for c in t.nodes[v].children:
-                block.extend(expand[c])
-            expand[v] = block
-        else:
-            expand[v] = [v]
-    nodes = {}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        kids = []
-        for c in t.nodes[v].children:
-            kids.extend(expand[c])
-        nodes[v] = Node(t.nodes[v].label, tuple(kids))
-        stack.extend(kids)
-    return Tree(nodes, t.root, validate=False)
-
-
-def _assert_same_table(got, want):
-    # Records, not just canonical text: ids, labels, child order.
-    assert got.root == want.root
-    assert got.nodes == want.nodes
+                    assert form(step) == form(ted_apply(t, set(subset)))
 
 
 def _reversed_ids(t):
     """The same tree with id v renamed n - 1 - v: each parent id exceeds its children's."""
-    top = t.n - 1
-    nodes = {
-        top - v: Node(nd.label, tuple(top - c for c in nd.children))
-        for v, nd in t.nodes.items()
-    }
-    return Tree(nodes, top - t.root)
+    return Tree(t.word, t.labels, [t.n - 1 - v for v in t.ids])
+
+
+def _assert_splices(t, dels):
+    # The word, the labels and the ids, in preorder.
+    assert form(ted_apply(t, dels)) == form(oracles.ted_splice(t, dels))
 
 
 def test_ted_apply_matches_reference_exhaustive():
-    # Both id orders, so that a node that moves and also loses a child is
-    # edited in either order.
+    # Every subset of every tree with n <= 7, with random labels and with
+    # ids drawn without replacement from 0..3n-1 in random order.
+    rng = make_rng("ted-apply-splice")
     cases = 0
     for n in range(1, 8):
         for shape in enumerate_trees(n):
-            labelled = shape.with_labels({v: v % 2 for v in shape.nodes})
-            for t in (labelled, _reversed_ids(labelled)):
-                others = preorder(t)[1:]
-                for r in range(len(others) + 1):
-                    for subset in itertools.combinations(others, r):
-                        got, want = ted_apply(t, subset), _reference_ted_apply(t, subset)
-                        _assert_same_table(got, want)
-                        cases += 1
-    assert cases == 2 * 10_067  # Catalan(n - 1) * 2^(n - 1) summed over n <= 7
+            labels = "".join(map(str, rng.integers(0, 2, size=n).tolist()))
+            t = Tree(shape.word, labels, rng.permutation(3 * n)[:n].tolist())
+            others = t.ids[1:]
+            for r in range(len(others) + 1):
+                for subset in itertools.combinations(others, r):
+                    _assert_splices(t, subset)
+                    cases += 1
+    assert cases == 10_067  # Catalan(n - 1) * 2^(n - 1) summed over n <= 7
 
 
 def test_ted_apply_matches_reference_random_and_deep():
     rng = make_rng("ted-apply-reference")
     for _ in range(300):
         t = random_labels(random_tree(int(rng.integers(1, 201)), rng), rng)
-        others = preorder(t)[1:]
+        others = t.ids[1:]
         keep = rng.random(len(others)) >= rng.random()
-        dels = [v for v, k in zip(others, keep) if not k]
-        _assert_same_table(ted_apply(t, dels), _reference_ted_apply(t, dels))
-    deep = path_tree(3000)
-    dels = preorder(deep)[1::2]
-    got = ted_apply(deep, dels)
-    _assert_same_table(got, _reference_ted_apply(deep, dels))
-    assert got.n == 1501
+        _assert_splices(t, [v for v, k in zip(others, keep) if not k])
+    deep = _reversed_ids(random_labels(path_tree(3000), rng))
+    _assert_splices(deep, deep.ids[1::2])
+    assert ted_apply(deep, deep.ids[1::2]).n == 1501
+    _assert_splices(deep, {deep.ids[1700]})
+    _assert_splices(deep, {deep.ids[-1]})
+    fan = _reversed_ids(random_labels(tree_from_dyck("10" * 1500 + "1" + "10" * 1500 + "0"), rng))
+    _assert_splices(fan, {fan.ids[1501]})  # the middle child's 1,500 children splice in
+    assert ted_apply(fan, {fan.ids[1501]}).word == "10" * 3000
 
 
 def test_ted_trace_q0_and_path_probability():
     rng = make_rng("ted-path")
     t = path_tree(2)
-    assert trees_equal(ted_trace(t, 0.0, rng), t)
+    assert ted_trace(t, 0.0, rng) == t
     q = 0.3
     hits = sum(ted_trace(t, q, rng).n == 3 for _ in range(20000))
     assert abs(hits / 20000 - (1 - q) ** 2) < 0.015
@@ -214,26 +172,25 @@ def test_ted_trace_matches_distribution():
 
 def test_lp_apply_examples():
     a6 = path_tree(6)
-    for v in preorder(a6)[1:]:
-        assert trees_equal(lp_apply(a6, [v]), path_tree(5))
+    for v in a6.ids[1:]:
+        assert lp_apply(a6, [v]) == path_tree(5)
     b6 = forked_tree(6)
-    for v in preorder(b6)[1:]:
-        assert trees_equal(lp_apply(b6, [v]), path_tree(5))
-    assert trees_equal(lp_apply(a6, []), a6)
+    for v in b6.ids[1:]:
+        assert lp_apply(b6, [v]) == path_tree(5)
+    assert lp_apply(a6, []) == a6
 
 
 def test_lp_apply_shifts_labels():
     # Deleting the top of a labeled path shifts every label one step up.
     t = parse_tree("0(1(0(1)))")  # labels 0,1,0,1 down the path
-    got = lp_apply(t, [preorder(t)[1]])
-    labels = [got.nodes[v].label for v in preorder(got)]
-    assert labels == [0, 0, 1]
+    got = lp_apply(t, [t.ids[1]])
+    assert got.labels == "001"
 
 
 def test_lp_apply_stale_target():
     t = path_tree(3)
-    last = preorder(t)[-1]
-    first = preorder(t)[1]
+    last = t.ids[-1]
+    first = t.ids[1]
     with pytest.raises(StaleTargetError):
         lp_apply(t, [first, last])  # deleting first removes the path bottom
 
@@ -244,15 +201,15 @@ def test_lp_trace_path_always_shrinks_to_a_path():
         trace = lp_trace(path_tree(8), 0.5, rng)
         if trace.n == 1:
             continue  # every node marked: only the root remains
-        assert trees_equal(trace, path_tree(trace.n - 1))
+        assert trace == path_tree(trace.n - 1)
 
 
 def test_lp_trace_q0_identity_and_survival():
     rng = make_rng("lp-q0")
     t = forked_tree(5)
-    assert trees_equal(lp_trace(t, 0.0, rng), t)
+    assert lp_trace(t, 0.0, rng) == t
     q = 0.3
-    hits = sum(trees_equal(lp_trace(t, q, rng), t) for _ in range(20000))
+    hits = sum(lp_trace(t, q, rng) == t for _ in range(20000))
     assert abs(hits / 20000 - (1 - q) ** 5) < 0.015
 
 
@@ -284,7 +241,7 @@ def test_lp_trace_set_matches_lp_apply_closure():
     cases = [random_labels(shape, rng) for n in range(1, 7) for shape in enumerate_trees(n)]
     cases += [random_labels(random_tree(8, rng), rng) for _ in range(5)]
     for t in cases:
-        others = preorder(t)[1:]
+        others = t.ids[1:]
         for k in range(t.n):
             want = set()
             for seq in itertools.permutations(others, k):
@@ -297,16 +254,16 @@ def test_lp_trace_set_matches_lp_apply_closure():
 
 def test_lp_trace_set_is_the_support_of_lp_traces():
     # Every mark set of a small tree is drawn many times over at q = 0.5, and
-    # a trace with k marks has k fewer nodes; tr[:2] is its (word, labels).
+    # a trace with k marks has k fewer nodes.
     rng = make_rng("lp-set-support")
     for n in range(1, 6):
         for shape in enumerate_trees(n):
             t = random_labels(shape, rng)
             seen = {k: set() for k in range(n)}
             for tr in lp_traces(t, 0.5, 2000, rng):
-                seen[n - len(tr.labels)].add(tr[:2])
-            for k, pairs in seen.items():
-                assert {trace_of(u)[:2] for u in lp_trace_set(t, k)} == pairs
+                seen[n - len(tr.labels)].add(tr)
+            for k, traces in seen.items():
+                assert lp_trace_set(t, k) == traces
 
 
 def test_lp_trace_lands_in_trace_set():
@@ -317,7 +274,7 @@ def test_lp_trace_lands_in_trace_set():
     applied = 0
     for _ in range(50):
         t = random_tree(6, rng)
-        marks = [v for v in preorder(t)[1:] if rng.random() < 0.4]
+        marks = [v for v in t.ids[1:] if rng.random() < 0.4]
         try:
             chosen = lp_apply(t, marks)
         except StaleTargetError:
@@ -327,7 +284,7 @@ def test_lp_trace_lands_in_trace_set():
             assert chosen in lp_trace_set(t, len(marks))
         trace = lp_trace(t, 0.4, rng)
         k = t.n - trace.n
-        assert any(trees_equal(trace, u) for u in lp_trace_set(t, k))
+        assert trace in lp_trace_set(t, k)
     assert applied >= 25
 
 
@@ -416,8 +373,7 @@ def _matches_tree_oracle(batched, oracle, q, tag, large=()):
         rng_a, rng_b = make_rng(f"{tag}:{i}"), make_rng(f"{tag}:{i}")
         got = batched(t, q, count, rng_a)
         want = [oracle(t, q, rng_b) for _ in range(count)]
-        assert got == [trace_of(w) for w in want]
-        assert [tree_of(g).nodes for g in got] == [w.nodes for w in want]
+        assert [form(g) for g in got] == [form(w) for w in want]
         assert rng_a.random() == rng_b.random()
 
 
@@ -450,7 +406,7 @@ def test_string_traces_match_string_trace(q):
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
 def test_batched_samplers_repeat_rows(q):
-    """Small trees repeat mark rows at large counts; equal rows share one Trace."""
+    """Small trees repeat mark rows at large counts; equal rows share one trace."""
     rng = make_rng(f"batched-repeat-{q}")
     trees = [random_labels(t, rng) for n in range(1, 5) for t in enumerate_trees(n)]
     for batched, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
@@ -459,15 +415,15 @@ def test_batched_samplers_repeat_rows(q):
                 tag = f"batched-repeat-{q}:{batched.__name__}:{i}:{count}"
                 rng_a, rng_b = make_rng(tag), make_rng(tag)
                 got = batched(t, q, count, rng_a)
-                assert got == [trace_of(oracle(t, q, rng_b)) for _ in range(count)]
+                assert [form(g) for g in got] == [form(oracle(t, q, rng_b)) for _ in range(count)]
                 assert rng_a.random() == rng_b.random()
-                # One Trace per distinct mark row; under TED, distinct rows differ.
+                # One trace per distinct mark row; under TED, distinct rows differ.
                 shared = len({id(tr) for tr in got})
                 assert shared <= 2 ** (t.n - 1)
                 if batched is ted_traces:
-                    assert shared == len(set(got))
+                    assert shared == len({form(tr) for tr in got})
                 if q == 0.0:
-                    assert got == [trace_of(t)] * count
+                    assert [form(g) for g in got] == [form(t)] * count
 
 
 @pytest.mark.parametrize("shape", ["path-3000", "fan-2000"])
@@ -475,8 +431,7 @@ def test_batched_samplers_on_deep_and_wide_trees(shape):
     t = path_tree(3000) if shape == "path-3000" else tree_from_dyck("10" * 2000)
     for sample in (ted_traces, lp_traces):
         for tr in sample(t, 0.5, 2, make_rng(f"batched-{shape}")):
-            assert trace_of(tree_of(tr)) == tr
-            assert len(tr.word) == 2 * (len(tr.ids) - 1) and len(tr.labels) == len(tr.ids)
+            Tree(tr.word, tr.labels, tr.ids)  # raises unless the three agree
 
 
 def test_batched_samplers_check_q():
@@ -526,7 +481,7 @@ def test_memo_equal_tree_builds_its_own_rows(built_rows):
         rows = sum(built_rows)
         built_rows.clear()
         # Same shape, labels and ids, but another object: nothing is shared.
-        twin = tree_of(trace_of(t))
+        twin = Tree(t.word, t.labels, t.ids)
         assert twin == t and twin is not t
         again = sample(twin, 0.5, 256, make_rng("memo-draws"))
         assert sum(built_rows) == rows
@@ -538,7 +493,7 @@ def test_memo_equal_tree_builds_its_own_rows(built_rows):
 def test_memo_keeps_each_trees_own_ids(built_rows):
     shape = random_labels(tree_from_dyck("110100"), make_rng("memo-ids"))
     ids_sets = [(0, 1, 2, 3), (7, 2**64, 2**64 + 1, -3), (0, 2**63 + 1, 2**63 + 2, 5)]
-    trees = [tree_of(trace_of(shape)._replace(ids=ids)) for ids in ids_sets]
+    trees = [Tree(shape.word, shape.labels, ids) for ids in ids_sets]
     # Equal trees with other ids, sampled in turn: the second pass reads kept rows.
     for _ in range(2):
         built_rows.clear()
@@ -546,7 +501,8 @@ def test_memo_keeps_each_trees_own_ids(built_rows):
             for t, ids in zip(trees, ids_sets):
                 got = sample(t, 0.5, 64, make_rng("memo-ids-draws"))
                 oracle_rng = make_rng("memo-ids-draws")
-                assert got == [trace_of(oracle(t, 0.5, oracle_rng)) for _ in range(64)]
+                assert [form(g) for g in got] == [form(oracle(t, 0.5, oracle_rng))
+                                                  for _ in range(64)]
                 assert all(type(v) is int and v in ids for tr in got for v in tr.ids)
     assert built_rows == []
     assert all(len(kept_rows(t)) == 2 for t in trees)
@@ -558,7 +514,7 @@ def test_memo_keeps_ted_and_lp_apart(built_rows):
         for sample, oracle in ((ted_traces, ted_trace), (lp_traces, lp_trace)):
             rng_a, rng_b = make_rng("memo-models-draws"), make_rng("memo-models-draws")
             got = sample(t, 0.5, 128, rng_a)
-            assert got == [trace_of(oracle(t, 0.5, rng_b)) for _ in range(128)]
+            assert [form(g) for g in got] == [form(oracle(t, 0.5, rng_b)) for _ in range(128)]
     kept = kept_rows(t)
     ted_rows, lp_rows = kept[channels._ted_traces], kept[channels._lp_traces]
     assert ted_rows.keys() == lp_rows.keys()  # same draws, so the same keep rows
@@ -570,7 +526,7 @@ def test_memo_skips_trees_past_its_bound(built_rows):
     for sample in (ted_traces, lp_traces):
         for _ in range(2):  # nothing kept, so the second call builds its rows again
             got = sample(big, 0.9, 256, make_rng("memo-big"))
-            # Rows still dedup within the call: one build and one Trace per distinct row.
+            # Rows still dedup within the call: one build and one trace per distinct row.
             assert sum(built_rows) == len({id(tr) for tr in got}) < 256
             built_rows.clear()
         assert kept_rows(big) is None

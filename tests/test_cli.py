@@ -7,7 +7,7 @@ from treetrace import harness
 from treetrace.cli import load_spec_file, main
 from treetrace.harness import CSV_HEADER, trial_rng
 from treetrace.instances import forked_tree, path_tree, random_labels
-from treetrace.trees import dyck_string, format_tree, parse_tree, preorder_label_string
+from treetrace.trees import format_tree, parse_tree
 
 
 def run(capsys, *argv):
@@ -20,7 +20,7 @@ def test_gen_path(capsys):
     # gen prints trial (0, 0, 0)'s instance: A_3 with the labels it hides.
     code, out = run(capsys, "gen", "--family", "path", "--n", "3")
     assert code == 0
-    assert dyck_string(parse_tree(out.strip())) == "111000"
+    assert parse_tree(out.strip()).word == "111000"
     assert out.strip() == format_tree(random_labels(path_tree(3), trial_rng(0, 0, 0)))
 
 
@@ -68,12 +68,12 @@ def test_enumerate_lp(capsys):
     assert code == 0
     lines = out.split()
     assert lines
-    assert all(dyck_string(parse_tree(ln)) == "11110000" for ln in lines)
+    assert all(parse_tree(ln).word == "11110000" for ln in lines)
 
 
 def test_enumerate_ted_distribution(capsys):
     _, tree = run(capsys, "gen", "--family", "path", "--n", "2", "--q", "0.5")
-    _, l1, l2 = preorder_label_string(parse_tree(tree.strip()))
+    _, l1, l2 = parse_tree(tree.strip()).labels
     code, out = run(capsys, "enumerate", "--model", "ted", "--family", "path",
                     "--n", "2", "--q", "0.5")
     assert code == 0

@@ -19,6 +19,7 @@ from treetrace.harness import (
     trial_seed,
 )
 from conftest import make_rng
+import oracles
 
 
 def test_fnv1a64_reference_values():
@@ -198,31 +199,24 @@ def test_verify_detects_mutated_splice_order():
     # A broken TED that splices children in reverse order must be caught by
     # the traversal-preservation property.
     from treetrace.verify import check_traversal_preservation
-    from treetrace.trees import Node, Tree, preorder
 
     def mutated(t, deleted):
         dels = set(deleted)
         if not dels:
             return t
+        table = oracles.table_of(t)
         expand = {}
-        for v in reversed(preorder(t)):
+        for v in reversed(t.ids):
             if v in dels:
                 block = []
-                for c in reversed(t.nodes[v].children):  # wrong order
+                for c in reversed(table[v][1]):  # wrong order
                     block.extend(expand[c])
                 expand[v] = block
             else:
                 expand[v] = [v]
-        nodes = {}
-        stack = [t.root]
-        while stack:
-            v = stack.pop()
-            kids = []
-            for c in t.nodes[v].children:
-                kids.extend(expand[c])
-            nodes[v] = Node(t.nodes[v].label, tuple(kids))
-            stack.extend(kids)
-        return Tree(nodes, t.root, validate=False)
+        nodes = {v: (label, tuple(c for k in kids for c in expand[k]))
+                 for v, (label, kids) in table.items() if v not in dels}
+        return oracles.tree_of_table(nodes, t.root)
 
     ok, detail = check_traversal_preservation(max_n=5, ted_apply_fn=mutated)
     assert not ok
@@ -232,18 +226,18 @@ def test_order_check_catches_a_wrong_splice_on_pairs():
     # Right on every single deletion, so only a subset of two can show it:
     # on pairs, each parent that takes spliced children lists them backwards.
     from treetrace import channels
-    from treetrace.trees import Node, Tree
 
     def backwards_on_pairs(t, deleted):
         dels = set(deleted)
         out = channels.ted_apply(t, dels)
         if len(dels) != 2:
             return out
+        before = oracles.table_of(t)
         nodes = {
-            v: nd if nd.children == t.nodes[v].children else Node(nd.label, nd.children[::-1])
-            for v, nd in out.nodes.items()
+            v: (label, kids if kids == before[v][1] else kids[::-1])
+            for v, (label, kids) in oracles.table_of(out).items()
         }
-        return Tree(nodes, out.root, validate=False)
+        return oracles.tree_of_table(nodes, out.root)
 
     # Below six nodes, two deletions leave at most two leaves under the root,
     # which read the same either way round.
@@ -255,18 +249,17 @@ def test_order_check_catches_a_wrong_splice_on_pairs():
 
 def test_order_check_catches_order_dependent_single_deletions(monkeypatch):
     # A single deletion that appends the children at the end of the parent's
-    # list: deleting v then w and w then v give different id tables.
+    # list: deleting v then w and w then v give different id orders.
     from treetrace import channels
-    from treetrace.trees import Node, Tree
 
     def append_children(t, deleted):
-        nodes = dict(t.nodes)
+        nodes = oracles.table_of(t)
         for v in deleted:
-            kids = nodes.pop(v).children
-            u = next(u for u, nd in nodes.items() if v in nd.children)
-            rest = tuple(c for c in nodes[u].children if c != v)
-            nodes[u] = Node(nodes[u].label, rest + kids)
-        return Tree(nodes, t.root, validate=False)
+            kids = nodes.pop(v)[1]
+            u = next(u for u, (_, cs) in nodes.items() if v in cs)
+            label, cs = nodes[u]
+            nodes[u] = (label, tuple(c for c in cs if c != v) + kids)
+        return oracles.tree_of_table(nodes, t.root)
 
     monkeypatch.setattr(channels, "ted_apply", append_children)
     ok, detail = verify.check_ted_order_invariance(max_n=5)

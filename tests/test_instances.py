@@ -21,17 +21,9 @@ from treetrace.instances import (
     random_tree,
     read_encoded_string,
 )
-from treetrace.trees import (
-    Node,
-    Tree,
-    dyck_string,
-    format_tree,
-    is_fuzzy,
-    preorder,
-    tree_from_dyck,
-)
+from treetrace.trees import Tree, format_tree, is_fuzzy, tree_from_dyck
 from conftest import make_rng
-from oracles import fuzzy_words
+from oracles import form, fuzzy_words, tree_of_table
 
 
 def test_buffer_length_examples():
@@ -77,11 +69,17 @@ def test_encode_readback_exhaustive_short():
 def test_encoded_id_layout():
     inst = encode_string_as_tree("10", 2)
     s_len, ell = 2, 2
+    kids = inst.tree.children()
     for i in (1, 2):
         leaf = encoded_leaf_id(s_len, ell, i)
         parent = encoded_parent_id(s_len, ell, i)
-        assert leaf in inst.tree.children_of(parent)
-        assert inst.tree.is_leaf(leaf)
+        assert leaf in kids[parent]
+        assert kids[leaf] == ()
+    # The whole table: backbone ids 0..5 down the path, leaf ids 6 and 7.
+    table = {0: (0, (1,)), 1: (0, (2,)), 2: (0, (3, 6)), 3: (0, (7, 4)), 4: (0, (5,)),
+             5: (0, ()), 6: (0, ()), 7: (0, ())}
+    assert form(inst.tree) == form(tree_of_table(table, 0))
+    assert inst.tree.ids == (0, 1, 2, 3, 7, 4, 5, 6)
 
 
 def test_path_and_fork_shapes():
@@ -96,7 +94,7 @@ def test_path_fork_agree_until_fork():
     # Identical structure until node n-2: both are chains above the fork point.
     n = 8
     b = forked_tree(n)
-    chain = [v for v in preorder(b) if len(b.children_of(v)) == 1]
+    chain = [v for v, kids in b.children().items() if len(kids) == 1]
     assert len(chain) == n - 2
 
 
@@ -126,9 +124,9 @@ def test_random_fuzzy_tree_invariant_audit():
         assert t.n == n
         assert is_fuzzy(t, m)
         # Stronger generator postcondition: every leaf block has size m.
-        for v in t.nodes:
-            kids = t.children_of(v)
-            if kids and all(t.is_leaf(c) for c in kids):
+        children = t.children()
+        for kids in children.values():
+            if kids and not any(children[c] for c in kids):
                 assert len(kids) == m
 
 
@@ -215,15 +213,16 @@ def test_fuzzy_words_small_complete():
             family = fuzzy_class(n, m)
             expected = set()
             for t in enumerate_trees(n):
-                word = dyck_string(t)
+                word = t.word
                 assert in_fuzzy_class(word, n, m) == (word in family)
                 if not is_fuzzy(t, m):
                     continue
-                leaves = [v for v in t.nodes if t.is_leaf(v)]
-                parent = {c: u for u in t.nodes for c in t.children_of(u)}
+                kids = t.children()
+                leaves = [v for v in t.ids if not kids[v]]
+                parent = {c: u for u in t.ids for c in kids[u]}
                 terminal = [
                     v for v in leaves
-                    if all(t.is_leaf(c) for c in t.children_of(parent[v]))
+                    if not any(kids[c] for c in kids[parent[v]])
                 ]
                 if len(terminal) == len(leaves):
                     expected.add(word)
@@ -237,7 +236,7 @@ def test_random_fuzzy_tree_draws_from_fuzzy_words():
     for _ in range(300):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(m + 1, 41))
-        word = dyck_string(random_fuzzy_tree(n, m, rng))
+        word = random_fuzzy_tree(n, m, rng).word
         assert in_fuzzy_class(word, n, m)
         if n <= 16:
             assert word in fuzzy_class(n, m)
@@ -257,7 +256,7 @@ def test_random_tree_uniform_n4():
 def _reference_random_tree(n, rng):
     """random_tree by shuffling the +1/-1 steps themselves."""
     if n == 1:
-        return Tree({0: Node(0)}, 0)
+        return Tree("", "0")
     m = n - 1
     steps = rng.permutation([1] * (m + 1) + [-1] * m)
     prefix = steps.cumsum()
@@ -274,7 +273,7 @@ def test_random_tree_matches_reference(n):
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)
         got, want = random_tree(n, got_rng), _reference_random_tree(n, want_rng)
-        assert got.root == want.root and got.nodes == want.nodes
+        assert form(got) == form(want)
         assert got_rng.random() == want_rng.random()
 
 
@@ -283,7 +282,7 @@ def _assert_words_match_random_tree_calls(n, count, seed):
     got_rng = np.random.default_rng(seed)
     want_rng = np.random.default_rng(seed)
     got = random_dyck_words(n, count, got_rng)
-    assert got == [dyck_string(random_tree(n, want_rng)) for _ in range(count)]
+    assert got == [random_tree(n, want_rng).word for _ in range(count)]
     assert got_rng.random() == want_rng.random()
 
 
@@ -313,6 +312,6 @@ def test_random_labels_are_fair_bits():
     ones = 0
     for _ in range(2000):
         lt = random_labels(t, rng)
-        ones += sum(nd.label for nd in lt.nodes.values())
+        ones += lt.labels.count("1")
     freq = ones / (2000 * 10)
     assert abs(freq - 0.5) < 0.02

@@ -20,7 +20,7 @@ from treetrace.string_recon import (
     mean_reconstruct,
     ml_reconstruct,
 )
-from treetrace.trees import dyck_string, enumerate_trees
+from treetrace.trees import enumerate_trees
 from treetrace.verify import enumeration_mean_vector, sample_empirical_mean
 from conftest import make_rng
 import oracles
@@ -450,7 +450,7 @@ def test_mean_reconstruct_dyck_candidates_under_ted():
     # the check runs at a mild deletion rate.
     rng = make_rng("mean-dyck")
     n = 6
-    by_word = {dyck_string(t): t for t in enumerate_trees(n)}
+    by_word = {t.word: t for t in enumerate_trees(n)}
     cands = sorted(by_word)
     ok = 0
     trials = 20
@@ -458,7 +458,7 @@ def test_mean_reconstruct_dyck_candidates_under_ted():
         word = cands[int(rng.integers(len(cands)))]
         truth = by_word[word]
         traces = [
-            dyck_string(oracles.ted_trace(truth, 0.1, rng)) for _ in range(500)
+            oracles.ted_trace(truth, 0.1, rng).word for _ in range(500)
         ]
         ok += mean_reconstruct(traces, len(word), 0.1, candidates=cands) == word
     assert ok / trials >= 0.8

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from treetrace import channels, instances
-from treetrace.channels import trace_of
 from treetrace.tree_recon import (
     MergeError,
     ReconstructionFailedError,
@@ -19,12 +18,7 @@ from treetrace.tree_recon import (
     reconstruct_fuzzy,
     reconstruct_labels_known_topology,
 )
-from treetrace.trees import (
-    enumerate_trees,
-    parse_tree,
-    preorder,
-    trees_equal,
-)
+from treetrace.trees import enumerate_trees, parse_tree
 from conftest import make_rng
 import oracles
 
@@ -34,8 +28,8 @@ def test_known_topology_q0_single_trace():
     for n in range(1, 7):
         for topo in enumerate_trees(n):
             truth = instances.random_labels(topo, rng)
-            got = reconstruct_labels_known_topology(topo, [trace_of(truth)], 0.0)
-            assert trees_equal(got, truth)
+            got = reconstruct_labels_known_topology(topo, [truth], 0.0)
+            assert got == truth
 
 
 def test_known_topology_path_is_string_reconstruction():
@@ -43,9 +37,9 @@ def test_known_topology_path_is_string_reconstruction():
     rng = make_rng("kt-path")
     topo = instances.path_tree(7)
     truth = instances.random_labels(topo, rng)
-    traces = [trace_of(oracles.ted_trace(truth, 0.1, rng)) for _ in range(64)]
+    traces = [oracles.ted_trace(truth, 0.1, rng) for _ in range(64)]
     got = reconstruct_labels_known_topology(topo, traces, 0.1)
-    assert trees_equal(got, truth)
+    assert got == truth
 
 
 def test_known_topology_under_lp_channel():
@@ -54,9 +48,9 @@ def test_known_topology_under_lp_channel():
     for _ in range(20):
         topo = instances.random_tree(8, rng)
         truth = instances.random_labels(topo, rng)
-        traces = [trace_of(oracles.lp_trace(truth, 0.1, rng)) for _ in range(64)]
+        traces = [oracles.lp_trace(truth, 0.1, rng) for _ in range(64)]
         got = reconstruct_labels_known_topology(topo, traces, 0.1)
-        ok += trees_equal(got, truth)
+        ok += got == truth
     assert ok >= 18
 
 
@@ -71,7 +65,7 @@ def test_dual_strings_lengths():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             s0, s1 = dual_strings(t)
-            n_leaves = sum(map(t.is_leaf, t.nodes))
+            n_leaves = sum(not kids for kids in t.children().values())
             assert len(s0) == len(s1) == (t.n - 1) + n_leaves
             # The word-based strings agree with the owner-tracking walk.
             w0, _, w1, _ = dual_strings_with_owners(t)
@@ -83,10 +77,10 @@ def test_single_deletion_removes_owned_symbols():
     # deleted node's symbols from both strings.
     for t in enumerate_trees(6):
         s0, own0, s1, own1 = dual_strings_with_owners(t)
-        original_leaves = {u for u in t.nodes if t.is_leaf(u)}
-        for v in preorder(t)[1:]:
+        original_leaves = {u for u, kids in t.children().items() if not kids}
+        for v in t.ids[1:]:
             trace = channels.ted_apply(t, {v})
-            if any(trace.is_leaf(u) and u not in original_leaves for u in trace.nodes):
+            if any(not kids and u not in original_leaves for u, kids in trace.children().items()):
                 continue  # orphaned parent: not a pure symbol deletion
             got0, got1 = dual_strings(trace)
             assert got0 == "".join(c for c, u in zip(s0, own0) if u != v)
@@ -94,11 +88,11 @@ def test_single_deletion_removes_owned_symbols():
 
 
 def test_merge_examples_and_roundtrip():
-    assert trees_equal(merge_dual_strings("2020", "1212"), parse_tree("0(0,0)"))
+    assert merge_dual_strings("2020", "1212") == parse_tree("0(0,0)")
     for n in range(1, 7):
         for t in enumerate_trees(n):
             s0, s1 = dual_strings(t)
-            assert trees_equal(merge_dual_strings(s0, s1), t)
+            assert merge_dual_strings(s0, s1) == t
 
 
 def test_merge_rejects_bad_pairs():
@@ -121,10 +115,10 @@ def test_reconstruct_fuzzy_q0():
     for n in (17, 36):
         for _ in range(10):
             truth = instances.random_fuzzy_tree(n, 3, rng)
-            got = reconstruct_fuzzy([trace_of(truth)], n, 3, 0.0)
-            assert trees_equal(got, truth)
+            got = reconstruct_fuzzy([truth], n, 3, 0.0)
+            assert got == truth
     with pytest.raises(ValueError, match="no fuzzy tree with n=3, m=3"):
-        reconstruct_fuzzy([trace_of(instances.path_tree(2))], 3, 3, 0.1)
+        reconstruct_fuzzy([instances.path_tree(2)], 3, 3, 0.1)
 
 
 def fuzzy_classes(sizes):
@@ -163,19 +157,19 @@ def test_reconstruct_fuzzy_monte_carlo():
     ok = 0
     for _ in range(10):
         truth = instances.random_fuzzy_tree(n, m, rng)
-        traces = [trace_of(oracles.ted_trace(truth, q, rng)) for _ in range(64)]
+        traces = [oracles.ted_trace(truth, q, rng) for _ in range(64)]
         try:
             got = reconstruct_fuzzy(traces, n, m, q)
         except ReconstructionFailedError:
             continue
-        ok += trees_equal(got, truth)
+        ok += got == truth
     assert ok >= 8
 
 
 def test_reconstruct_encoded_q0():
     s = "10110010"
     inst = instances.encode_string_as_tree(s, 2)
-    assert reconstruct_encoded([trace_of(inst.tree)], 8, 2, 0.0) == s
+    assert reconstruct_encoded([inst.tree], 8, 2, 0.0) == s
 
 
 def test_reconstruct_encoded_undecided():
@@ -185,7 +179,7 @@ def test_reconstruct_encoded_undecided():
     dels = {instances.encoded_leaf_id(3, 1, i) for i in (1, 2, 3)}
     trace = channels.ted_apply(inst.tree, dels)
     with pytest.raises(UndecidedPositionsError) as err:
-        reconstruct_encoded([trace_of(trace)], 3, 1, 0.3)
+        reconstruct_encoded([trace], 3, 1, 0.3)
     assert err.value.positions == [1, 2, 3]
 
 
@@ -197,7 +191,7 @@ def test_reconstruct_encoded_monte_carlo():
         s = "".join(str(int(b)) for b in rng.integers(0, 2, size=8))
         ell = instances.buffer_length(0.05, 32, q)
         inst = instances.encode_string_as_tree(s, ell)
-        traces = [trace_of(oracles.ted_trace(inst.tree, q, rng)) for _ in range(32)]
+        traces = [oracles.ted_trace(inst.tree, q, rng) for _ in range(32)]
         try:
             ok += reconstruct_encoded(traces, 8, ell, q) == s
         except UndecidedPositionsError:
@@ -212,7 +206,7 @@ def test_encoded_removal_stats_match_q_squared():
     ell = 4
     inst = instances.encode_string_as_tree(s, ell)
     n_traces = 4000
-    traces = [trace_of(oracles.ted_trace(inst.tree, q, rng)) for _ in range(n_traces)]
+    traces = [oracles.ted_trace(inst.tree, q, rng) for _ in range(n_traces)]
     stats = oracles.encoded_removal_stats(traces, 8, ell)
     expect = q * q
     sigma = math.sqrt(expect * (1 - expect) / stats["trials"])

@@ -1,5 +1,4 @@
 import math
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -7,19 +6,14 @@ from hypothesis import strategies as st
 
 from treetrace.trees import (
     DyckStringError,
-    Node,
     Tree,
     TreeTextError,
-    dyck_string,
     dyck_words,
     enumerate_trees,
     format_tree,
     is_fuzzy,
     parse_tree,
-    preorder,
-    preorder_label_string,
     tree_from_dyck,
-    trees_equal,
 )
 from conftest import make_rng
 import oracles
@@ -27,34 +21,34 @@ import oracles
 
 def test_preorder_single_node():
     t = parse_tree("1")
-    assert preorder(t) == [t.root]
+    assert t.ids == (t.root,)
 
 
 def test_preorder_root_with_children():
     t = parse_tree("0(1,0)")
-    order = preorder(t)
-    assert order[0] == t.root
-    assert len(order) == 3
+    assert t.ids[0] == t.root
+    assert len(t.ids) == t.n == 3
 
 
 def test_preorder_hand_simulated():
     # root(a(c), b): visit root, a, c, then b.
     t = parse_tree("0(0(0),0)")
-    assert preorder(t) == [0, 1, 2, 3]
+    assert t.ids == (0, 1, 2, 3)
+    assert t.children() == {0: (1, 3), 1: (2,), 2: (), 3: ()}
 
 
 def test_label_string_examples():
-    assert preorder_label_string(parse_tree("1")) == "1"
-    assert preorder_label_string(parse_tree("0(1,0)")) == "010"
+    assert parse_tree("1").labels == "1"
+    assert parse_tree("0(1,0)").labels == "010"
     t = parse_tree("1(0(1),1)")
-    assert preorder_label_string(t) == "1011"
+    assert t.labels == "1011"
 
 
 def test_dyck_examples():
-    assert dyck_string(parse_tree("0")) == ""
-    assert dyck_string(parse_tree("0(0)")) == "10"
-    assert dyck_string(parse_tree("0(0(0))")) == "1100"
-    assert dyck_string(parse_tree("0(0,0)")) == "1010"
+    assert parse_tree("0").word == ""
+    assert parse_tree("0(0)").word == "10"
+    assert parse_tree("0(0(0))").word == "1100"
+    assert parse_tree("0(0,0)").word == "1010"
 
 
 def test_tree_from_dyck_examples():
@@ -84,9 +78,8 @@ def test_tree_from_dyck_rejects_malformed(bad, message):
 def test_dyck_roundtrip_exhaustive():
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            word = dyck_string(t)
-            assert len(word) == 2 * (n - 1)
-            assert trees_equal(tree_from_dyck(word), t)
+            assert len(t.word) == 2 * (n - 1)
+            assert tree_from_dyck(t.word) == t
 
 
 def test_enumerate_trees_catalan_counts():
@@ -112,23 +105,28 @@ def test_enumerate_trees_catalan_counts():
 
 def test_trees_equal_spec_examples():
     t = parse_tree("0(1,0)")
-    assert trees_equal(t, t)
-    assert not trees_equal(parse_tree("0(0,1)"), parse_tree("0(1,0)"))
-    assert not trees_equal(parse_tree("0(1,1)"), parse_tree("0(1,0)"))
+    assert t == t
+    assert parse_tree("0(0,1)") != parse_tree("0(1,0)")
+    assert parse_tree("0(1,1)") != parse_tree("0(1,0)")
+    assert parse_tree("0(0(0))") != parse_tree("0(0,0)")
 
 
 def test_equality_ignores_node_ids():
     a = parse_tree("1(0,1)")
     b = parse_tree(format_tree(a))
     assert a == b and hash(a) == hash(b)
+    for ids in [(5, 9, 2), (-1, 2**64, 0)]:
+        other = Tree(a.word, a.labels, ids)
+        assert other.ids == ids and other == a and hash(other) == hash(a)
+        assert {a, other} == {a}
 
 
 def test_parse_examples():
     assert parse_tree("1").n == 1
     t = parse_tree("0(1,0(1),1)")
     assert format_tree(t) == "0(1,0(1),1)"
-    kids = t.children_of(t.root)
-    assert [t.nodes[v].label for v in kids] == [1, 0, 1]
+    kids = t.children()[t.root]
+    assert [t.labels[t.ids.index(v)] for v in kids] == ["1", "0", "1"]
 
 
 def test_parse_ignores_whitespace_format_emits_none():
@@ -150,7 +148,7 @@ def test_parse_format_roundtrip_random():
     for _ in range(500):
         n = int(rng.integers(1, 51))
         t = random_labels(random_tree(n, rng), rng)
-        assert trees_equal(parse_tree(format_tree(t)), t)
+        assert parse_tree(format_tree(t)) == t
 
 
 def test_parse_deep_path_roundtrip():
@@ -160,43 +158,59 @@ def test_parse_deep_path_roundtrip():
     assert format_tree(t) == text
 
 
+def test_parse_wide_fan_roundtrip():
+    text = "1(" + ",".join(str(i % 3 % 2) for i in range(3000)) + ")"
+    t = parse_tree(text)
+    assert t.n == 3001 and t.word == "10" * 3000
+    assert format_tree(t) == text
+
+
 def test_parse_tree_deep_chain_and_wide_fan():
     chain = parse_tree("0(" * 2999 + "1" + ")" * 2999)
     assert chain.n == 3000
-    assert preorder(chain) == list(range(3000))
-    assert preorder_label_string(chain) == "0" * 2999 + "1"
-    assert chain.children_of(2998) == (2999,)
+    assert chain.ids == tuple(range(3000))
+    assert chain.labels == "0" * 2999 + "1"
+    assert chain.children()[2998] == (2999,)
     fan = parse_tree("1(" + ",".join("0(1)" if i == 7 else str(i % 2) for i in range(2000)) + ")")
     assert fan.n == 2002
-    assert preorder(fan) == list(range(2002))
-    assert fan.children_of(0) == tuple(range(1, 9)) + tuple(range(10, 2002))
-    assert fan.children_of(8) == (9,)
+    assert fan.ids == tuple(range(2002))
+    kids = fan.children()
+    assert kids[0] == tuple(range(1, 9)) + tuple(range(10, 2002))
+    assert kids[8] == (9,)
     assert format_tree(fan).startswith("1(0,1,0,1,0,1,0,0(1),0,1")
 
 
-def test_tree_copies_its_node_table():
-    table = {0: Node(0, (1,)), 1: Node(1)}
-    t = Tree(table, 0)
-    table[0] = Node(0, ())
-    del table[1]
-    assert t.n == 2 and format_tree(t) == "0(1)"
-    proxied = Tree(types.MappingProxyType({0: Node(1, (1,)), 1: Node(0)}), 0)
-    assert type(proxied.nodes) is dict
-    assert format_tree(proxied) == "1(0)"
+def test_format_tree_matches_the_stack_walk():
+    # Every shape with n <= 8, with random labels and with ids that are not
+    # preorder indices.
+    rng = make_rng("format-stack-walk")
+    count = 0
+    for n in range(1, 9):
+        for shape in enumerate_trees(n):
+            labels = "".join(map(str, rng.integers(0, 2, size=n).tolist()))
+            t = Tree(shape.word, labels, rng.permutation(3 * n)[:n].tolist())
+            text = format_tree(t)
+            assert text == oracles.format_tree(t)
+            assert parse_tree(text) == t
+            count += 1
+    assert count == 626  # Catalan(n - 1) summed over n <= 8
 
 
-@pytest.mark.parametrize("table, root, message", [
-    ({1: Node(0)}, 0, "root identifier missing from node table"),
-    ({0: Node(0, (1,)), 1: Node(0, (0,))}, 0, r"node 0 reached twice \(cycle"),
-    ({0: Node(0, (1, 2)), 1: Node(0, (3,)), 2: Node(0, (3,)), 3: Node(0)}, 0,
-     "node 3 reached twice"),
-    ({0: Node(0, (1, 5)), 1: Node(0)}, 0, "child 5 of node 0 missing from node table"),
-    ({0: Node(0, (1,)), 1: Node(2)}, 0, "label of node 1 must be a bit, got 2"),
-    ({0: Node(0, (1,)), 1: Node(0), 2: Node(1, (1,))}, 0, "unreachable nodes present"),
+@pytest.mark.parametrize("word, labels, ids, error, message", [
+    ("01", "00", None, DyckStringError, "unmatched 0 at position 0"),
+    ("110", "00", None, DyckStringError, "unmatched 1s remain at end of input"),
+    ("1020", "000", None, DyckStringError, "non-binary symbol in '1020'"),
+    ("10", "0", None, ValueError, "need 2 label bits, got '0'"),
+    ("10", "011", None, ValueError, "need 2 label bits, got '011'"),
+    ("10", "02", None, ValueError, "need 2 label bits, got '02'"),
+    ("1010", "000", (4, 7, 4), ValueError, r"need 3 distinct node ids, got \(4, 7, 4\)"),
+    ("1010", "000", (4, 7), ValueError, r"need 3 distinct node ids, got \(4, 7\)"),
+    ("", "0", (), ValueError, r"need 1 distinct node ids, got \(\)"),
 ])
-def test_tree_rejects_malformed_tables(table, root, message):
-    with pytest.raises(ValueError, match=message):
-        Tree(table, root)
+def test_tree_rejects_malformed_forms(word, labels, ids, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        Tree(word, labels, ids)
+    Tree(word, labels, ids, validate=False)  # unchecked: the caller vouches for it
 
 
 @st.composite
@@ -210,9 +224,9 @@ def deep_and_wide_trees(draw):
     path_kids = {v: [v + 1] if v < depth else [] for v in range(depth + 1)}
     fan = list(range(depth + 1, depth + 1 + width))
     path_kids[at] = fan + path_kids[at] if fan_first else path_kids[at] + fan
-    nodes = {v: Node(rnd.randint(0, 1), tuple(kids)) for v, kids in path_kids.items()}
-    nodes.update({v: Node(rnd.randint(0, 1)) for v in fan})
-    return Tree(nodes, 0)
+    nodes = {v: (rnd.randint(0, 1), tuple(kids)) for v, kids in path_kids.items()}
+    nodes.update({v: (rnd.randint(0, 1), ()) for v in fan})
+    return oracles.tree_of_table(nodes, 0)
 
 
 @given(deep_and_wide_trees())
@@ -221,7 +235,8 @@ def test_deep_and_wide_trees_survive_format_parse(t):
     back = parse_tree(format_tree(t))
     assert back.n == t.n
     assert back == t
-    assert dyck_string(back) == dyck_string(t)
+    assert back.word == t.word
+    assert format_tree(t) == oracles.format_tree(t)
 
 
 @st.composite
@@ -244,7 +259,7 @@ def random_dyck_words(draw, max_pairs=25):
 @given(random_dyck_words())
 @settings(max_examples=200, deadline=None)
 def test_dyck_roundtrip_property(word):
-    assert dyck_string(tree_from_dyck(word)) == word
+    assert tree_from_dyck(word).word == word
 
 
 def test_is_fuzzy():
