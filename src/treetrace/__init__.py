@@ -14,8 +14,8 @@ from .channels import (
     string_trace_prob,
     string_traces,
     ted_apply,
-    ted_trace_distribution,
     ted_traces,
+    trace_law,
 )
 from .harness import (
     BudgetExceededError,

@@ -7,10 +7,10 @@ the surviving nodes.  Equal draws share one immutable `Tree`, also across
 calls on the same small source tree object (see `_sampled`).  The node-table
 samplers that build one tree per trace from the same random stream live in
 tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
-functions have hard size caps: `ted_trace_distribution` and
-`string_trace_prob` are pure enumeration oracles, while `lp_trace_set`
-enumerates mark sets under the sampler's LP rule, which the tests check
-against `lp_apply` (tests/oracles.py).
+functions have hard size caps: `string_trace_prob` is pure enumeration, and
+`trace_law` sends every TED or LP deletion mask through the samplers' rule;
+`lp_trace_set` is its k-mark slice.  `verify.ted_subset_law` (`ted_apply`
+on every subset) and `lp_apply` (tests/oracles.py) are its oracles.
 
 Left propagation (LP) marks each non-root node with probability q and
 deletes the marks in ascending preorder.  A deletion at a node shifts the
@@ -98,28 +98,6 @@ def ted_apply(t: Tree, deleted: Iterable[int]) -> Tree:
             word.append(ch)
     return Tree("".join(word), "".join(itertools.compress(t.labels, kept)),
                 tuple(itertools.compress(t.ids, kept)), validate=False)
-
-
-def ted_trace_distribution(t: Tree, q: float) -> dict[str, float]:
-    """Exact law of a TED trace of t over all 2^(n-1) deletion subsets.
-
-    Keys are the canonical texts of the traces; the probabilities sum to 1.
-    """
-    _check_q(q)
-    if t.n > TED_ENUM_CAP:
-        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
-    others = t.ids[1:]
-    k = len(others)
-    p = 1.0 - q
-    entries: dict[str, float] = {}
-    for mask in range(1 << k):
-        dels = {others[i] for i in range(k) if mask >> i & 1}
-        prob = (q ** len(dels)) * (p ** (k - len(dels)))
-        if prob == 0.0:
-            continue
-        key = ted_apply(t, dels).canonical()
-        entries[key] = entries.get(key, 0.0) + prob
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +251,38 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Tree]:
     return _sample(t, q, count, rng, _lp_traces)
 
 
+def trace_law(t: Tree, q: float, model: str) -> dict[Tree, float]:
+    """Exact law of a TED or LP trace of t: all 2^(n-1) masks through the samplers' rule.
+
+    Bit i of row r deletes (TED) or marks (LP) the (i+1)-th non-root node in
+    preorder.  A row with d set bits weighs q^d p^(k-d); equal traces sum in
+    row order, keyed by the first row's trace, with its source ids.
+    """
+    _check_q(q)
+    build = {"ted": _ted_traces, "lp": _lp_traces}.get(model)
+    if build is None:
+        raise ValueError(f"model must be 'ted' or 'lp', got {model!r}")
+    if t.n > TED_ENUM_CAP:
+        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
+    k, p = t.n - 1, 1.0 - q
+    keep = (np.arange(1 << k)[:, None] << 1 >> np.arange(t.n)) & 1 == 0  # the root's bit is 0
+    law: dict[Tree, float] = {}
+    for trace, d in zip(build(_sampled(t)[0], keep), (t.n - keep.sum(axis=1)).tolist()):
+        prob = (q ** d) * (p ** (k - d))
+        if prob:
+            law[trace] = law.get(trace, 0.0) + prob
+    return law
+
+
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     """All trees that k left-propagation deletions can leave, any targets.
 
-    Every set of k marks goes through the sampler's rule (`_lp_traces`), as
-    one row of a label mask; of equal traces the set keeps the first mark
-    set's, with its source ids.  So the set is the support of `lp_traces`
-    with k marks by construction; that no order of deletion reaches a tree
-    outside it is checked against `lp_apply` in the tests.
+    The traces of `trace_law(t, 0.5, "lp")` with n - k nodes, so the support
+    of `lp_traces` with k marks; the tests check it against `lp_apply`.
     """
-    if t.n > TED_ENUM_CAP:
-        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
-    marks = np.array(list(itertools.combinations(range(1, t.n), k)), dtype=np.intp)
-    labels = np.ones((len(marks), t.n), dtype=bool)
-    labels[np.arange(len(marks))[:, None], marks] = False
-    return set(_lp_traces(_sampled(t)[0], labels))
+    return {trace for trace in trace_law(t, 0.5, "lp") if trace.n == t.n - k}
 
 
 def count_embeddings(s: str, trace: str) -> int:

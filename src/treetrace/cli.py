@@ -86,11 +86,9 @@ def _cmd_enumerate(args) -> int:
     if args.model == "lp":
         out = sorted(t.canonical() for t in channels.lp_trace_set(inst.source, int(args.traces)))
     else:
-        dist = channels.ted_trace_distribution(inst.source, args.q)
-        out = [
-            f"{prob!r}\t{key}"
-            for key, prob in sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        ]
+        law = channels.trace_law(inst.source, args.q, "ted")
+        rows = sorted((-prob, trace.canonical()) for trace, prob in law.items())
+        out = [f"{-neg!r}\t{text}" for neg, text in rows]
     _emit("\n".join(out) + "\n", args.out)
     return 0
 
@@ -165,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gen": (_cmd_gen, "emit an instance as tree text"),
         "trace": (_cmd_trace, "sample traces to a file, one per line"),
         "recon": (_cmd_recon, "run a reconstruction pipeline on a trace file"),
-        "enumerate": (_cmd_enumerate, "print lp_trace_set / ted_trace_distribution"),
+        "enumerate": (_cmd_enumerate, "print lp_trace_set / the TED trace_law"),
         "experiment": (_cmd_experiment, "run an experiment sweep, emit CSV"),
         "search": (_cmd_search, "doubling search for the trace budget"),
         "verify": (_cmd_verify, "run the property-check battery"),

@@ -95,12 +95,13 @@ def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
 def read_encoded_string(inst: EncodedInstance) -> str:
     """Recover the source string from leaf orientations (construction inverse)."""
     s_len = len(inst.source_string)
-    kids = inst.tree.children()
+    ids = inst.tree.ids
+    rank = {v: r for r, v in enumerate(ids)}
     bits = []
     for i in range(1, s_len + 1):
         parent = encoded_parent_id(s_len, inst.buffer_len, i)
         leaf = encoded_leaf_id(s_len, inst.buffer_len, i)
-        bits.append("0" if kids[parent][0] == leaf else "1")
+        bits.append("0" if ids[rank[parent] + 1] == leaf else "1")  # first child: next in preorder
     return "".join(bits)
 
 

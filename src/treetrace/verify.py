@@ -166,11 +166,24 @@ def check_dyck_pair_removal(max_n: int = 8):
     return True, f"{checked} single deletions removed exactly the matched 1,0 pair"
 
 
+def ted_subset_law(t: Tree, q: float) -> dict[Tree, float]:
+    """Independent oracle of the TED `trace_law`: `ted_apply` on each subset, in row order."""
+    others = t.ids[1:]
+    k, p = len(others), 1.0 - q
+    law: dict[Tree, float] = {}
+    for mask in range(1 << k):
+        dels = {others[i] for i in range(k) if mask >> i & 1}
+        prob = (q ** len(dels)) * (p ** (k - len(dels)))
+        if prob:
+            trace = channels.ted_apply(t, dels)
+            law[trace] = law.get(trace, 0.0) + prob
+    return law
+
+
 def check_ted_distribution_normalization(max_n: int = 6):
     checked = 0
     for t in _all_trees_up_to(max_n):
-        dist = channels.ted_trace_distribution(t, 0.35)
-        total = sum(dist.values())
+        total = sum(channels.trace_law(t, 0.35, "ted").values())
         if abs(total - 1.0) > 1e-9:
             return False, f"sum {total} for {t!r}"
         checked += 1
@@ -202,11 +215,8 @@ def check_string_trace_mc(s: str = "10110100", q: float = 0.5,
 def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, seed: int = 0):
     rng = _rng("ted-mc", seed)
     t = instances.random_tree(n, rng)
-    dist = channels.ted_trace_distribution(t, q)
-    # Equal traces, one per (word, labels) pair, have one canonical text.
-    counts = Counter(channels.ted_traces(t, q, n_samples, rng))
-    freq = {tr.canonical(): c for tr, c in counts.items()}
-    return _frequencies_match(freq, dist, n_samples)
+    freq = Counter(channels.ted_traces(t, q, n_samples, rng))
+    return _frequencies_match(freq, ted_subset_law(t, q), n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +302,9 @@ def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
     checked = 0
     for t in _all_trees_up_to(max_n):
         a = np.array([int(c) for c in t.word])
-        dist = channels.ted_trace_distribution(t, q)
         padded = {}
-        for key, prob in dist.items():
-            word = trees.parse_tree(key).word
-            padded[word] = padded.get(word, 0.0) + prob
+        for trace, prob in channels.trace_law(t, q, "ted").items():
+            padded[trace.word] = padded.get(trace.word, 0.0) + prob
         for w in ws:
             lhs = 0.0
             for word, prob in padded.items():
@@ -356,13 +364,11 @@ def check_arc_maxima(max_n: int = 10, chunk: int = 64):
 
 def check_lp_pair_sets(n_lo: int = 4, n_hi: int = 10):
     for n in range(n_lo, n_hi + 1):
-        a_n = instances.path_tree(n)
-        b_n = instances.forked_tree(n)
-        for m in range(1, n):
+        laws = [channels.trace_law(t, 0.5, "lp") for t in (instances.path_tree(n),
+                                                              instances.forked_tree(n))]
+        for m in range(1, n):  # the slice of m marks: n + 1 - m nodes, as lp_trace_set's
             expect = {instances.path_tree(n - m)}
-            got_a = channels.lp_trace_set(a_n, m)
-            got_b = channels.lp_trace_set(b_n, m)
-            if got_a != expect or got_b != expect:
+            if any({tr for tr in law if tr.n == n + 1 - m} != expect for law in laws):
                 return False, f"trace sets differ at n={n}, m={m}"
     return True, f"LP trace sets of A_n and B_n agree and equal {{A_(n-m)}} for n<={n_hi}"
 

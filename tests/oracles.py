@@ -12,6 +12,9 @@ rng.random((count, k)), so `string_traces`, `ted_traces` and `lp_traces`
 must return exactly these draws from a generator seeded alike.  `lp_apply`
 deletes by node id on a mutable dict tree: the definition of left
 propagation that `channels.lp_trace_set` and the LP rule are checked against.
+`lp_marked` is `lp_trace` on a fixed mark set, and `ted_splice` is
+`ted_trace`'s: applied to every mark row, they give the exact laws that
+`channels.trace_law` is pinned to.
 
 `fuzzy_words` lists a fuzzy class member by member: the class oracle of
 `random_fuzzy_tree` and of the fuzzy decoder's candidates.  It lists each
@@ -188,19 +191,23 @@ def lp_apply(t: Tree, deleted: Sequence[int]) -> Tree:
 
 
 def lp_trace(t: Tree, q: float, rng) -> Tree:
-    """Mark non-root nodes with probability q; delete marks in ascending preorder.
+    """Mark non-root nodes with probability q; delete marks in ascending preorder."""
+    _check_q(q)
+    order = t.ids[1:]
+    if not order:
+        return t
+    marks = rng.random(len(order)) < q
+    return lp_marked(t, [v for v, m in zip(order, marks) if m])
+
+
+def lp_marked(t: Tree, marked: Sequence[int]) -> Tree:
+    """Delete the marked nodes, in the given order, by left propagation.
 
     Each mark names a node of the original tree.  Because deletions shift
     labels up left-only paths, a marked node's content may sit at a different
     position by the time its turn comes; the deletion is applied wherever the
     content currently lives, so every mark is effective exactly once.
     """
-    _check_q(q)
-    order = t.ids[1:]
-    if not order:
-        return t
-    marks = rng.random(len(order)) < q
-    marked = [v for v, m in zip(order, marks) if m]
     labels, children, parent = _mutable(t)
     pos_of = {v: v for v in t.ids}  # original node -> current position
     content_at = {v: v for v in t.ids}

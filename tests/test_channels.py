@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetrace import channels, harness
+from treetrace import channels, harness, verify
 from treetrace.channels import (
     InvalidDeletionError,
     SizeCapError,
@@ -17,8 +17,8 @@ from treetrace.channels import (
     string_trace_prob,
     string_traces,
     ted_apply,
-    ted_trace_distribution,
     ted_traces,
+    trace_law,
 )
 from treetrace.instances import forked_tree, path_tree, random_labels, random_tree
 from treetrace.trees import Tree, enumerate_trees, parse_tree, tree_from_dyck
@@ -130,43 +130,140 @@ def test_ted_trace_q0_and_path_probability():
 
 def test_ted_distribution_examples():
     t = parse_tree("0(0)")
-    dist = ted_trace_distribution(t, 0.5)
-    assert dist["0(0)"] == pytest.approx(0.5)
-    assert dist["0"] == pytest.approx(0.5)
-    dist0 = ted_trace_distribution(parse_tree("0(1,0)"), 0.0)
-    assert len(dist0) == 1 and dist0["0(1,0)"] == pytest.approx(1.0)
+    law = trace_law(t, 0.5, "ted")
+    assert law[parse_tree("0(0)")] == pytest.approx(0.5)
+    assert law[parse_tree("0")] == pytest.approx(0.5)
+    law0 = trace_law(parse_tree("0(1,0)"), 0.0, "ted")
+    assert len(law0) == 1 and law0[parse_tree("0(1,0)")] == pytest.approx(1.0)
+
+
+def _assert_normalizes_random_trees(model):
+    rng = make_rng("ted-dist" if model == "ted" else f"{model}-law")
+    for _ in range(100):
+        t = random_tree(int(rng.integers(1, 7)), rng)
+        law = trace_law(t, 0.35, model)
+        assert type(law) is dict and all(type(tr) is Tree for tr in law)
+        assert all(0.0 < p <= 1.0 for p in law.values())
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ted_distribution_normalizes_random_trees():
-    rng = make_rng("ted-dist")
-    for _ in range(100):
-        t = random_tree(int(rng.integers(1, 7)), rng)
-        dist = ted_trace_distribution(t, 0.35)
-        assert type(dist) is dict
-        assert all(0.0 < p <= 1.0 for p in dist.values())
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    _assert_normalizes_random_trees("ted")
+
+
+def test_lp_law_normalizes_random_trees():
+    _assert_normalizes_random_trees("lp")
 
 
 @pytest.mark.parametrize("q", [1.5, -0.2])
 def test_ted_distribution_rejects_q_out_of_range(q):
     # Both still sum to 1, with negative terms: only the range check catches them.
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
-        ted_trace_distribution(parse_tree("0(0,0)"), q)
+        trace_law(parse_tree("0(0,0)"), q, "ted")
 
 
 def test_ted_distribution_cap():
     with pytest.raises(SizeCapError):
-        ted_trace_distribution(path_tree(20), 0.5)
+        trace_law(path_tree(20), 0.5, "ted")
+
+
+def test_trace_law_rejects_bad_input():
+    t = parse_tree("0(0,0)")
+    for model in ("ted", "lp"):
+        for q in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+                trace_law(t, q, model)
+        # path_tree(k) has k + 1 nodes: the cap is in reach, one node past it is not.
+        assert len(trace_law(path_tree(channels.TED_ENUM_CAP - 1), 0.5, model)) == 14
+        with pytest.raises(SizeCapError, match="exceeds enumeration cap 14"):
+            trace_law(path_tree(channels.TED_ENUM_CAP), 0.5, model)
+    for model in ("string", "TED", None):
+        with pytest.raises(ValueError, match="model must be 'ted' or 'lp'"):
+            trace_law(t, 0.3, model)
+
+
+def _mask_law(t, q, apply):
+    """The law by applying each mask's deletion set, by id, in trace_law's row order."""
+    others = t.ids[1:]
+    k, p = len(others), 1.0 - q
+    law = {}
+    for r in range(1 << k):
+        chosen = [v for i, v in enumerate(others) if r >> i & 1]
+        prob = (q ** len(chosen)) * (p ** (k - len(chosen)))
+        if prob:
+            trace = apply(t, chosen)
+            law[trace] = law.get(trace, 0.0) + prob
+    return law
+
+
+def _assert_same_law(got, want):
+    # Bitwise: the same trees with the same ids, in the same order, and equal floats.
+    assert [(form(tr), prob) for tr, prob in got.items()] == \
+        [(form(tr), prob) for tr, prob in want.items()]
+
+
+def test_trace_law_matches_the_oracles_bitwise():
+    # Every shape with n <= 7, random labels, q in {0, 0.3, 0.5}.  TED
+    # against the ted_apply subset loop and the node-table splice, LP
+    # against the dict-based mark loop; ids and insertion order included.
+    rng = make_rng("trace-law-oracles")
+    cases = 0
+    for n in range(1, 8):
+        for shape in enumerate_trees(n):
+            t = random_labels(shape, rng)
+            for q in (0.0, 0.3, 0.5):
+                ted = trace_law(t, q, "ted")
+                _assert_same_law(ted, verify.ted_subset_law(t, q))
+                _assert_same_law(ted, _mask_law(t, q, oracles.ted_splice))
+                _assert_same_law(trace_law(t, q, "lp"), _mask_law(t, q, oracles.lp_marked))
+                cases += 2
+    assert cases == 1_182
+
+
+@pytest.mark.parametrize("model", ["ted", "lp"])
+def test_trace_law_reduces_to_the_string_channel(model):
+    # The paper's first result as an identity: every trace keeps the root's
+    # label, and the law of the other labels is the string channel's law of
+    # labels[1:], on every shape with n <= 7 at q in {0.2, 0.5}.
+    rng = make_rng(f"reduction-{model}")
+    cases = 0
+    for n in range(1, 8):
+        for shape in enumerate_trees(n):
+            t = random_labels(shape, rng)
+            rest = t.labels[1:]
+            for q in (0.2, 0.5):
+                tail = {}
+                for trace, prob in trace_law(t, q, model).items():
+                    assert trace.labels[0] == t.labels[0]
+                    tail[trace.labels[1:]] = tail.get(trace.labels[1:], 0.0) + prob
+                subs = distinct_subsequences(rest)
+                assert set(tail) <= subs
+                for sub in subs:
+                    assert abs(tail.get(sub, 0.0) - string_trace_prob(rest, sub, q)) <= 1e-12
+                cases += 1
+    assert cases == 394
 
 
 def test_ted_trace_matches_distribution():
     rng = make_rng("ted-freq")
     t = random_tree(6, rng)
-    dist = ted_trace_distribution(t, 0.3)
+    law = trace_law(t, 0.3, "ted")
     n_samples = 20000
-    freq = Counter(ted_trace(t, 0.3, rng).canonical() for _ in range(n_samples))
+    freq = Counter(ted_trace(t, 0.3, rng) for _ in range(n_samples))
     bound = 5 / math.sqrt(n_samples)
-    for key, prob in dist.items():
+    for key, prob in law.items():
+        assert abs(freq.get(key, 0) / n_samples - prob) <= bound
+
+
+def test_lp_traces_match_lp_law():
+    rng = make_rng("lp-freq")
+    t = random_labels(random_tree(7, rng), rng)
+    law = trace_law(t, 0.3, "lp")
+    n_samples = 20000
+    freq = Counter(lp_traces(t, 0.3, n_samples, rng))
+    assert set(freq) <= set(law)
+    bound = 5 / math.sqrt(n_samples)
+    for key, prob in law.items():
         assert abs(freq.get(key, 0) / n_samples - prob) <= bound
 
 
