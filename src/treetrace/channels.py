@@ -8,9 +8,10 @@ calls on the same small source tree object (see `_sampled`).  The node-table
 samplers that build one tree per trace from the same random stream live in
 tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
 functions have hard size caps: `string_trace_prob` is pure enumeration, and
-`trace_law` sends every TED or LP deletion mask through the samplers' rule;
-`lp_trace_set` is its k-mark slice.  `verify.ted_subset_law` (`ted_apply`
-on every subset) and `lp_apply` (tests/oracles.py) are its oracles.
+`trace_law` sends every TED or LP deletion mask through the samplers' rule,
+and `lp_trace_set` sends the LP rule only the masks with k marks.
+`verify.ted_subset_law` (`ted_apply` on every subset) and `lp_apply`
+(tests/oracles.py) are their oracles.
 
 Left propagation (LP) marks each non-root node with probability q and
 deletes the marks in ascending preorder.  A deletion at a node shifts the
@@ -251,6 +252,13 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Tree]:
     return _sample(t, q, count, rng, _lp_traces)
 
 
+def _keep_rows(n: int) -> np.ndarray:
+    """All 2^(n-1) keep masks of a tree on n nodes: bit i of row r drops node i + 1."""
+    if n > TED_ENUM_CAP:
+        raise SizeCapError(f"n={n} exceeds enumeration cap {TED_ENUM_CAP}")
+    return (np.arange(1 << (n - 1))[:, None] << 1 >> np.arange(n)) & 1 == 0  # the root's bit is 0
+
+
 def trace_law(t: Tree, q: float, model: str) -> dict[Tree, float]:
     """Exact law of a TED or LP trace of t: all 2^(n-1) masks through the samplers' rule.
 
@@ -262,10 +270,8 @@ def trace_law(t: Tree, q: float, model: str) -> dict[Tree, float]:
     build = {"ted": _ted_traces, "lp": _lp_traces}.get(model)
     if build is None:
         raise ValueError(f"model must be 'ted' or 'lp', got {model!r}")
-    if t.n > TED_ENUM_CAP:
-        raise SizeCapError(f"n={t.n} exceeds enumeration cap {TED_ENUM_CAP}")
+    keep = _keep_rows(t.n)
     k, p = t.n - 1, 1.0 - q
-    keep = (np.arange(1 << k)[:, None] << 1 >> np.arange(t.n)) & 1 == 0  # the root's bit is 0
     law: dict[Tree, float] = {}
     for trace, d in zip(build(_sampled(t)[0], keep), (t.n - keep.sum(axis=1)).tolist()):
         prob = (q ** d) * (p ** (k - d))
@@ -277,12 +283,13 @@ def trace_law(t: Tree, q: float, model: str) -> dict[Tree, float]:
 def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     """All trees that k left-propagation deletions can leave, any targets.
 
-    The traces of `trace_law(t, 0.5, "lp")` with n - k nodes, so the support
-    of `lp_traces` with k marks; the tests check it against `lp_apply`.
+    The LP rule on the C(n-1, k) rows of `_keep_rows` with k marks, so the
+    support of `lp_traces` with k marks; the tests check it against `lp_apply`.
     """
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
-    return {trace for trace in trace_law(t, 0.5, "lp") if trace.n == t.n - k}
+    keep = _keep_rows(t.n)
+    return set(_lp_traces(_sampled(t)[0], keep[keep.sum(axis=1) == t.n - k]))
 
 
 def count_embeddings(s: str, trace: str) -> int:
@@ -321,19 +328,7 @@ def distinct_subsequences(s: str) -> set[str]:
     """All distinct subsequences of s, the empty string included."""
     if len(s) > SUBSEQ_ENUM_CAP:
         raise SizeCapError(f"|s|={len(s)} exceeds enumeration cap {SUBSEQ_ENUM_CAP}")
-    # Next occurrence of each symbol at or after every position.
-    alphabet = sorted(set(s))
-    tails: dict[int, set[str]] = {len(s): {""}}
-
-    def from_pos(i: int) -> set[str]:
-        if i in tails:
-            return tails[i]
-        out = {""}
-        for ch in alphabet:
-            j = s.find(ch, i)
-            if j >= 0:
-                out.update(ch + rest for rest in from_pos(j + 1))
-        tails[i] = out
-        return out
-
-    return from_pos(0)
+    out = {""}
+    for ch in s:  # each subsequence of the prefix, with and without ch
+        out |= {sub + ch for sub in out}
+    return out

@@ -69,6 +69,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_recon(args) -> int:
+    if args.family == "encoded":
+        raise ValueError("the encoded decoder reads node ids, which tree text does not carry")
     # One trace per line; an empty line is the empty string trace.
     traces = Path(args.tracefile).read_text().splitlines()
     inst, _ = make_instance(args, max(len(traces), 1))
@@ -82,7 +84,8 @@ def _cmd_recon(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.model == "string":
         raise ValueError("enumerate expects --model lp or ted")
-    inst, _ = make_instance(args, int(args.traces))
+    # --traces is k under LP, whose families read no planned trace count.
+    inst, _ = make_instance(args, 1 if args.model == "lp" else int(args.traces))
     if args.model == "lp":
         out = sorted(t.canonical() for t in channels.lp_trace_set(inst.source, int(args.traces)))
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -147,23 +146,21 @@ def _feasible_leaf_counts(n: int, m: int) -> list[int]:
     return [1] if n == m + 1 else list(range(1, (n - 1) // (m + 1) + 1))
 
 
-def _fuzzy_words_of(skeletons: Iterable[str], m: int) -> Iterator[str]:
-    """Each skeleton's Dyck word with every leaf replaced by a node with m leaf children.
+def _fuzzy_word(skeleton: str, m: int) -> str:
+    """The skeleton's Dyck word with every leaf replaced by a node with m leaf children.
 
-    A skeleton word is wrapped in an outer 1...0, so that a one-node
-    skeleton is a peak too; every peak 10 then becomes the block 1(10)^m 0,
-    and the wrap comes off again.  The block is built once for all words.
+    The word is wrapped in an outer 1...0, so that a one-node skeleton is a
+    peak too; every peak 10 then becomes the block 1(10)^m 0, and the wrap
+    comes off again.
     """
-    block = "1" + "10" * m + "0"
-    for skeleton in skeletons:
-        yield ("1" + skeleton + "0").replace("10", block)[1:-1]
+    return ("1" + skeleton + "0").replace("10", "1" + "10" * m + "0")[1:-1]
 
 
 def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
     """Random tree on n nodes where every leaf sits in a block of m siblings.
 
     Grows a random skeleton with a chosen number of leaves, then builds the
-    tree from the skeleton's word by _fuzzy_words_of (ids in preorder).  The
+    tree from the skeleton's word by _fuzzy_word (ids in preorder).  The
     output always satisfies the degree-m invariant exactly; the distribution
     over shapes is not uniform.
     """
@@ -188,7 +185,7 @@ def random_fuzzy_tree(n: int, m: int, rng) -> Tree:
             kids[u].insert(slot, len(kids))
             leaves.append(len(kids))
             kids.append([])
-    return tree_from_dyck(next(_fuzzy_words_of([_walk(kids, 0)[0]], m)))
+    return tree_from_dyck(_fuzzy_word(_walk(kids, 0)[0], m))
 
 
 def _cycle_lemma_word(ups: list[bool]) -> str:

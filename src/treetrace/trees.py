@@ -202,21 +202,22 @@ def parse_tree(text: str) -> Tree:
 
 
 def dyck_words(pairs: int) -> Iterator[str]:
-    """Every Dyck word with `pairs` 1s, trying 1 before 0 at each position."""
+    """Every Dyck word with `pairs` 1s, trying 1 before 0 at each position.
+
+    One stack of (prefix, 1s left, open nodes): the 0-branch goes on first,
+    so the 1-branch comes off first.
+    """
     if pairs < 0:
         raise ValueError("need pairs >= 0")
-
-    def words(ones_left: int, open_count: int) -> Iterator[str]:
+    stack = [("", pairs, 0)]
+    while stack:
+        prefix, ones_left, open_count = stack.pop()
         if ones_left == 0:
-            yield "0" * open_count
-            return
-        for w in words(ones_left - 1, open_count + 1):
-            yield "1" + w
+            yield prefix + "0" * open_count
+            continue
         if open_count > 0:
-            for w in words(ones_left, open_count - 1):
-                yield "0" + w
-
-    yield from words(pairs, 0)
+            stack.append((prefix + "0", ones_left, open_count - 1))
+        stack.append((prefix + "1", ones_left - 1, open_count + 1))
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:

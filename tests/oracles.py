@@ -19,7 +19,8 @@ propagation that `channels.lp_trace_set` and the LP rule are checked against.
 `fuzzy_words` lists a fuzzy class member by member: the class oracle of
 `random_fuzzy_tree` and of the fuzzy decoder's candidates.  It lists each
 class's skeletons with `peaked_dyck_words`, the Dyck words with a given
-number of peaks.
+number of peaks.  `dyck_words`, one recursive generator per symbol, is the
+order oracle of `trees.dyck_words`.
 
 `count_embeddings` is the full O(|s| |t|) embedding DP, and
 `subsequence_mean_vector` the expected padded trace summed over the
@@ -44,7 +45,7 @@ from treetrace.channels import (
     distinct_subsequences,
     string_trace_prob,
 )
-from treetrace.instances import _fuzzy_words_of, encoded_leaf_id, encoded_parent_id
+from treetrace.instances import _fuzzy_word, encoded_leaf_id, encoded_parent_id
 from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
 from treetrace.trees import Tree, _walk
 
@@ -226,11 +227,32 @@ def fuzzy_words(n: int, m: int, lam: int) -> Iterator[str]:
     """Dyck words of the fuzzy trees on n nodes whose skeleton has lam leaves.
 
     The skeleton words have n - m*lam nodes and lam peaks (a one-node
-    skeleton has none), each built out by _fuzzy_words_of.  This is the
+    skeleton has none), each built out by _fuzzy_word.  This is the
     class random_fuzzy_tree samples from and reconstruct_fuzzy searches.
     """
     k = n - m * lam
-    yield from _fuzzy_words_of(peaked_dyck_words(k - 1, lam if k > 1 else 0), m)
+    for skeleton in peaked_dyck_words(k - 1, lam if k > 1 else 0):
+        yield _fuzzy_word(skeleton, m)
+
+
+def dyck_words(pairs: int) -> Iterator[str]:
+    """Every Dyck word with `pairs` 1s, 1 before 0 at each position, by one
+    generator per symbol: the order oracle of `trees.dyck_words`.
+    """
+    if pairs < 0:
+        raise ValueError("need pairs >= 0")
+
+    def words(ones_left: int, open_count: int) -> Iterator[str]:
+        if ones_left == 0:
+            yield "0" * open_count
+            return
+        for w in words(ones_left - 1, open_count + 1):
+            yield "1" + w
+        if open_count > 0:
+            for w in words(ones_left, open_count - 1):
+                yield "0" + w
+
+    yield from words(pairs, 0)
 
 
 def peaked_dyck_words(pairs: int, peaks: int) -> Iterator[str]:

@@ -349,6 +349,30 @@ def test_lp_trace_set_matches_lp_apply_closure():
             assert lp_trace_set(t, k) == want
 
 
+def test_lp_trace_set_is_the_lp_law_slice_from_its_own_rows(monkeypatch):
+    # The slice of the LP law with n - k nodes was lp_trace_set's definition;
+    # now the LP rule runs on just the C(n-1, k) rows with k marks.
+    rng = make_rng("lp-set-slice")
+    build = channels._lp_traces
+    rows = []
+
+    def counted(lay, keep):
+        rows.append(len(keep))
+        return build(lay, keep)
+
+    for n in range(1, 8):
+        for shape in enumerate_trees(n):
+            t = random_labels(shape, rng)
+            law = trace_law(t, 0.5, "lp")
+            for k in range(n):
+                rows.clear()
+                monkeypatch.setattr(channels, "_lp_traces", counted)
+                got = lp_trace_set(t, k)
+                monkeypatch.undo()
+                assert got == {trace for trace in law if trace.n == n - k}
+                assert rows == [math.comb(n - 1, k)]
+
+
 def test_lp_trace_set_is_the_support_of_lp_traces():
     # Every mark set of a small tree is drawn many times over at q = 0.5, and
     # a trace with k marks has k fewer nodes.
@@ -449,6 +473,20 @@ def test_subsequence_probabilities_sum_to_one(bits, length):
 def test_distinct_subsequences_small():
     assert distinct_subsequences("11") == {"", "1", "11"}
     assert distinct_subsequences("10") == {"", "1", "0", "10"}
+
+
+def test_distinct_subsequences_match_index_subsets():
+    def brute(s):
+        return {"".join(s[i] for i in idx)
+                for k in range(len(s) + 1) for idx in itertools.combinations(range(len(s)), k)}
+
+    strings = ["".join(bits) for L in range(10) for bits in itertools.product("01", repeat=L)]
+    strings += ["abcab", "banana", "0120210", "aaaa", "xyzzyx"]
+    strings.append("0110100110010110")  # at the cap, |s| = 16
+    for s in strings:
+        assert distinct_subsequences(s) == brute(s)
+    with pytest.raises(SizeCapError, match=r"\|s\|=17 exceeds enumeration cap 16"):
+        distinct_subsequences("0" * (channels.SUBSEQ_ENUM_CAP + 1))
 
 
 BATCH_QS = [0.0, 0.1, 0.3, 0.5, 0.8]

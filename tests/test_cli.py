@@ -71,6 +71,29 @@ def test_enumerate_lp(capsys):
     assert all(parse_tree(ln).word == "11110000" for ln in lines)
 
 
+def test_enumerate_lp_k_ranges_over_the_non_root_nodes(capsys):
+    # --traces is the deletion count k under LP: k = 0 leaves the instance,
+    # and A_4 has 4 non-root nodes, so k = -1 and k = 5 are out of range.
+    flags = ["--family", "path", "--n", "4"]
+    _, shown = run(capsys, "gen", *flags)
+    assert run(capsys, "enumerate", "--model", "lp", *flags, "--traces", "0") == (0, shown)
+    for k in (-1, 5):
+        assert main(["enumerate", "--model", "lp", *flags, f"--traces={k}"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"treetrace enumerate: k={k} must lie in [0, 4], the number of non-root nodes"]
+
+
+def test_recon_refuses_the_encoded_family(tmp_path, capsys):
+    # Its decoder reads node ids, which tree text does not carry: refused
+    # before the trace file is read, so a missing file does not matter.
+    code = main(["recon", "--family", "encoded", "--n", "6", "--q", "0",
+                 str(tmp_path / "missing.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "treetrace recon: the encoded decoder reads node ids, which tree text does not carry"]
+
+
 def test_enumerate_ted_distribution(capsys):
     _, tree = run(capsys, "gen", "--family", "path", "--n", "2", "--q", "0.5")
     _, l1, l2 = parse_tree(tree.strip()).labels

@@ -7,7 +7,7 @@ import pytest
 
 from treetrace.instances import (
     _feasible_leaf_counts,
-    _fuzzy_words_of,
+    _fuzzy_word,
     buffer_length,
     encode_string_as_tree,
     encoded_leaf_id,
@@ -174,7 +174,7 @@ def fuzzy_class(n: int, m: int) -> set[str]:
 def in_fuzzy_class(word: str, n: int, m: int) -> bool:
     """Whether a Dyck word is in fuzzy_words(n, m, lam) for a feasible lam, without listing it.
 
-    fuzzy_words(n, m, lam) is _fuzzy_words_of over the skeleton words with
+    fuzzy_words(n, m, lam) is _fuzzy_word on each skeleton word with
     k - 1 = n - m*lam - 1 pairs and lam peaks.  Each block 1(10)^m 0 of the
     wrapped word is one node with exactly m leaf children, so putting back a
     peak for each block gives the only skeleton that could have built it; it
@@ -189,7 +189,7 @@ def in_fuzzy_class(word: str, n: int, m: int) -> bool:
         lam in _feasible_leaf_counts(n, m)
         and len(skeleton) == 2 * (k - 1)
         and skeleton.count("10") == (lam if k > 1 else 0)
-        and list(_fuzzy_words_of([skeleton], m)) == [word]
+        and _fuzzy_word(skeleton, m) == word
     )
 
 

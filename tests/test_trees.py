@@ -103,6 +103,16 @@ def test_enumerate_trees_catalan_counts():
             assert len(got) == narayana(pairs, peaks)
 
 
+def test_dyck_words_keep_the_recursive_order():
+    # One explicit stack against one generator per symbol: the same words in
+    # the same order, 1 before 0 at every position.
+    for pairs in range(12):
+        assert list(dyck_words(pairs)) == list(oracles.dyck_words(pairs))
+    words = dyck_words(-1)  # a generator: the count is checked on the first next
+    with pytest.raises(ValueError, match=r"need pairs >= 0"):
+        next(words)
+
+
 def test_trees_equal_spec_examples():
     t = parse_tree("0(1,0)")
     assert t == t
