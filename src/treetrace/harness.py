@@ -3,7 +3,10 @@
 Seed discipline: every trial draws from its own generator, seeded by the
 64-bit FNV-1a hash of the text "master:grid:trial" (decimal renderings).
 The generator is numpy's PCG64, so any run of the same spec reproduces the
-same streams regardless of execution order or parallelism.
+same streams regardless of execution order or parallelism.  The generators
+of one grid point are seeded in one pass: _seed_words runs numpy's
+SeedSequence hash over all their seeds at once, and each generator starts
+bitwise in the state of PCG64(seed).
 """
 
 from __future__ import annotations
@@ -44,8 +47,89 @@ def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return fnv1a64(f"{master_seed}:{grid_index}:{trial_index}")
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The count + 1 values a SeedSequence hash constant runs through, as a column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashed(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    # One hashmix step (generate_state's output words hash the same way), given
+    # the hash constant before and after its update.
+    value = (value ^ before) * after
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """Row i is SeedSequence(seeds[i]).generate_state(4, np.uint64), for all seeds at once.
+
+    A seed's entropy is its 32-bit words, low first; a seed below 2^32 has one
+    word, which hashes as [lo, 0] does, since the pool slots past the entropy
+    hash 0.  The hash constants run through the same values for every seed,
+    and the three mixes out of one pool slot, like the eight output words, do
+    not depend on each other, so each runs as one uint32 array operation.
+    """
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    seed = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seed)), np.uint32)
+    pool[0] = seed & np.uint64(_MASK32)
+    pool[1] = seed >> np.uint64(32)
+    a = _hash_consts(_INIT_A, _MULT_A, 16)
+    pool = _hashed(pool, a[:4], a[1:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                 - np.uint32(_MIX_MULT_R) * _hashed(pool[src], a[k:k + 3], a[k + 1:k + 4]))
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:])
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _words_seed_class():
+    """A seed sequence that hands PCG64 one row of _seed_words.
+
+    Built on first use, so that importing treetrace leaves numpy.random unloaded.
+    """
+
+    class WordsSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks once, for its 4 uint64 words.
+            return self.words
+
+    return WordsSeed
+
+
+def _generators(seeds: Sequence[int]):
+    """A new, independent PCG64 generator per seed, each bitwise PCG64(seed)."""
+    words_seed = _words_seed_class()
+    return (np.random.Generator(np.random.PCG64(words_seed(row))) for row in _seed_words(seeds))
+
+
+def trial_rngs(master_seed: int, grid_index: int, trials: int):
+    """The generators of trials 0, 1, ..., trials - 1 at one grid point, in order."""
+    return _generators([trial_seed(master_seed, grid_index, i) for i in range(trials)])
+
+
 def trial_rng(master_seed: int, grid_index: int, trial_index: int):
-    return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
+    return next(_generators([trial_seed(master_seed, grid_index, trial_index)]))
 
 
 @dataclass(frozen=True)
@@ -267,7 +351,7 @@ def run_trial(family: str, model: str, n: int, q: float, delta: float,
 
 def _successes(family, model, n, q, delta, n_traces, trials, master_seed, grid_index) -> int:
     """Successful trials at one grid point; trial i draws from its own generator."""
-    rngs = (trial_rng(master_seed, grid_index, i) for i in range(trials))
+    rngs = trial_rngs(master_seed, grid_index, trials)
     return sum(bool(run_trial(family, model, n, q, delta, n_traces, rng)) for rng in rngs)
 
 

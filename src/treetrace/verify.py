@@ -19,9 +19,9 @@ from .trees import Tree
 
 
 def _rng(tag: str, seed: int = 0):
-    from .harness import fnv1a64
+    from .harness import _generators, fnv1a64
 
-    return np.random.Generator(np.random.PCG64(fnv1a64(f"{tag}:{seed}")))
+    return next(_generators([fnv1a64(f"{tag}:{seed}")]))
 
 
 def _all_trees_up_to(max_n: int):

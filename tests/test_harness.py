@@ -1,8 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import treetrace
 from treetrace import verify
 from treetrace.cli import main
 from treetrace.harness import (
@@ -14,8 +20,11 @@ from treetrace.harness import (
     doubling_search,
     fnv1a64,
     run_experiment,
+    _generators,
+    _seed_words,
     run_trial,
     trial_rng,
+    trial_rngs,
     trial_seed,
 )
 from conftest import make_rng
@@ -35,6 +44,49 @@ def test_trial_seed_is_stable():
     a = trial_rng(1, 2, 3).random(4)
     b = trial_rng(1, 2, 3).random(4)
     assert (a == b).all()
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+GRID_SEEDS = [trial_seed(m, g, i) for m in range(3) for g in range(10) for i in range(200)]
+
+
+def test_seed_words_match_numpy_seed_sequence():
+    seeds = EDGE_SEEDS + GRID_SEEDS
+    expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    words = _seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    assert (words == expected).all()
+    for s, gen in zip(seeds, _generators(seeds)):
+        assert gen.bit_generator.state == np.random.PCG64(s).state
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_words_reject_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError):
+        _seed_words([3, seed])
+
+
+def test_trial_generators_are_independent():
+    gens = list(trial_rngs(4, 2, 5))
+    gens[0].random(1000)
+    assert (gens[1].random(8) == trial_rng(4, 2, 1).random(8)).all()
+    assert len({id(g.bit_generator) for g in gens}) == len(gens)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2.x loads numpy.random on first use, and so must treetrace;
+    # numpy 1.x loads it with numpy itself.
+    env = {**os.environ, "PYTHONPATH": str(Path(treetrace.__file__).resolve().parents[1])}
+
+    def loads_numpy_random(module: str) -> bool:
+        probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        return run.stdout.strip() == "True"
+
+    if loads_numpy_random("numpy"):
+        pytest.skip("importing numpy loads numpy.random")
+    assert not loads_numpy_random("treetrace")
 
 
 def test_spec_validation():
