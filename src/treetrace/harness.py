@@ -3,8 +3,9 @@
 Seed discipline: every trial draws from its own generator, seeded by the
 64-bit FNV-1a hash of the text "master:grid:trial" (decimal renderings).
 The generator is numpy's PCG64, so any run of the same spec reproduces the
-same streams regardless of execution order or parallelism.  The generators
-of one grid point are seeded in one pass: _seed_words runs numpy's
+same streams regardless of execution order or parallelism.  A grid point
+hashes its "master:grid:" prefix once (FNV-1a is a left fold), and its
+generators are seeded in one pass: _seed_words runs numpy's
 SeedSequence hash over all their seeds at once, and each generator starts
 bitwise in the state of PCG64(seed).
 """
@@ -34,9 +35,11 @@ class BudgetExceededError(RuntimeError):
     """The doubling search passed the trace budget cap without hitting the target."""
 
 
-def fnv1a64(text: str) -> int:
-    """64-bit FNV-1a over the ASCII bytes of text."""
-    h = 0xCBF29CE484222325
+def fnv1a64(text: str, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a over the ASCII bytes of text.
+
+    FNV-1a is a left fold, so fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+    """
     for b in text.encode("ascii"):
         h ^= b
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -124,8 +127,12 @@ def _generators(seeds: Sequence[int]):
 
 
 def trial_rngs(master_seed: int, grid_index: int, trials: int):
-    """The generators of trials 0, 1, ..., trials - 1 at one grid point, in order."""
-    return _generators([trial_seed(master_seed, grid_index, i) for i in range(trials)])
+    """The generators of trials 0, 1, ..., trials - 1 at one grid point, in order.
+
+    The seeds are trial_seed's: the shared "master:grid:" prefix is hashed once.
+    """
+    prefix = fnv1a64(f"{master_seed}:{grid_index}:")
+    return _generators([fnv1a64(str(i), prefix) for i in range(trials)])
 
 
 def trial_rng(master_seed: int, grid_index: int, trial_index: int):

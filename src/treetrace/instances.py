@@ -209,7 +209,9 @@ def random_tree(n: int, rng) -> Tree:
     if n == 1:
         return Tree("", "0")
     # Ids below n are the ups: shuffling 0..2n-2 places them as shuffling the steps would.
-    return tree_from_dyck(_cycle_lemma_word([x < n for x in rng.permutation(2 * n - 1).tolist()]))
+    # The cycle lemma makes a Dyck word, so the tree goes unchecked.
+    word = _cycle_lemma_word([x < n for x in rng.permutation(2 * n - 1).tolist()])
+    return Tree(word, "0" * n, validate=False)
 
 
 _DRAW_ROWS = 4096  # permutations random_dyck_words draws at once: a memory bound

@@ -7,7 +7,8 @@ candidate-sweep reconstructors (max-likelihood and nearest-exact-mean).
 The mean sweep scores candidates as rows of one uint8 bit matrix.  Maximum
 likelihood walks the candidates' prefix trie once for all traces and scores
 only the candidates in which every trace embeds; its likelihood sums
-accumulate in log space.
+accumulate in log space, in one array pass per trie piece that adds the
+traces in tally order.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
     ells = np.array([len(t) for t in texts])
     width = int(ells.max()) + 1
     symbols = _bits("".join("2" + t.ljust(width - 1, "2") for t in texts))
-    eqs = symbols[1:] == _BIT_PAIR[:, None]  # eqs[b, c - 1]: bit b extends column c - 1 into c
+    # eqs[b, c - 1] is 1 when bit b extends column c - 1 into c; int64, as g is.
+    eqs = (symbols[1:] == _BIT_PAIR[:, None]).astype(np.int64)
     starts = np.arange(len(texts)) * width
     needs = starts + np.maximum(ells - np.arange(n, -1, -1)[:, None], 0)  # columns, per depth
     g = np.zeros((1, len(symbols)), dtype=np.int64)
@@ -254,6 +256,33 @@ def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
             yield codes, g.take(starts + ells, axis=1)
 
 
+def _piece_scores(tally: Counter, n: int, q: float, pieces):
+    """Yield (codes, scores) per trie piece; scores[k] is codes[k]'s log-likelihood.
+
+    A trace of length l that embeds c ways in a candidate adds
+    mult * (log c + l log p + (n - l) log q), the last term only when
+    symbols were dropped, so q = 0 never forms 0 * -inf.  One array pass
+    per piece forms these terms as a traces x candidates array and sums it
+    down the traces with np.add.accumulate, which adds row after row in
+    tally order (np.add.reduce may sum pairwise), so every score is bitwise
+    the tally-order loop's.  The last row is copied, so that the array does
+    not outlive its piece.
+    """
+    log_q = math.log(q) if q > 0 else -math.inf
+    ells = np.array([len(text) for text in tally])[:, None]
+    mults = np.array(list(tally.values()))[:, None]
+    kept = ells * math.log(1.0 - q)
+    dropped = ells < n
+    lost = np.multiply(n - ells, log_q, out=np.zeros(kept.shape), where=dropped)
+    for codes, counts in pieces:
+        ll = np.log(counts.T, dtype=float, order="C")
+        ll += kept
+        np.add(ll, lost, out=ll, where=dropped)
+        ll *= mults
+        np.add.accumulate(ll, axis=0, out=ll)
+        yield codes, ll[-1].copy()
+
+
 def ml_reconstruct(
     traces: Sequence[str],
     n: int,
@@ -266,7 +295,8 @@ def ml_reconstruct(
     summed log probability of the traces and returns the best, breaking ties
     toward the lexicographically smallest.  One walk of the candidates'
     prefix trie (_trie_leaves) finds the candidates of nonzero likelihood;
-    no other candidate is scored.
+    no other candidate is scored.  Each piece of the walk is scored in one
+    array pass (_piece_scores), summed over the distinct traces in tally order.
     """
     _check_q(q)
     _check_n(n)
@@ -278,21 +308,10 @@ def ml_reconstruct(
     if n > _EMBED_LEN_CAP:
         raise ValueError(f"candidate length {n} exceeds exact-count cap")
     listed = None if rows is None else rows.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
-    log_q = math.log(q) if q > 0 else -math.inf
-    log_p = math.log(1.0 - q)
     # A trace longer than n embeds in no candidate.
     pieces = _trie_leaves(list(tally), n, listed) if max(map(len, tally)) <= n else ()
     found, scores = [], []
-    for codes, counts in pieces:
-        # Each trace adds its log-likelihood per candidate, in tally order.
-        piece = np.zeros(len(codes))
-        for t, (text, mult) in enumerate(tally.items()):
-            ll = np.log(counts[:, t], dtype=float)
-            ll += len(text) * log_p
-            drop = n - len(text)
-            if drop > 0:
-                ll += drop * log_q  # -inf when q == 0 and symbols were dropped
-            piece += mult * ll
+    for codes, piece in _piece_scores(tally, n, q, pieces):
         found.append(codes)
         scores.append(piece)
     scores = np.concatenate(scores) if scores else np.zeros(0)

@@ -50,8 +50,7 @@ class Tree:
         if self.word.strip("01"):  # what is left holds a symbol other than 0 and 1
             raise DyckStringError(f"non-binary symbol in {self.word!r}")
         n = len(_dyck_links(self.word)[0])
-        if len(self.labels) != n or self.labels.strip("01"):
-            raise ValueError(f"need {n} label bits, got {self.labels!r}")
+        _check_labels(self.labels, n)
         if len(self.ids) != n or len(set(self.ids)) != n:
             raise ValueError(f"need {n} distinct node ids, got {self.ids!r}")
 
@@ -70,8 +69,12 @@ class Tree:
         return {ids[v]: tuple(ids[c] for c in cs) for v, cs in enumerate(kids)}
 
     def with_labels(self, labels: str) -> "Tree":
-        """Copy of this tree with the given preorder labels."""
-        return Tree(self.word, labels, self.ids)
+        """Copy of this tree with the given preorder labels.
+
+        Only the labels are checked: the word and ids are this tree's own.
+        """
+        _check_labels(labels, self.n)
+        return Tree(self.word, labels, self.ids, validate=False)
 
     def canonical(self) -> str:
         return format_tree(self)
@@ -86,6 +89,11 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree({self.canonical()!r})"
+
+
+def _check_labels(labels: str, n: int) -> None:
+    if len(labels) != n or labels.strip("01"):
+        raise ValueError(f"need {n} label bits, got {labels!r}")
 
 
 def _dyck_links(word: str) -> tuple[list[list[int]], list[int]]:

@@ -22,6 +22,10 @@ class's skeletons with `peaked_dyck_words`, the Dyck words with a given
 number of peaks.  `dyck_words`, one recursive generator per symbol, is the
 order oracle of `trees.dyck_words`.
 
+`ml_piece_scores` is the tally-order loop that scored a trie piece before
+`string_recon._piece_scores` did it in one array pass, which must give the
+same bytes.
+
 `count_embeddings` is the full O(|s| |t|) embedding DP, and
 `subsequence_mean_vector` the expected padded trace summed over the
 distinct subsequences and their exact laws: the references of
@@ -34,7 +38,8 @@ single-coordinate test between two candidate strings, and
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -281,6 +286,24 @@ def peaked_dyck_words(pairs: int, peaks: int) -> Iterator[str]:
                 yield "0" + w
 
     yield from words(pairs, 0, peaks, False)
+
+
+def ml_piece_scores(tally: Mapping[str, int], n: int, q: float, counts: np.ndarray) -> np.ndarray:
+    """Each candidate's log-likelihood, one trace at a time in tally order.
+
+    counts[k, t] embeds the t-th trace of tally in the k-th candidate.
+    """
+    log_q = math.log(q) if q > 0 else -math.inf
+    log_p = math.log(1.0 - q)
+    piece = np.zeros(len(counts))
+    for t, (text, mult) in enumerate(tally.items()):
+        ll = np.log(counts[:, t], dtype=float)
+        ll += len(text) * log_p
+        drop = n - len(text)
+        if drop > 0:
+            ll += drop * log_q  # -inf when q == 0 and symbols were dropped
+        piece += mult * ll
+    return piece
 
 
 def count_embeddings(s: str, trace: str) -> int:

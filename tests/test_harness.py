@@ -73,6 +73,18 @@ def test_trial_generators_are_independent():
     assert len({id(g.bit_generator) for g in gens}) == len(gens)
 
 
+@pytest.mark.parametrize("master", [3, 2**64 + 17])
+def test_trial_generators_are_seeded_by_trial_seed(master):
+    # trial_rngs hashes the "master:grid:" prefix once; 1,001 trials cross
+    # the 9 -> 10, 99 -> 100 and 999 -> 1000 digit boundaries.
+    for grid in (0, 11):
+        gens = trial_rngs(master, grid, 1001)
+        for i, gen in enumerate(gens):
+            want = np.random.PCG64(trial_seed(master, grid, i)).state
+            assert gen.bit_generator.state == want, (master, grid, i)
+        assert i == 1000
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy 2.x loads numpy.random on first use, and so must treetrace;
     # numpy 1.x loads it with numpy itself.

@@ -273,6 +273,7 @@ def test_random_tree_matches_reference(n):
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)
         got, want = random_tree(n, got_rng), _reference_random_tree(n, want_rng)
+        got._validate()  # random_tree builds its tree unchecked
         assert form(got) == form(want)
         assert got_rng.random() == want_rng.random()
 

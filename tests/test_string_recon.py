@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from treetrace import channels, string_recon, verify
+from treetrace import channels, instances, string_recon, tree_recon, verify
 from treetrace.string_recon import (
     FULL_SWEEP_CAP,
     DegeneratePairError,
@@ -296,6 +297,66 @@ def test_trie_ml_matches_exhaustive_sweep(level_bytes, monkeypatch):
             assert ml_reconstruct(traces, n, q, cands) == want, (traces, n, q, cands)
             outcomes["decoded"] += 1
     assert outcomes["inconsistent"] >= 200 and outcomes["decoded"] >= 1000, outcomes
+
+
+def _score_cases(rng):
+    """(traces, n, q, candidates) beyond _oracle_cases: q = 0 with dropped
+    symbols, the empty trace, and one distinct trace."""
+    for case in range(300):
+        n = 1 + case % 10
+        source = "".join(rng.choice(["0", "1"], size=n))
+        q = (0.0, 0.3, 0.9)[case % 3]
+        traces = channels.string_traces(source, q, int(rng.integers(1, 5)), rng)
+        if q == 0.0:  # q = 0 draws no deletions: drop some by hand
+            traces.append(channels.string_traces(source, 0.5, 1, rng)[0])
+        if case % 4 == 0:
+            traces.append("")
+        yield traces, n, q, None
+        yield [traces[0]] * int(rng.integers(1, 4)), n, q, None
+
+
+@pytest.mark.parametrize("level_bytes", [None, 256], ids=["default-budget", "256B-budget"])
+def test_piece_scores_are_the_tally_order_loop_bitwise(level_bytes, monkeypatch):
+    # Every piece that ml_reconstruct scores, directly and through the fuzzy
+    # decoder's candidate lists, against oracles.ml_piece_scores.
+    if level_bytes is not None:
+        monkeypatch.setattr(string_recon, "_TRIE_LEVEL_BYTES", level_bytes)
+    scored = string_recon._piece_scores
+    seen = Counter()
+
+    def checked(tally, n, q, pieces):
+        pieces = list(pieces)
+        for (codes, counts), (got_codes, got) in zip(pieces, scored(tally, n, q, pieces),
+                                                     strict=True):
+            want = oracles.ml_piece_scores(tally, n, q, counts)
+            assert got_codes is codes
+            assert got.tobytes() == want.tobytes(), (dict(tally), n, q, counts)
+            seen["piece"] += 1
+            seen["one candidate"] += len(codes) == 1
+            seen["q = 0, symbols dropped"] += q == 0 and min(map(len, tally)) < n
+            seen["empty trace"] += "" in tally
+            seen["one distinct trace"] += len(tally) == 1
+            seen["split call"] += len(pieces) > 1
+            seen["fuzzy"] += fuzzy
+            yield got_codes, got
+
+    monkeypatch.setattr(string_recon, "_piece_scores", checked)
+    rng = make_rng("piece-scores")
+    fuzzy = False
+    for traces, n, q, cands in itertools.chain(_oracle_cases(), _score_cases(rng)):
+        with contextlib.suppress(InconsistentTracesError):
+            ml_reconstruct(traces, n, q, cands)
+    fuzzy = True
+    for n, q in itertools.product((12, 18, 30), (0.0, 0.2, 0.5)):
+        for _ in range(4):
+            t = instances.random_fuzzy_tree(n, 3, rng)
+            traces = channels.ted_traces(t, q, int(rng.integers(1, 17)), rng)
+            with contextlib.suppress(InconsistentTracesError,
+                                     tree_recon.ReconstructionFailedError):
+                tree_recon.reconstruct_fuzzy(traces, n, 3, q)
+    if level_bytes is None:  # the default budget splits nothing this small
+        assert seen.pop("split call") == 0, seen
+    assert min(seen.values()) >= 10, seen
 
 
 def _traced_peak(fn, *args):

@@ -223,6 +223,18 @@ def test_tree_rejects_malformed_forms(word, labels, ids, error, message):
     Tree(word, labels, ids, validate=False)  # unchecked: the caller vouches for it
 
 
+@pytest.mark.parametrize("labels", ["", "01", "0110", "0120", "01 1"])
+def test_with_labels_checks_only_the_new_labels(labels):
+    t = Tree("1100", "000", (5, 3, 9))
+    with pytest.raises(ValueError) as built:
+        Tree(t.word, labels, t.ids)
+    with pytest.raises(ValueError) as relabelled:
+        t.with_labels(labels)
+    assert str(relabelled.value) == str(built.value)
+    u = t.with_labels("101")
+    assert (u.word, u.labels, u.ids) == ("1100", "101", (5, 3, 9))
+
+
 @st.composite
 def deep_and_wide_trees(draw):
     """A path up to 3000 deep with a fan of up to 2000 leaves at one node."""
