@@ -55,6 +55,12 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
+def _check_draws(q: float, count: int) -> None:
+    _check_q(q)
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
+
+
 def _binary(text: str, name: str | None = None) -> str:
     """text, if it holds only 0 and 1; name is the argument when it is not a trace."""
     if text.strip("01"):  # what is left holds a symbol other than 0 and 1
@@ -158,6 +164,8 @@ def _traces(lay: _Layout, nodes: np.ndarray, labels: np.ndarray) -> list[Tree]:
 # at most _MEMO_MARKS non-root nodes: at most 2^12 = 4,096 rows per builder
 # (about 1.45 MB at 13 nodes).  They live exactly as long as the tree.
 _MEMO_MARKS = 12
+# A kept row's key is one int below 2^12: bit i is the keep mark of node i + 1.
+_KEY_BITS = 1 << np.arange(_MEMO_MARKS)
 
 
 def _sampled(t: Tree) -> tuple[_Layout, dict | None]:
@@ -174,23 +182,28 @@ def _sample(t: Tree, q: float, count: int, rng, build) -> list[Tree]:
     Equal rows share one trace, which is immutable.  A tree too large to keep
     its rows gets a fresh dict, which dedups within one call.
     """
-    _check_q(q)
-    keep = np.ones((count, t.n), dtype=bool)
-    keep[:, 1:] = rng.random((count, t.n - 1)) >= q
-    packed = np.packbits(keep, axis=1)
-    # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
-    keys = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    _check_draws(q, count)
+    marks = rng.random((count, t.n - 1)) >= q
     lay, kept = _sampled(t)
-    built = {} if kept is None else kept.setdefault(build, {})
-    new = {key: r for r, key in enumerate(keys) if key not in built}
-    if new:
-        built.update(zip(new, build(lay, keep[list(new.values())])))
+    if kept is None:
+        packed = np.packbits(marks, axis=1)
+        # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
+        keys, built = packed.view(f"S{packed.shape[1]}").ravel().tolist(), {}
+    else:
+        keys, built = (marks @ _KEY_BITS[:t.n - 1]).tolist(), kept.setdefault(build, {})
+    try:  # a kept tree has usually built every row already
+        return [built[key] for key in keys]
+    except KeyError:
+        new = {key: r for r, key in enumerate(keys) if key not in built}
+    keep = np.ones((len(new), t.n), dtype=bool)  # the root is always kept
+    keep[:, 1:] = marks[list(new.values())]
+    built.update(zip(new, build(lay, keep)))
     return [built[key] for key in keys]
 
 
 def string_traces(s: str, q: float, count: int, rng) -> list[str]:
     """count string traces in one call: each symbol is deleted with probability q."""
-    _check_q(q)
+    _check_draws(q, count)
     return _strings(s, rng.random((count, len(s))) >= q)
 
 

@@ -577,6 +577,14 @@ def test_batched_samplers_check_q():
         string_traces("101", -0.1, 4, make_rng("batched-q"))
 
 
+@pytest.mark.parametrize("sample", [ted_traces, lp_traces, string_traces],
+                         ids=["ted", "lp", "string"])
+def test_batched_samplers_reject_a_negative_count(sample):
+    source = "101" if sample is string_traces else path_tree(3)
+    with pytest.raises(ValueError, match=r"^count must be at least 0, got -1$"):
+        sample(source, 0.5, -1, make_rng("batched-count"))
+
+
 @pytest.fixture
 def built_rows(monkeypatch):
     """No forked source built yet, and the list of row counts passed to _traces."""
@@ -668,6 +676,30 @@ def test_memo_skips_trees_past_its_bound(built_rows):
     small = path_tree(channels._MEMO_MARKS)
     lp_traces(small, 0.5, 4, make_rng("memo-big"))
     assert list(kept_rows(small)) == [channels._lp_traces]
+
+
+@pytest.mark.parametrize("sample, oracle, build", [
+    (ted_traces, ted_trace, channels._ted_traces),
+    (lp_traces, lp_trace, channels._lp_traces),
+], ids=["ted", "lp"])
+def test_memo_keys_every_row_apart_at_its_bound(sample, oracle, build):
+    """The largest kept tree keeps one trace per distinct mark row; one node more keeps none."""
+    tag = f"memo-bound-{build.__name__}"
+    rng = make_rng(tag)
+    t, past = (random_labels(random_tree(channels._MEMO_MARKS + extra, rng), rng)
+               for extra in (1, 2))
+    for source in (t, past):
+        rng_a, rng_b = make_rng(tag), make_rng(tag)
+        got = sample(source, 0.5, 4096, rng_a)
+        assert [form(g) for g in got] == [form(oracle(source, 0.5, rng_b)) for _ in range(4096)]
+        assert rng_a.random() == rng_b.random()
+    # Replay the draws: one kept trace per distinct row, and a row's trace is its own.
+    marks = make_rng(tag).random((4096, channels._MEMO_MARKS)) >= 0.5
+    rows = {row.tobytes() for row in marks}
+    assert 2000 < len(rows) < 4096
+    assert len(kept_rows(t)[build]) == len({id(tr) for tr in sample(t, 0.5, 4096, make_rng(tag))})
+    assert len(kept_rows(t)[build]) == len(rows)
+    assert kept_rows(past) is None
 
 
 def test_forked_trials_share_one_tree_per_side(built_rows):
