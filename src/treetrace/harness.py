@@ -136,7 +136,15 @@ def trial_rngs(master_seed: int, grid_index: int, trials: int):
 
 
 def trial_rng(master_seed: int, grid_index: int, trial_index: int):
-    return next(_generators([trial_seed(master_seed, grid_index, trial_index)]))
+    # One seed: numpy's own seeding is faster than _seed_words' fixed cost.
+    return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
+
+
+def _check_ints(**fields) -> None:
+    """Raise ValueError naming the first field that is not an int (a bool is not one)."""
+    for name, value in fields.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         grid = tuple(self.trace_grid)
+        _check_ints(trials=self.trials, master_seed=self.master_seed)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("trace_grid must be nonempty and strictly ascending")
         if self.trials < 1:
@@ -323,11 +332,13 @@ def validate(family: str, model: str, n: int, q: float, delta: float,
     entry = _entry(family, model)
     channels._check_q(q)
     instances._check_delta(delta)
+    _check_ints(n=n)
     if n < entry.min_n:
         raise ValueError(f"family {family} needs n >= {entry.min_n}, got n={n}")
     if entry.max_n is not None and n > entry.max_n:
         raise ValueError(f"n={n} exceeds the {family} decoder's cap of {entry.max_n}")
     for count in trace_counts:
+        _check_ints(trace_count=count)
         if count < 1:
             raise ValueError(f"trace counts must be >= 1, got {count}")
         if entry.check is not None:
@@ -407,6 +418,7 @@ def doubling_search(
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
+    _check_ints(trials=trials, master_seed=master_seed, budget_cap=budget_cap)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if budget_cap < 1:

@@ -54,7 +54,7 @@ class EncodedInstance:
 # family knowledge.
 
 
-def encoded_parent_id(s_len: int, ell: int, bit_index: int) -> int:
+def encoded_parent_id(ell: int, bit_index: int) -> int:
     """Id of the backbone node carrying encoded bit `bit_index` (1-based)."""
     return ell + bit_index - 1
 
@@ -98,7 +98,7 @@ def read_encoded_string(inst: EncodedInstance) -> str:
     rank = {v: r for r, v in enumerate(ids)}
     bits = []
     for i in range(1, s_len + 1):
-        parent = encoded_parent_id(s_len, inst.buffer_len, i)
+        parent = encoded_parent_id(inst.buffer_len, i)
         leaf = encoded_leaf_id(s_len, inst.buffer_len, i)
         bits.append("0" if ids[rank[parent] + 1] == leaf else "1")  # first child: next in preorder
     return "".join(bits)

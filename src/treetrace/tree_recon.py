@@ -221,7 +221,7 @@ def reconstruct_encoded(traces: Sequence[Tree], s_len: int, ell: int, q: float) 
     undecided: list[int] = []
     for i in range(1, s_len + 1):
         leaf = encoded_leaf_id(s_len, ell, i)
-        par = encoded_parent_id(s_len, ell, i)
+        par = encoded_parent_id(ell, i)
         zeros = ones = 0
         for kids in tables:
             if leaf not in kids or par not in kids:

@@ -14,14 +14,12 @@ from collections import Counter
 
 import numpy as np
 
-from . import channels, instances, string_recon, tree_recon, trees
+from . import channels, harness, instances, string_recon, tree_recon, trees
 from .trees import Tree
 
 
-def _rng(tag: str, seed: int = 0):
-    from .harness import _generators, fnv1a64
-
-    return next(_generators([fnv1a64(f"{tag}:{seed}")]))
+def _rng(tag: str):
+    return np.random.default_rng(harness.fnv1a64(f"{tag}:0"))
 
 
 def _all_trees_up_to(max_n: int):
@@ -34,12 +32,12 @@ def _subsets(items):
         yield from itertools.combinations(items, r)
 
 
-def _binary_strings(exhaustive_len: int, sampled_lens, samples: int, rng):
-    """Every binary string of length 1..exhaustive_len, then samples drawn per sampled length."""
+def _binary_strings(exhaustive_len: int, samples: int, rng):
+    """Every binary string of length 1..exhaustive_len, then samples drawn at lengths 8, 9, 10."""
     for L in range(1, exhaustive_len + 1):
         for bits in itertools.product("01", repeat=L):
             yield "".join(bits)
-    for L in sampled_lens:
+    for L in (8, 9, 10):
         for _ in range(samples):
             yield "".join(rng.choice(["0", "1"], size=L))
 
@@ -80,10 +78,10 @@ def check_dyck_roundtrip(max_n: int = 8):
     return True, f"{count} trees round-tripped through the Dyck encoding"
 
 
-def check_parse_format_roundtrip(n_random: int = 500, max_n: int = 50, seed: int = 0):
-    rng = _rng("parse-format", seed)
+def check_parse_format_roundtrip(n_random: int = 500):
+    rng = _rng("parse-format")
     for i in range(n_random):
-        n = int(rng.integers(1, max_n + 1))
+        n = int(rng.integers(1, 51))
         t = instances.random_labels(instances.random_tree(n, rng), rng)
         text = trees.format_tree(t)
         if trees.parse_tree(text).canonical() != text:
@@ -190,31 +188,27 @@ def check_ted_distribution_normalization(max_n: int = 6):
     return True, f"{checked} exact TED distributions sum to 1 within 1e-9"
 
 
-def check_subsequence_total_probability(
-    exhaustive_len: int = 7, sampled_lens=(8, 9, 10), samples: int = 30,
-    q: float = 0.4, seed: int = 0,
-):
-    rng = _rng("subseq-total", seed)
+def check_subsequence_total_probability(exhaustive_len: int = 7, samples: int = 30):
+    rng = _rng("subseq-total")
     tested = 0
-    for s in _binary_strings(exhaustive_len, sampled_lens, samples, rng):
-        tot = sum(channels.string_trace_prob(s, t, q) for t in channels.distinct_subsequences(s))
+    for s in _binary_strings(exhaustive_len, samples, rng):
+        tot = sum(channels.string_trace_prob(s, t, 0.4) for t in channels.distinct_subsequences(s))
         if abs(tot - 1.0) > 1e-9:
             return False, f"sum {tot} for s={s}"
         tested += 1
     return True, f"{tested} strings: subsequence probabilities sum to 1 within 1e-9"
 
 
-def check_string_trace_mc(s: str = "10110100", q: float = 0.5,
-                          n_samples: int = 100_000, seed: int = 0):
-    rng = _rng("string-mc", seed)
+def check_string_trace_mc(n_samples: int = 100_000):
+    rng, s, q = _rng("string-mc"), "10110100", 0.5
     freq = Counter(channels.string_traces(s, q, n_samples, rng))
     law = {t: channels.string_trace_prob(s, t, q) for t in channels.distinct_subsequences(s)}
     return _frequencies_match(freq, law, n_samples)
 
 
-def check_ted_trace_mc(n: int = 6, q: float = 0.3, n_samples: int = 100_000, seed: int = 0):
-    rng = _rng("ted-mc", seed)
-    t = instances.random_tree(n, rng)
+def check_ted_trace_mc(n_samples: int = 100_000):
+    rng, q = _rng("ted-mc"), 0.3
+    t = instances.random_tree(6, rng)
     freq = Counter(channels.ted_traces(t, q, n_samples, rng))
     return _frequencies_match(freq, ted_subset_law(t, q), n_samples)
 
@@ -245,12 +239,11 @@ def enumeration_mean_vector(s: str, q: float) -> np.ndarray:
     return _mask_mean(s, keep, (1.0 - q) ** kept * q ** (len(s) - kept))
 
 
-def check_mean_formula(exhaustive_len: int = 7, sampled_lens=(8, 9, 10),
-                       samples: int = 30, qs=(0.1, 0.5), seed: int = 0):
-    rng = _rng("mean-formula", seed)
+def check_mean_formula(exhaustive_len: int = 7, samples: int = 30):
+    rng = _rng("mean-formula")
     tested = 0
-    for q in qs:
-        for s in _binary_strings(exhaustive_len, sampled_lens, samples, rng):
+    for q in (0.1, 0.5):
+        for s in _binary_strings(exhaustive_len, samples, rng):
             exact = string_recon.exact_mean_vector(s, q)
             g = float(np.abs(exact - enumeration_mean_vector(s, q)).max(initial=0.0))
             if g > 1e-12:
@@ -266,14 +259,13 @@ def sample_empirical_mean(s: str, q: float, n_samples: int, rng) -> np.ndarray:
     return _mask_mean(s, keep, np.bincount(codes, minlength=len(keep))) / n_samples
 
 
-def check_mean_empirical(n: int = 10, qs=(0.1, 0.5), n_strings: int = 20,
-                         n_samples: int = 100_000, seed: int = 0):
-    rng = _rng("mean-empirical", seed)
+def check_mean_empirical(n_strings: int = 20, n_samples: int = 100_000):
+    rng = _rng("mean-empirical")
     bound = 5.0 / math.sqrt(n_samples)
     worst = 0.0
     for _ in range(n_strings):
-        s = "".join(rng.choice(["0", "1"], size=n))
-        for q in qs:
+        s = "".join(rng.choice(["0", "1"], size=10))
+        for q in (0.1, 0.5):
             emp = sample_empirical_mean(s, q, n_samples, rng)
             exact = string_recon.exact_mean_vector(s, q)
             gap = float(np.max(np.abs(emp - exact)))
@@ -283,9 +275,9 @@ def check_mean_empirical(n: int = 10, qs=(0.1, 0.5), n_strings: int = 20,
     return True, f"max |empirical - exact| = {worst:.5f} <= {bound:.5f}"
 
 
-def check_binomial_identity(max_k: int = 30, seed: int = 0):
-    rng = _rng("binomial", seed)
-    for k in range(max_k + 1):
+def check_binomial_identity():
+    rng = _rng("binomial")
+    for k in range(31):
         q = float(rng.uniform(0.05, 0.95))
         p = 1.0 - q
         w = float(rng.uniform(-2.0, 2.0))
@@ -293,11 +285,10 @@ def check_binomial_identity(max_k: int = 30, seed: int = 0):
         rhs = (p * w + q) ** k
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
             return False, f"identity fails at k={k}, q={q}, w={w}"
-    return True, f"binomial identity holds numerically for k <= {max_k}"
+    return True, "binomial identity holds numerically for k <= 30"
 
 
-def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
-                                     ws=tuple(round(0.1 * i, 1) for i in range(1, 10))):
+def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5):
     p = 1.0 - q
     checked = 0
     for t in _all_trees_up_to(max_n):
@@ -305,7 +296,7 @@ def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
         padded = {}
         for trace, prob in channels.trace_law(t, q, "ted").items():
             padded[trace.word] = padded.get(trace.word, 0.0) + prob
-        for w in ws:
+        for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             lhs = 0.0
             for word, prob in padded.items():
                 lhs += prob * sum(int(ch) * w**j for j, ch in enumerate(word))
@@ -316,13 +307,13 @@ def check_ted_expectation_inequality(max_n: int = 6, q: float = 0.5,
     return True, f"{checked} (tree, w) pairs satisfy the expectation inequality"
 
 
-def check_separation_existence(max_n: int = 8, q: float = 0.5):
+def check_separation_existence(max_n: int = 8):
     smallest = math.inf
     pairs = 0
     for n in range(1, max_n + 1):
         codes = string_recon._candidate_matrix(n, None)
         left, right = np.triu_indices(len(codes), 1)
-        _, magnitude, _, poly_value = string_recon._separations(codes, left, right, q)
+        _, magnitude, _, poly_value = string_recon._separations(codes, left, right, 0.5)
         bad = np.flatnonzero((magnitude <= 1e-12) | (poly_value <= 1e-12))
         if len(bad):
             x, y = (string_recon._row_string(codes[side[bad[0]]]) for side in (left, right))
@@ -332,26 +323,26 @@ def check_separation_existence(max_n: int = 8, q: float = 0.5):
     return True, f"{pairs} pairs separated; smallest magnitude {smallest:.3e}"
 
 
-def _arc_worst(n: int, chunk: int = 64) -> float:
+def _arc_worst(n: int) -> float:
     """Min over nonzero a in {-1,0,1}^n of max |A(z)| on the arc.
 
     -a scores as a, so only the a whose first nonzero entry is +1 are scored: the
-    upper half of the base-3 indices (digit - 1).  A chunk's product is 1 MiB at 64 rows.
+    upper half of the base-3 indices (digit - 1).  A chunk of 64 rows makes a 1 MiB product.
     """
     _, powers = string_recon._arc_grid(n, string_recon.default_arc_parameter(n))
     place = 3 ** np.arange(n - 1, -1, -1)
     worst = math.inf
-    for lo in range((3**n + 1) // 2, 3**n, chunk):
-        a = np.arange(lo, min(lo + chunk, 3**n))[:, None] // place % 3 - 1.0
+    for lo in range((3**n + 1) // 2, 3**n, 64):
+        a = np.arange(lo, min(lo + 64, 3**n))[:, None] // place % 3 - 1.0
         worst = min(worst, float(np.abs(a @ powers.T).max(axis=1).min()))
     return worst
 
 
-def check_arc_maxima(max_n: int = 10, chunk: int = 64):
+def check_arc_maxima(max_n: int = 10):
     """Max |A(z)| on the arc for every nonzero a in {-1,0,1}^n; reports the worst."""
     report = []
     for n in range(1, max_n + 1):
-        worst, L = _arc_worst(n, chunk), string_recon.default_arc_parameter(n)
+        worst, L = _arc_worst(n), string_recon.default_arc_parameter(n)
         if worst <= 1e-12:
             return False, f"arc maximum {worst} at n={n}"
         report.append(f"n={n}: min over {3**n - 1} vectors = {worst:.3e} (L={L})")
@@ -362,8 +353,8 @@ def check_arc_maxima(max_n: int = 10, chunk: int = 64):
 # instances + pipelines
 
 
-def check_lp_pair_sets(n_lo: int = 4, n_hi: int = 10):
-    for n in range(n_lo, n_hi + 1):
+def check_lp_pair_sets(n_hi: int = 10):
+    for n in range(4, n_hi + 1):
         laws = [channels.trace_law(t, 0.5, "lp") for t in (instances.path_tree(n),
                                                               instances.forked_tree(n))]
         for m in range(1, n):  # the slice of m marks: n + 1 - m nodes, as lp_trace_set's
@@ -388,9 +379,9 @@ def _leaves(t: Tree) -> set[int]:
     return {v for v, kids in t.children().items() if not kids}
 
 
-def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
+def check_fuzzy_positional(max_n: int = 8):
     checked = 0
-    for m in ms:
+    for m in (2, 3):
         for t in _all_trees_up_to(max_n):
             if t.n == 1 or not trees.is_fuzzy(t, m):
                 continue
@@ -412,20 +403,20 @@ def check_fuzzy_positional(max_n: int = 8, ms=(2, 3)):
     return True, f"{checked} non-orphaning deletions removed exactly the owned symbols"
 
 
-def check_encoded_readback(max_len: int = 12, ell: int = 3):
+def check_encoded_readback(max_len: int = 12):
     count = 0
     for L in range(1, max_len + 1):
         for bits in itertools.product("01", repeat=L):
             s = "".join(bits)
-            inst = instances.encode_string_as_tree(s, ell)
+            inst = instances.encode_string_as_tree(s, 3)
             if instances.read_encoded_string(inst) != s:
                 return False, f"read-back failed for {s}"
             count += 1
     return True, f"{count} strings encode and read back exactly"
 
 
-def check_known_topology_q0(max_n: int = 8, seed: int = 0):
-    rng = _rng("known-topology-q0", seed)
+def check_known_topology_q0(max_n: int = 8):
+    rng = _rng("known-topology-q0")
     count = 0
     for t in _all_trees_up_to(max_n):
         labeled = instances.random_labels(t, rng)
@@ -436,11 +427,11 @@ def check_known_topology_q0(max_n: int = 8, seed: int = 0):
     return True, f"{count} topologies recover their labels exactly from one clean trace"
 
 
-def check_uniform_random_tree(n: int = 4, n_samples: int = 100_000, seed: int = 0):
-    rng = _rng("uniform-tree", seed)
-    words = Counter(instances.random_dyck_words(n, n_samples, rng))
+def check_uniform_random_tree(n_samples: int = 100_000):
+    rng = _rng("uniform-tree")
+    words = Counter(instances.random_dyck_words(4, n_samples, rng))
     counts = {trees.tree_from_dyck(w).canonical(): c for w, c in words.items()}
-    catalan = math.comb(2 * (n - 1), n - 1) // n
+    catalan = 5  # C_3: the shapes of a 4-node tree
     if len(counts) != catalan:
         return False, f"saw {len(counts)} shapes, expected {catalan}"
     expect = 1.0 / catalan
@@ -453,8 +444,6 @@ def check_uniform_random_tree(n: int = 4, n_samples: int = 100_000, seed: int = 
 
 
 def check_experiment_determinism():
-    from . import harness
-
     spec = harness.ExperimentSpec(
         family="random", n=6, q=0.2, model="ted", trace_grid=(1, 2, 4),
         trials=5, delta=0.05, master_seed=99,

@@ -351,7 +351,7 @@ def encoded_removal_stats(traces: Sequence[Tree], s_len: int, ell: int) -> dict[
         present = set(tr.ids)
         for i in range(1, s_len + 1):
             leaf_in = encoded_leaf_id(s_len, ell, i) in present
-            par_in = encoded_parent_id(s_len, ell, i) in present
+            par_in = encoded_parent_id(ell, i) in present
             if leaf_in and par_in:
                 both_alive += 1
             elif leaf_in:

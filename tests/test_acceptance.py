@@ -179,8 +179,7 @@ def test_criterion_4_mean_formula(subsequence_sweep):
             worst = max(worst, gap)
             if gap > 1e-12:
                 report("4 (mean formula)", False, f"gap {gap} for s={s}, q={q}")
-    ok_e, d_e = verify.check_mean_empirical(n=10, qs=(0.1, 0.5), n_strings=20,
-                                            n_samples=100_000)
+    ok_e, d_e = verify.check_mean_empirical(n_strings=20, n_samples=100_000)
     if not ok_e:
         report("4 (mean formula)", False, d_e)
     report("4 (mean formula)", True,
@@ -204,7 +203,7 @@ def test_criterion_5_ted_expectation_inequality():
 
 
 def test_criterion_6_separation_and_arc_maxima():
-    ok_s, d_s = verify.check_separation_existence(max_n=8, q=0.5)
+    ok_s, d_s = verify.check_separation_existence(max_n=8)
     if not ok_s:
         report("6 (separation)", False, d_s)
     ok_a, d_a = verify.check_arc_maxima(max_n=10)
@@ -231,7 +230,7 @@ def test_criterion_7_known_topology_pipeline():
 
 
 def test_criterion_8_fuzzy_pipeline():
-    ok_p, d_p = verify.check_fuzzy_positional(max_n=8, ms=(2, 3))
+    ok_p, d_p = verify.check_fuzzy_positional(max_n=8)
     if not ok_p:
         report("8 (fuzzy pipeline)", False, d_p)
     n, q, n_traces, trials = 30, 0.2, 64, 50

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -167,6 +168,31 @@ def test_doubling_search_rejects_before_first_trial(family, n, model, kw, no_tri
         doubling_search(family, n, 0.1, model, target_rate=0.9, **kw)
 
 
+SPEC = dict(family="random", n=6, q=0.1, model="ted", trace_grid=(2, 4), trials=2)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("trace_grid", (2.0, 4.0), "trace_count must be an int, got 2.0"),
+    ("trace_grid", (True, 4), "trace_count must be an int, got True"),
+    ("trials", 2.5, "trials must be an int, got 2.5"),
+    ("trials", True, "trials must be an int, got True"),
+    ("n", 6.0, "n must be an int, got 6.0"),
+    ("master_seed", 1.5, "master_seed must be an int, got 1.5"),
+], ids=["grid-float", "grid-bool", "trials-float", "trials-bool", "n-float", "seed-float"])
+def test_spec_rejects_a_non_int_before_any_trial(field, value, message, no_trials):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentSpec(**{**SPEC, field: value}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 6.0), ("trials", 2.5), ("master_seed", 1.5), ("budget_cap", 2.5), ("budget_cap", False),
+], ids=["n-float", "trials-float", "seed-float", "cap-float", "cap-bool"])
+def test_doubling_search_rejects_a_non_int_before_any_trial(field, value, no_trials):
+    kw = dict(family="random", n=6, q=0.1, model="ted", target_rate=0.9, trials=2)
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        doubling_search(**{**kw, field: value})
+
+
 def test_result_row_validation():
     with pytest.raises(ValueError):
         ResultRow("e", "random", 6, 0.1, "ted", 1, 5, 6, 1.2, 0, 0)
@@ -257,6 +283,15 @@ def test_forked_distinguisher_needs_branch_evidence():
 def test_verify_suite_quick_passes():
     failing = [name for name, passed, _ in verify.run_checks("quick") if not passed]
     assert not failing, f"failing properties: {failing}"
+
+
+def test_verify_checks_take_only_the_sizes_a_level_or_a_test_sets():
+    # A check's parameters are the sizes the quick level shrinks, plus the
+    # test seams; every other value is a constant inside the check.
+    seams = {"ted-order-invariance": {"ted_apply_fn"}, "traversal-preservation": {"ted_apply_fn"},
+             "ted-expectation-inequality": {"q"}}
+    for name, (fn, quick) in verify.CHECKS.items():
+        assert set(inspect.signature(fn).parameters) == set(quick) | seams.get(name, set()), name
 
 
 def test_verify_detects_mutated_splice_order():

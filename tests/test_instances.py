@@ -72,7 +72,7 @@ def test_encoded_id_layout():
     kids = inst.tree.children()
     for i in (1, 2):
         leaf = encoded_leaf_id(s_len, ell, i)
-        parent = encoded_parent_id(s_len, ell, i)
+        parent = encoded_parent_id(ell, i)
         assert leaf in kids[parent]
         assert kids[leaf] == ()
     # The whole table: backbone ids 0..5 down the path, leaf ids 6 and 7.
