@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -50,13 +51,38 @@ class InvalidDeletionError(ValueError):
     """Deletion set targets the root or an unknown node."""
 
 
+def _check_ints(**fields) -> None:
+    """Raise ValueError naming the first field that is not an int.
+
+    A bool is not one, nor is a numpy integer, whose arithmetic wraps at 64
+    bits where an int grows.
+    """
+    for name, value in fields.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a real number; a bool is not one.
+
+    numbers.Real is an ABC, whose check is several times slower than a type
+    test, the more so on its first call; so callers let a float skip it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_q(q: float) -> None:
+    if not isinstance(q, float):
+        _check_real("q", q)
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
 def _check_draws(q: float, count: int) -> None:
     _check_q(q)
+    if type(count) is not int:  # every draw checks its count; an int skips the call
+        _check_ints(count=count)
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
 

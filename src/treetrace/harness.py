@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import channels, instances, string_recon, tree_recon
+from .channels import _check_ints
 from .trees import Tree
 
 CSV_HEADER = "experiment,family,n,q,model,traces,trials,successes,rate,wall_time_ms,seed"
@@ -140,13 +141,6 @@ def trial_rng(master_seed: int, grid_index: int, trial_index: int):
     return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
 
 
-def _check_ints(**fields) -> None:
-    """Raise ValueError naming the first field that is not an int (a bool is not one)."""
-    for name, value in fields.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: a family, a channel, a trace-count grid, trials per point."""
@@ -162,13 +156,21 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        grid = tuple(self.trace_grid)
+        try:
+            grid = tuple(self.trace_grid)
+        except TypeError:
+            raise ValueError(
+                f"trace_grid must be an iterable of ints, got {self.trace_grid!r}") from None
         _check_ints(trials=self.trials, master_seed=self.master_seed)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("trace_grid must be nonempty and strictly ascending")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # validate refuses a count that is not an int, so the order test can compare them.
         validate(self.family, self.model, self.n, self.q, self.delta, grid)
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("trace_grid must be nonempty and strictly ascending")
+        # Stored as float, so that the id and the CSV read the same for any real type.
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "trace_grid", grid)
 
     @property

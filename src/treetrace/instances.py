@@ -14,11 +14,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import _binary, _check_q
+from .channels import _binary, _check_q, _check_real
 from .trees import Tree, _walk, tree_from_dyck
 
 
 def _check_delta(delta: float) -> None:
+    if not isinstance(delta, float):
+        _check_real("delta", delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 

@@ -6,9 +6,11 @@ strings are (`find_separation` is the one-pair case), and two
 candidate-sweep reconstructors (max-likelihood and nearest-exact-mean).
 The mean sweep scores candidates as rows of one uint8 bit matrix.  Maximum
 likelihood walks the candidates' prefix trie once for all traces and scores
-only the candidates in which every trace embeds; its likelihood sums
-accumulate in log space, in one array pass per trie piece that adds the
-traces in tally order.
+only the candidates in which every trace embeds.  A trie node's DP row
+holds every trace's embedding counts, then a constant 1 and the node's
+code, so one shift-and-add per level extends the counts and the code
+together.  The likelihood sums accumulate in log space, in one array pass
+per trie piece that adds the traces in tally order.
 """
 
 from __future__ import annotations
@@ -210,50 +212,50 @@ def find_separation(x: str, y: str, q: float) -> SeparationWitness:
 def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
     """Yield (codes, counts) for the length-n candidates in which every trace embeds.
 
-    A node of the candidates' prefix trie is a prefix code c, with children
-    2c and 2c + 1, and one DP row: for each trace t in turn, the embedding
-    counts of t's prefixes of length 0..longest in the node's prefix.  A
-    level is one int64 array of live nodes x traces * (longest + 1).  Each
-    trace's block starts with, and shorter traces end in, the symbol 2,
-    which matches no bit.  `listed` holds the sorted codes of a candidate
-    list, or None for all of {0,1}^n.  A node is dropped once some trace's
-    unmatched suffix is longer than the positions left, since every
-    completion of it has likelihood zero.  At depth n that leaves exactly the
-    candidates in which every trace embeds; counts[k, t] embeds trace t in
-    codes[k].
-
-    A level whose DP state would pass _TRIE_LEVEL_BYTES is copied into two
-    halves that are finished depth-first, so pieces still come in code order.
+    A trie node is a prefix with one int64 DP row: n zero columns (a level
+    drops one), then for each trace t the embedding counts of t's prefixes
+    of length 0..longest in the prefix, then a constant 1 and the code (bit d
+    weighs 2^(n - d)).  A trace's block starts with, and a shorter trace's
+    ends in, the symbol 2, which matches no bit.  A level's children are one
+    shift-and-add of two views of the rows, which also adds the bit's weight
+    to the code.  `listed` holds the sorted codes of a candidate list, or
+    None for all of {0,1}^n.  A node is dropped once some trace's unmatched
+    suffix is longer than the positions left; counts[k, t] embeds trace t in
+    codes[k].  A level whose DP state would pass _TRIE_LEVEL_BYTES is split
+    into two halves finished depth-first, so pieces still come in code order.
     """
     ells = np.array([len(t) for t in texts])
+    if ells.max() > n:  # a trace longer than n embeds in no candidate
+        return
     width = int(ells.max()) + 1
     symbols = _bits("".join("2" + t.ljust(width - 1, "2") for t in texts))
-    # eqs[b, c - 1] is 1 when bit b extends column c - 1 into c; int64, as g is.
-    eqs = (symbols[1:] == _BIT_PAIR[:, None]).astype(np.int64)
+    # eqs[b, c] is what bit b carries from column c into c + 1; int64, as g is.
+    eqs = np.zeros((2, n + len(symbols) + 1), dtype=np.int64)
+    eqs[:, n:-2] = symbols[1:] == _BIT_PAIR[:, None]
     starts = np.arange(len(texts)) * width
-    needs = starts + np.maximum(ells - np.arange(n, -1, -1)[:, None], 0)  # columns, per depth
-    g = np.zeros((1, len(symbols)), dtype=np.int64)
-    g[0, starts] = 1
-    stack = [(0, np.zeros(1, dtype=np.int64), g)]
+    needs = starts + np.maximum(ells, np.arange(n, -1, -1)[:, None])  # columns, per depth
+    g = np.zeros((1, n + len(symbols) + 2), dtype=np.int64)
+    g[0, n + starts] = g[0, -2] = 1
+    stack = [(0, g)]
     while stack:
-        depth, codes, g = stack.pop()
-        while depth < n and len(codes):
-            if 2 * g.nbytes > _TRIE_LEVEL_BYTES and len(codes) > 1:
-                half = len(codes) // 2
-                stack.append((depth, codes[half:].copy(), g[half:].copy()))
-                codes, g = codes[:half].copy(), g[:half].copy()
+        depth, g = stack.pop()
+        while depth < n and len(g):
+            if 2 * g.nbytes > _TRIE_LEVEL_BYTES and len(g) > 1:
+                stack.append((depth, g[len(g) // 2 :].copy()))
+                g = g[: len(g) // 2].copy()
                 continue
             depth += 1
-            kids = g.repeat(2, axis=0)
-            kids.reshape(len(g), 2, -1)[:, :, 1:] += g[:, None, :-1] * eqs
-            codes = (2 * codes[:, None] + _BIT_PAIR).ravel()
-            keep = kids.take(needs[depth], axis=1).all(1)
-            if listed is not None:
-                prefixes = listed >> (n - depth)
-                keep &= np.searchsorted(prefixes, codes, "right") > np.searchsorted(prefixes, codes)
-            codes, g = codes[keep], kids[keep]
-        if len(codes):
-            yield codes, g.take(starts + ells, axis=1)
+            eqs[1, -1] = 1 << (n - depth)
+            kids = g[:, None, :-1] * eqs[:, depth - 1 :]
+            kids += g[:, None, 1:]
+            kids = kids.reshape(2 * len(g), -1)
+            keep = np.logical_and.reduce(kids.take(needs[depth], axis=1), axis=1)
+            if listed is not None:  # live iff some listed code lies in [code, code + 2^(n - depth))
+                lo, hi = listed.searchsorted(kids[:, -1] + [[0], [1 << (n - depth)]])
+                keep &= hi > lo
+            g = kids.compress(keep, axis=0)
+        if len(g):  # copied, since a view would keep g alive
+            yield g[:, -1].copy(), g.take(starts + ells, axis=1)
 
 
 def _piece_scores(tally: Counter, n: int, q: float, pieces):
@@ -277,7 +279,7 @@ def _piece_scores(tally: Counter, n: int, q: float, pieces):
     for codes, counts in pieces:
         ll = np.log(counts.T, dtype=float, order="C")
         ll += kept
-        np.add(ll, lost, out=ll, where=dropped)
+        ll += lost  # log c >= 0 and kept <= 0 never sum to -0.0, so + 0.0 changes no bit
         ll *= mults
         np.add.accumulate(ll, axis=0, out=ll)
         yield codes, ll[-1].copy()
@@ -308,18 +310,15 @@ def ml_reconstruct(
     if n > _EMBED_LEN_CAP:
         raise ValueError(f"candidate length {n} exceeds exact-count cap")
     listed = None if rows is None else rows.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
-    # A trace longer than n embeds in no candidate.
-    pieces = _trie_leaves(list(tally), n, listed) if max(map(len, tally)) <= n else ()
-    found, scores = [], []
-    for codes, piece in _piece_scores(tally, n, q, pieces):
-        found.append(codes)
-        scores.append(piece)
-    scores = np.concatenate(scores) if scores else np.zeros(0)
-    if not np.isfinite(scores).any():
+    pieces = list(_piece_scores(tally, n, q, _trie_leaves(list(tally), n, listed)))
+    if len(pieces) > 1:
+        pieces = [tuple(map(np.concatenate, zip(*pieces)))]
+    if not pieces or not np.isfinite(pieces[0][1]).any():
         raise InconsistentTracesError(
             "every candidate has zero likelihood: some trace embeds in none of them"
         )
-    best = int(np.concatenate(found)[scores.argmax()])
+    found, scores = pieces[0]
+    best = int(found[scores.argmax()])
     return format(best, "b").zfill(n) if n else ""
 
 

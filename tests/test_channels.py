@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -583,6 +585,15 @@ def test_batched_samplers_reject_a_negative_count(sample):
     source = "101" if sample is string_traces else path_tree(3)
     with pytest.raises(ValueError, match=r"^count must be at least 0, got -1$"):
         sample(source, 0.5, -1, make_rng("batched-count"))
+
+
+@pytest.mark.parametrize("sample", [ted_traces, lp_traces, string_traces],
+                         ids=["ted", "lp", "string"])
+@pytest.mark.parametrize("count", [2.5, True, np.int64(2)], ids=["float", "bool", "np.int64"])
+def test_batched_samplers_take_only_an_int_count(sample, count):
+    source = "101" if sample is string_traces else path_tree(3)
+    with pytest.raises(ValueError, match=f"^count must be an int, got {re.escape(repr(count))}$"):
+        sample(source, 0.5, count, make_rng("batched-count"))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from treetrace.harness import (
     UnknownFamilyError,
     doubling_search,
     fnv1a64,
+    rows_to_csv,
     run_experiment,
     _generators,
     _seed_words,
@@ -178,7 +180,13 @@ SPEC = dict(family="random", n=6, q=0.1, model="ted", trace_grid=(2, 4), trials=
     ("trials", True, "trials must be an int, got True"),
     ("n", 6.0, "n must be an int, got 6.0"),
     ("master_seed", 1.5, "master_seed must be an int, got 1.5"),
-], ids=["grid-float", "grid-bool", "trials-float", "trials-bool", "n-float", "seed-float"])
+    # A numpy integer is refused too: its arithmetic wraps at 64 bits.
+    ("n", np.int64(6), f"n must be an int, got {np.int64(6)!r}"),
+    ("trials", np.int64(2), f"trials must be an int, got {np.int64(2)!r}"),
+    ("master_seed", np.uint32(0), f"master_seed must be an int, got {np.uint32(0)!r}"),
+    ("trace_grid", (np.int64(2), 4), f"trace_count must be an int, got {np.int64(2)!r}"),
+], ids=["grid-float", "grid-bool", "trials-float", "trials-bool", "n-float", "seed-float",
+        "n-np.int64", "trials-np.int64", "seed-np.uint32", "grid-np.int64"])
 def test_spec_rejects_a_non_int_before_any_trial(field, value, message, no_trials):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(ExperimentSpec(**{**SPEC, field: value}))
@@ -191,6 +199,30 @@ def test_doubling_search_rejects_a_non_int_before_any_trial(field, value, no_tri
     kw = dict(family="random", n=6, q=0.1, model="ted", target_rate=0.9, trials=2)
     with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
         doubling_search(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("q", "0.3", "q must be a real number, got '0.3'"),
+    ("q", True, "q must be a real number, got True"),
+    ("delta", "0.05", "delta must be a real number, got '0.05'"),
+    ("trace_grid", 0, "trace_grid must be an iterable of ints, got 0"),
+    ("trace_grid", (2, None), "trace_count must be an int, got None"),
+], ids=["q-str", "q-bool", "delta-str", "grid-int", "grid-none"])
+def test_spec_rejects_a_non_number_in_one_line(field, value, message, no_trials):
+    # Each of these raised a TypeError from a comparison before it was checked.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec(**{**SPEC, field: value})
+
+
+@pytest.mark.parametrize("q", [np.float64(0.1), Fraction(1, 10), np.int64(0), 0],
+                         ids=["np.float64", "Fraction", "np.int64", "int"])
+def test_spec_stores_q_and_delta_as_float(q):
+    # At numpy 2, experiment_id wrote np.float64(0.1) as "qnp.float64(0.1)".
+    spec = ExperimentSpec(**{**SPEC, "q": q, "delta": np.float64(0.05), "trials": 1})
+    assert type(spec.q) is float and type(spec.delta) is float
+    assert spec.experiment_id == f"random-ted-n6-q{float(q)!r}"
+    plain = ExperimentSpec(**{**SPEC, "q": float(q), "delta": 0.05, "trials": 1})
+    assert rows_to_csv(run_experiment(spec)) == rows_to_csv(run_experiment(plain))
 
 
 def test_result_row_validation():

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetrace import channels, instances, string_recon, tree_recon, verify
 from treetrace.string_recon import (
@@ -297,6 +299,90 @@ def test_trie_ml_matches_exhaustive_sweep(level_bytes, monkeypatch):
             assert ml_reconstruct(traces, n, q, cands) == want, (traces, n, q, cands)
             outcomes["decoded"] += 1
     assert outcomes["inconsistent"] >= 200 and outcomes["decoded"] >= 1000, outcomes
+
+
+ZERO_LIKELIHOOD = "every candidate has zero likelihood: some trace embeds in none of them"
+
+
+def _walk_cases(seen: Counter):
+    """Seeded (texts, n, candidates) for the trie walk; seen tallies the edges covered."""
+    rng = make_rng("trie-walk")
+    for case in range(330):
+        n = case % 11
+        q = (0.0, 0.2, 0.5, 0.8)[case // 11 % 4]
+        source = "".join(rng.choice(["0", "1"], size=n))
+        texts = channels.string_traces(source, q, int(rng.integers(1, 7)), rng)
+        every = ["".join(b) for b in itertools.product("01", repeat=n)]
+        size = (None, 1, int(rng.integers(1, min(len(every), 24) + 1)))[case % 3]
+        cands = None if size is None else [every[i] for i in
+                                           rng.choice(len(every), size=size, replace=False)]
+        if rng.random() < 0.15:
+            texts.append("".join(rng.choice(["0", "1"], size=n + 1)))
+        if case % 5 == 0:  # the walk also takes a text twice
+            texts.append(texts[0])
+        seen["n = 0"] += n == 0
+        seen["n = 1"] += n == 1
+        seen["q = 0"] += q == 0.0
+        seen["repeated text"] += len(set(texts)) < len(texts)
+        seen["trace longer than n"] += max(map(len, texts)) > n
+        seen["full sweep"] += cands is None
+        seen["one candidate"] += size == 1
+        seen["list"] += size is not None and size > 1
+        yield texts, n, cands
+
+
+def _embedding_table(texts, n, cands):
+    """Codes and counts (candidates x texts) of every candidate in which all texts embed."""
+    rows = _candidate_matrix(n, cands)
+    bits = [np.frombuffer(t.encode(), np.uint8) - ord("0") for t in texts]
+    counts = np.stack([embedding_counts(rows, b) for b in bits], axis=1)
+    live = (counts > 0).all(axis=1)
+    return [int(_row_string(row) or "0", 2) for row in rows[live]], counts[live]
+
+
+@pytest.mark.parametrize("level_bytes", [None, 256], ids=["default-budget", "256B-budget"])
+def test_trie_walk_is_the_brute_force_embedding_table(level_bytes, monkeypatch):
+    # The walk's leaves themselves, not only the argmax that ml_reconstruct takes.
+    if level_bytes is not None:
+        monkeypatch.setattr(string_recon, "_TRIE_LEVEL_BYTES", level_bytes)
+    seen = Counter()
+    for texts, n, cands in _walk_cases(seen):
+        listed = None if cands is None else np.array(sorted(int(c or "0", 2) for c in cands))
+        pieces = list(string_recon._trie_leaves(texts, n, listed))
+        want_codes, want_counts = _embedding_table(texts, n, cands)
+        got_codes = [int(c) for codes, _ in pieces for c in codes]
+        assert got_codes == want_codes, (texts, n, cands)
+        assert all(codes.dtype == counts.dtype == np.int64 for codes, counts in pieces)
+        got_counts = np.concatenate([counts for _, counts in pieces]) if pieces else want_counts
+        assert got_counts.tolist() == want_counts.tolist(), (texts, n, cands)
+        seen["split walk"] += len(pieces) > 1
+        seen["no listed candidate fits"] += not want_codes and cands is not None
+        if not want_codes:
+            with pytest.raises(InconsistentTracesError, match=f"^{ZERO_LIKELIHOOD}$"):
+                ml_reconstruct(texts, n, 0.5, cands)
+    if level_bytes is None:  # the default budget splits nothing this small
+        assert seen.pop("split walk") == 0, seen
+    assert min(seen.values()) >= 10, seen
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ml_is_the_exhaustive_sweep_on_drawn_sources(data):
+    n = data.draw(st.integers(0, 9), label="n")
+    q = data.draw(st.floats(0.0, 0.9), label="q")
+    source = data.draw(st.text("01", min_size=n, max_size=n), label="source")
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                               min_size=1, max_size=12), label="kept symbols")
+    traces = ["".join(c for c, kept in zip(source, mask) if kept) for mask in masks]
+    cands = data.draw(st.none() | st.lists(st.text("01", min_size=n, max_size=n), min_size=1,
+                                           max_size=16, unique=True), label="candidates")
+    try:
+        want = _reference_ml(traces, n, q, cands)
+    except InconsistentTracesError:
+        with pytest.raises(InconsistentTracesError, match=f"^{ZERO_LIKELIHOOD}$"):
+            ml_reconstruct(traces, n, q, cands)
+    else:
+        assert ml_reconstruct(traces, n, q, cands) == want
 
 
 def _score_cases(rng):
