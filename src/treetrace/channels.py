@@ -17,12 +17,13 @@ Left propagation (LP) marks each non-root node with probability q and
 deletes the marks in ascending preorder.  A deletion at a node shifts the
 labels one step up its first-child path and removes the last node of that
 path, so each mark's label goes wherever it has moved to.  On the preorder
-form that is one rule.  Only leaves are ever removed, so survivors keep
-their depths, and the survivors' labels are the source labels without the
-marked positions: the j-th mark, at source index i, sits at rank r = i - j
-among the survivors.  Deleting it removes the first survivor at or after
-rank r whose successor in preorder is no deeper, or that has none.  On a
-Dyck word, that is the first `10` at or after node r's `1`, and label r goes.
+form that is one pass over the Dyck word with a count of pending
+removals.  At a node's `1`, a mark on it adds one.  At its `0`, the node is
+removed if a removal is pending, which spends one.  A subtree that opens
+with none pending closes with none, since each of its `1`s has its `0`
+inside it; so a node with a surviving child has none pending at its `0`,
+and only leaves are ever removed.  Survivors keep their depths, and the
+survivors' labels are the source labels without the marked positions.
 """
 
 from __future__ import annotations
@@ -247,37 +248,18 @@ def _ted_traces(lay: _Layout, keep: np.ndarray) -> list[Tree]:
     return _traces(lay, keep, keep)
 
 
-def _lp_removed(marks: list[int], depth: list[int]) -> list[int]:
-    """Indices of the nodes removed for marks in ascending order, by the LP rule.
-
-    The rule is the module docstring's: the j-th mark, at index i, removes
-    the first survivor at or after rank i - j whose successor is no deeper.
-    Ranks never decrease, and the survivors from one mark's rank up to the
-    leaf it removed still form a chain, so the next walk resumes at the
-    chain's end: the walks read each survivor about once in all.
-    """
-    alive = list(range(len(depth)))
-    removed: list[int] = []
-    r = 0
-    for j, i in enumerate(marks):
-        r = max(i - j, r - 1)
-        while r + 1 < len(alive) and depth[alive[r + 1]] > depth[alive[r]]:
-            r += 1
-        removed.append(alive.pop(r))
-    return removed
-
-
 def _lp_traces(lay: _Layout, labels: np.ndarray) -> list[Tree]:
-    marked = ~labels
-    rows, cols = marked.nonzero()
-    marks = cols.tolist()
-    up = lay.word == ord("1")
-    depth = [0] + np.where(up, 1, -1).cumsum()[up].tolist()  # by node index
-    removed: list[int] = []
-    for a, b in _bounds(marked.sum(axis=1)):
-        removed += _lp_removed(marks[a:b], depth)
+    """The LP traces of the mark rows ~labels, by the module docstring's counter pass."""
+    steps = list(zip((lay.word == ord("1")).tolist(), lay.walk.tolist()))
     nodes = np.ones_like(labels)
-    nodes[rows, removed] = False
+    for row, marked in zip(nodes, (~labels).tolist()):
+        pending = 0
+        for opens, v in steps:
+            if opens:
+                pending += marked[v]
+            elif pending:
+                pending -= 1
+                row[v] = False
     return _traces(lay, nodes, labels)
 
 
@@ -286,7 +268,7 @@ def lp_traces(t: Tree, q: float, count: int, rng) -> list[Tree]:
 
     Each deletion removes a leaf, so a trace's word is the source word
     without the matched 1 and 0 of each removed node; its labels lose the
-    marked positions instead (see _lp_removed).
+    marked positions instead.
     """
     return _sample(t, q, count, rng, _lp_traces)
 
@@ -325,6 +307,7 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     The LP rule on the C(n-1, k) rows of `_keep_rows` with k marks, so the
     support of `lp_traces` with k marks; the tests check it against `lp_apply`.
     """
+    _check_ints(k=k)
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
     keep = _keep_rows(t.n)
@@ -349,6 +332,8 @@ def string_trace_prob(s: str, trace: str, q: float) -> float:
 
     For binary strings and q in [0, 1]; zero when trace is not a subsequence of s.
     """
+    if not isinstance(q, float):
+        _check_real("q", q)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     n, m = len(_binary(s, "s")), len(_binary(trace))

@@ -329,6 +329,9 @@ def test_lp_trace_set_examples():
             lp_trace_set(path_tree(3), k)
     with pytest.raises(SizeCapError):
         lp_trace_set(path_tree(30), 1)
+    for k in (2.5, True, np.int64(2)):  # 2.5 gave an empty set and True read as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'k must be an int, got {k!r}')}$"):
+            lp_trace_set(path_tree(6), k)
 
 
 def test_lp_trace_set_matches_lp_apply_closure():
@@ -451,6 +454,10 @@ def test_string_trace_prob_edge_rates():
     for q in (1.5, -0.5):
         with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
             string_trace_prob("01", "0", q)
+    # A str q raised a TypeError from the range test, and True read as 1.0.
+    for q in ("0.3", True):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'q must be a real number, got {q!r}')}$"):
+            string_trace_prob("01", "0", q)
 
 
 def test_string_trace_prob_alphabet_check():
@@ -527,6 +534,19 @@ def test_lp_traces_match_lp_trace(q):
     large = [_reversed_ids(random_labels(t, rng)) for t in
              (path_tree(300), random_tree(400, rng), random_tree(1000, rng))]
     _matches_tree_oracle(lp_traces, lp_trace, q, f"batched-lp-{q}", large)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.floats(0.0, 0.95, exclude_max=True), st.integers(0, 8))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tree_samplers_match_the_dict_oracles(seed, n, q, count):
+    # Shapes, rates and counts that the fixed cases above do not pin.
+    t = random_labels(random_tree(n, np.random.default_rng(seed)), np.random.default_rng(seed + 1))
+    for batched, oracle in ((lp_traces, lp_trace), (ted_traces, ted_trace)):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batched(t, q, count, rng_a)
+        assert [form(g) for g in got] == [form(oracle(t, q, rng_b)) for _ in range(count)]
+        assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("q", BATCH_QS)
