@@ -281,13 +281,36 @@ def _check_fuzzy(n, q, delta, planned_traces) -> None:
     tree_recon.check_fuzzy_decodable(n, instances.fuzzy_degree(n, planned_traces, delta, q))
 
 
+def _channel_traces(model, source, q, count, rng) -> list:
+    """The model's channel on the source: whole traces, for decoders that read them."""
+    return SAMPLERS[model](source, q, count, rng)
+
+
+def _label_traces(model, source, q, count, rng) -> list[str]:
+    """The traces' preorder label strings alone, by the paper's reduction.
+
+    Under TED and LP a trace keeps the root's label and each other label
+    with probability 1 - q (the node not deleted, or not marked), so its
+    label string is the root's label followed by a string-channel trace of
+    the other labels.  string_traces draws the same rng.random((count,
+    n - 1)) as ted_traces and lp_traces, so the strings are theirs bitwise
+    and the generator ends in the same state.
+    """
+    if isinstance(source, str):  # the random family's plain strings
+        return channels.string_traces(source, q, count, rng)
+    root, rest = source.labels[0], source.labels[1:]
+    return [root + s for s in channels.string_traces(rest, q, count, rng)]
+
+
 @dataclass(frozen=True)
 class Family:
     """A family's models, builder, decoder, and the sizes they handle.
 
     build(n, q, delta, planned_traces, model, rng) draws the instance from the
-    trial's generator and decode(public, traces, n, q) returns the guess from
-    plain str traces (model string) or trees.Tree traces; both look layer
+    trial's generator.  sample(model, source, q, count, rng) then draws what
+    decode reads from the instance's source: by default the model's channel
+    (SAMPLERS), so plain str traces (model string) or trees.Tree traces.
+    decode(public, traces, n, q) returns the guess.  All three look layer
     functions up in their modules at call time.  A truth and its guess are
     compared with ==: a plain str of bits, a Tree, or a bool.  n runs from
     min_n to max_n; check(n, q, delta, planned_traces) rejects unbuildable
@@ -300,14 +323,17 @@ class Family:
     min_n: int = 1
     max_n: int | None = None
     check: Callable[[int, float, float, int], None] | None = None
+    sample: Callable[..., list] = _channel_traces
 
 
-# Exhaustive ML labels every node: n nodes for random, n + 1 for A_n.
+# Exhaustive ML labels every node: n nodes for random, n + 1 for A_n.  The
+# known-topology decoder reads only label strings, so those trials draw no
+# tree traces.
 FAMILIES = {
     "random": Family(("string", "ted", "lp"), _build_random, _decode_labels,
-                     max_n=string_recon.FULL_SWEEP_CAP),
+                     max_n=string_recon.FULL_SWEEP_CAP, sample=_label_traces),
     "path": Family(("ted", "lp"), _build_path, _decode_labels,
-                   max_n=string_recon.FULL_SWEEP_CAP - 1),
+                   max_n=string_recon.FULL_SWEEP_CAP - 1, sample=_label_traces),
     "forked": Family(("ted", "lp"), _build_forked, _decode_forked, min_n=2),
     "fuzzy": Family(("ted",), _build_fuzzy, _decode_fuzzy, min_n=3, check=_check_fuzzy),
     "encoded": Family(("ted",), _build_encoded, _decode_encoded),
@@ -358,10 +384,15 @@ _RECON_FAILURES = (
 
 def run_trial(family: str, model: str, n: int, q: float, delta: float,
               n_traces: int, rng) -> bool:
-    """One independent trial: build, sample, decode; success is guess == truth."""
+    """One independent trial: build, sample, decode; success is guess == truth.
+
+    The family's sample draws the traces from the instance's source, in the
+    form its decoder reads: label strings for random and path, tree traces
+    otherwise.
+    """
     entry = _entry(family, model)
     inst = entry.build(n, q, delta, n_traces, model, rng)
-    traces = SAMPLERS[model](inst.source, q, n_traces, rng)
+    traces = entry.sample(model, inst.source, q, n_traces, rng)
     try:
         guess = entry.decode(inst.public, traces, n, q)
     except _RECON_FAILURES:
@@ -418,6 +449,8 @@ def doubling_search(
     Grid index k seeds the trials of the 2^k point, so the result is a pure
     function of the arguments.  Raises BudgetExceededError past the cap.
     """
+    if not isinstance(target_rate, float):
+        channels._check_real("target_rate", target_rate)
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
     _check_ints(trials=trials, master_seed=master_seed, budget_cap=budget_cap)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _binary, _check_q
+from .channels import _binary, _check_ints, _check_q
 
 ARC_GRID_POINTS = 1024
 FULL_SWEEP_CAP = 20  # all of {0,1}^n only up to here
@@ -63,6 +63,8 @@ def _bits(s: str) -> np.ndarray:
 
 
 def _check_n(n: int) -> None:
+    if type(n) is not int:  # every decode checks its n; an int skips the call
+        _check_ints(n=n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 

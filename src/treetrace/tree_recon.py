@@ -1,8 +1,9 @@
 """Reconstruction pipelines: known-topology labels, fuzzy topology, encoded strings.
 
 Each pipeline reads tree traces as trees.Tree values (Dyck word, preorder
-labels, node ids), turns them into strings, hands them to the
-max-likelihood string reconstructor (over all of {0,1}^n for labels, over the
+labels, node ids), the known-topology one also their label strings alone;
+turns them into strings, hands them to the max-likelihood string
+reconstructor (over all of {0,1}^n for labels, over the
 fuzzy candidate class for topology), and maps the result back to a tree or
 bit string; the encoded pipeline decodes by majority vote instead.
 """
@@ -43,15 +44,19 @@ class UndecidedPositionsError(ValueError):
         self.positions = positions
 
 
-def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Tree], q: float) -> Tree:
-    """Recover node labels of a known topology from tree traces.
+def reconstruct_labels_known_topology(topology: Tree, traces: Sequence[Tree | str],
+                                      q: float) -> Tree:
+    """Recover node labels of a known topology from tree traces or their label strings.
 
     Max-likelihood over {0,1}^n recovers the full-length string from the
     traces' preorder label strings, and bit i labels the i-th preorder node.
+    A trace may be given as that string alone, since nothing else is read:
+    experiment trials pass strings, and recon passes the trees it parsed.
     """
     if not traces:
         raise ValueError("empty trace list")
-    s = ml_reconstruct([tr.labels for tr in traces], topology.n, q)
+    labels = [tr if type(tr) is str else tr.labels for tr in traces]
+    s = ml_reconstruct(labels, topology.n, q)
     return topology.with_labels(s)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treetrace import channels, harness, verify
@@ -549,6 +549,21 @@ def test_tree_samplers_match_the_dict_oracles(seed, n, q, count):
         assert rng_a.random() == rng_b.random()
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.floats(0.0, 0.95, exclude_max=True), st.integers(0, 8))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(0, 1, 0.5, 3)  # a lone root: an empty string of the other labels
+def test_label_route_draws_the_tree_traces_label_strings(seed, n, q, count):
+    # The reduction: a TED or LP trace's label string is the root's label and
+    # a string trace of the rest, drawn from the same generator stream.
+    t = random_labels(random_tree(n, np.random.default_rng(seed)), np.random.default_rng(seed + 1))
+    for model, batched in (("ted", ted_traces), ("lp", lp_traces)):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = harness._label_traces(model, t, q, count, rng_a)
+        assert got == [tr.labels for tr in batched(t, q, count, rng_b)]
+        assert rng_a.random() == rng_b.random()
+
+
 @pytest.mark.parametrize("q", BATCH_QS)
 def test_string_traces_match_string_trace(q):
     rng = make_rng(f"batched-string-{q}")
@@ -756,8 +771,8 @@ def test_memo_rows_built_per_benchmark_run(built_rows):
                                    trials=200, master_seed=0) == 256
     assert sum(built_rows) <= 2 * 2**7
     built_rows.clear()
-    # random/ted draws a new labelled tree every trial: its rows are built
-    # call by call, as without the memo.
+    # random/ted decodes label strings alone, and its trials draw only
+    # those (harness._label_traces): no tree trace is built.
     harness.run_experiment(harness.ExperimentSpec(
         "random", 12, 0.3, "ted", (4, 16, 64), 24, master_seed=0))
-    assert sum(built_rows) == 1915
+    assert built_rows == []

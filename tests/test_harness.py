@@ -214,6 +214,13 @@ def test_spec_rejects_a_non_number_in_one_line(field, value, message, no_trials)
         ExperimentSpec(**{**SPEC, field: value})
 
 
+@pytest.mark.parametrize("value", ["0.5", None, True], ids=["str", "none", "bool"])
+def test_doubling_search_rejects_a_non_real_target_rate_in_one_line(value, no_trials):
+    with pytest.raises(ValueError,
+                       match=f"^target_rate must be a real number, got {re.escape(repr(value))}$"):
+        doubling_search("random", 6, 0.1, "ted", target_rate=value, trials=2)
+
+
 @pytest.mark.parametrize("q", [np.float64(0.1), Fraction(1, 10), np.int64(0), 0],
                          ids=["np.float64", "Fraction", "np.int64", "int"])
 def test_spec_stores_q_and_delta_as_float(q):

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -557,6 +558,15 @@ def test_reconstructors_reject_nonbinary_traces_and_negative_n(call, traces, n, 
         call(traces, n)
     assert "\n" not in str(info.value)
     assert not isinstance(info.value, InconsistentTracesError)
+
+
+@pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])
+@pytest.mark.parametrize("n", [True, 2.0, np.int64(2)], ids=["bool", "float", "np.int64"])
+def test_reconstructors_reject_a_non_int_n_in_one_line(reconstruct, n):
+    # ml_reconstruct(["1"], True, 0.3) returned "1"; mean_reconstruct raised
+    # a TypeError from np.zeros on a float or bool.
+    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+        reconstruct(["1"], n, 0.3)
 
 
 @pytest.mark.parametrize("reconstruct", [ml_reconstruct, mean_reconstruct])

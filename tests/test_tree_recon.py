@@ -42,6 +42,14 @@ def test_known_topology_path_is_string_reconstruction():
     assert got == truth
 
 
+def test_known_topology_reads_trees_or_their_label_strings():
+    rng = make_rng("kt-strings")
+    truth = instances.random_labels(instances.random_tree(9, rng), rng)
+    traces = [oracles.ted_trace(truth, 0.3, rng) for _ in range(8)]
+    got = reconstruct_labels_known_topology(truth, traces, 0.3)
+    assert reconstruct_labels_known_topology(truth, [tr.labels for tr in traces], 0.3) == got
+
+
 def test_known_topology_under_lp_channel():
     rng = make_rng("kt-lp")
     ok = 0
