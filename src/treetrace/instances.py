@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import _binary, _check_q, _check_real
+from .channels import _binary, _check_ints, _check_q, _check_real
 from .trees import Tree, _walk, tree_from_dyck
 
 
@@ -25,6 +25,13 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _check_planned(planned_traces: int) -> None:
+    if type(planned_traces) is not int:
+        _check_ints(planned_traces=planned_traces)
+    if planned_traces < 1:
+        raise ValueError("planned trace count must be >= 1")
+
+
 def buffer_length(delta: float, planned_traces: int, q: float) -> int:
     """Buffer size that keeps both path ends alive in all planned trials.
 
@@ -32,8 +39,7 @@ def buffer_length(delta: float, planned_traces: int, q: float) -> int:
     beyond the minimum.
     """
     _check_delta(delta)
-    if planned_traces < 1:
-        raise ValueError("planned trace count must be >= 1")
+    _check_planned(planned_traces)
     _check_q(q)
     if q == 0.0:
         return 1
@@ -124,6 +130,7 @@ def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
     """Smallest sibling-block size m with n * N * q^m <= delta, at least 2."""
     _check_q(q)
     _check_delta(delta)
+    _check_planned(planned_traces)
     if q == 0.0:
         return 2
     budget = n * planned_traces
@@ -137,6 +144,8 @@ def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
 
 def check_fuzzy_size(n: int, m: int) -> None:
     """Raise ValueError unless a degree-m fuzzy tree on n nodes exists (n >= m + 1)."""
+    if type(n) is not int or type(m) is not int:
+        _check_ints(n=n, m=m)
     if m < 2:
         raise ValueError("fuzzy degree m must be >= 2")
     if n < m + 1:

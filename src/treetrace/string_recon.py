@@ -9,7 +9,10 @@ likelihood walks the candidates' prefix trie once for all traces and scores
 only the candidates in which every trace embeds.  A trie node's DP row
 holds every trace's embedding counts, then a constant 1 and the node's
 code, so one shift-and-add per level extends the counts and the code
-together.  The likelihood sums accumulate in log space, in one array pass
+together.  Over a candidate list the trie is path-compressed: where every
+live node has one listed child, for several levels in a row (a forced run),
+each node takes that child alone, with no listed search, and the fit is
+tested once at the end of the run.  The likelihood sums accumulate in log space, in one array pass
 per trie piece that adds the traces in tally order.
 """
 
@@ -79,14 +82,18 @@ def _sorted_rows(n: int, candidates: Sequence[str] | None) -> np.ndarray | None:
         if n > FULL_SWEEP_CAP:
             raise ValueError(f"full sweep over {{0,1}}^n capped at n={FULL_SWEEP_CAP}")
         return None
-    strings = sorted(candidates)
+    try:  # sorting or joining fails on an item that is not a str
+        strings = sorted(candidates)
+        text = "".join(strings)
+    except TypeError:
+        raise ValueError("candidates must be binary strings") from None
     if not strings:
         raise ValueError("empty candidate list")
     if any(len(c) != n for c in strings):
         raise ValueError("all candidates must have length n")
-    bits = _bits("".join(strings))
+    bits = _bits(text)
     if np.any(bits > 1):
-        raise ValueError("candidates must be binary")
+        raise ValueError("candidates must be binary strings")
     return bits.reshape(len(strings), n)
 
 
@@ -145,6 +152,8 @@ def empirical_mean_vector(traces: Sequence[str], n: int) -> np.ndarray:
         raise ValueError("empty trace list")
     acc = np.zeros(n)
     for text in traces:
+        if not isinstance(text, str):
+            raise ValueError("traces must be binary strings")
         if len(text) > n:
             raise ValueError(f"trace longer than n={n}")
         if text:
@@ -225,6 +234,15 @@ def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
     suffix is longer than the positions left; counts[k, t] embeds trace t in
     codes[k].  A level whose DP state would pass _TRIE_LEVEL_BYTES is split
     into two halves finished depth-first, so pieces still come in code order.
+
+    After each listed search, a node's listed codes are a range of `listed`:
+    they share every bit down to the highest bit where the range's first and
+    last codes differ, so each node has one listed child at every level
+    above it.  The levels that are forced so for every node (the run, down
+    to stop) take each node's child by its first code's bit, one row each.
+    Their fit is tested once, at stop: a trace that no longer fits a prefix
+    fits none of its extensions, so the survivors, and their codes and
+    counts, are those of testing every level.
     """
     ells = np.array([len(t) for t in texts])
     if ells.max() > n:  # a trace longer than n embeds in no candidate
@@ -256,6 +274,18 @@ def _trie_leaves(texts: list[str], n: int, listed: np.ndarray | None):
                 lo, hi = listed.searchsorted(kids[:, -1] + [[0], [1 << (n - depth)]])
                 keep &= hi > lo
             g = kids.compress(keep, axis=0)
+            if listed is not None and len(g):  # the forced run: every row's codes agree to stop
+                first, last = listed[lo[keep]], listed[hi[keep] - 1]
+                stop = n - int(np.bitwise_or.reduce(first ^ last)).bit_length()
+                if depth < stop:
+                    while depth < stop:
+                        depth += 1
+                        eqs[1, -1] = 1 << (n - depth)
+                        bits = (first >> (n - depth)) & 1
+                        eq = eqs[bits[0] if len(g) == 1 else bits, depth - 1 :]  # one row: a view
+                        g = g[:, :-1] * eq + g[:, 1:]
+                    g = g.compress(np.logical_and.reduce(g.take(needs[depth], axis=1), axis=1),
+                                   axis=0)
         if len(g):  # copied, since a view would keep g alive
             yield g[:, -1].copy(), g.take(starts + ells, axis=1)
 
@@ -306,8 +336,11 @@ def ml_reconstruct(
     _check_n(n)
     if not traces:
         raise ValueError("empty trace list")
-    tally = Counter(traces)
-    _binary("".join(tally))
+    try:  # counting or joining fails on a trace that is not a str
+        tally = Counter(traces)
+        _binary("".join(tally))
+    except TypeError:
+        raise ValueError("traces must be binary strings") from None
     rows = _sorted_rows(n, candidates)
     if n > _EMBED_LEN_CAP:
         raise ValueError(f"candidate length {n} exceeds exact-count cap")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from .channels import _check_q
 from .instances import (
     _feasible_leaf_counts,
     check_fuzzy_size,
@@ -188,6 +189,7 @@ def reconstruct_fuzzy(traces: Sequence[Tree], n: int, m: int, q: float) -> Tree:
     the skeleton leaf count nearest the average surviving leaf count.
     """
     check_fuzzy_size(n, m)
+    _check_q(q)
     if not traces:
         raise ValueError("empty trace list")
     pairs = [_dual_of_word(tr.word) for tr in traces]

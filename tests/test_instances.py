@@ -106,6 +106,22 @@ def test_fuzzy_degree_examples():
     assert base <= doubled <= base + math.ceil(math.log(2) / math.log(5))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda count: fuzzy_degree(30, count, 0.05, 0.2),
+     lambda count: buffer_length(0.05, count, 0.2)],
+    ids=["fuzzy_degree", "buffer_length"],
+)
+def test_planned_trace_counts_are_ints_of_at_least_one(call):
+    # fuzzy_degree(30, 0, ...) raised "math domain error"; a float count passed.
+    for count in (0, -3):
+        with pytest.raises(ValueError, match=r"^planned trace count must be >= 1$"):
+            call(count)
+    for count in (2.5, 4.0, True, np.int64(4)):
+        with pytest.raises(ValueError, match="^planned_traces must be an int, got "):
+            call(count)
+
+
 def test_minimal_fuzzy_tree():
     rng = make_rng("fuzzy-min")
     t = random_fuzzy_tree(3, 2, rng)

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -366,6 +367,84 @@ def test_trie_walk_is_the_brute_force_embedding_table(level_bytes, monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
+def _run_cases():
+    """Seeded (texts, n, candidates) whose candidates share long runs of bits.
+
+    Each candidate is a base string with a few bits flipped; the texts are
+    traces of one candidate, and sometimes of a string from outside the list.
+    """
+    rng = make_rng("trie-runs")
+    for case in range(300):
+        n = int(rng.integers(1, 25))
+        base = rng.integers(0, 2, size=n)
+        flips = rng.random((int(rng.integers(1, 31)), n)) < rng.uniform(0.02, 0.25)
+        cands = sorted({"".join(map(str, (base ^ f).tolist())) for f in flips})
+        q = (0.0, 0.2, 0.5)[case % 3]
+        texts = channels.string_traces(cands[int(rng.integers(len(cands)))], q,
+                                       int(rng.integers(1, 7)), rng)
+        if rng.random() < 0.3:
+            texts += channels.string_traces("".join(rng.choice(["0", "1"], size=n)), q, 1, rng)
+        yield texts, n, cands
+
+
+def _forced_runs(texts, n, cands):
+    """The unsplit walk's forced runs, by its rule in plain Python, and its leaves.
+
+    A run follows each listed search: down to the shortest common prefix of
+    a live node's first and last listed codes, each node takes its first
+    code's bits, and the fit is tested at the end.  Each run is (rows at its
+    start, the depth it reaches, rows that die in it).
+    """
+    def fits(prefix):  # what of each text the positions left cannot hold embeds in prefix
+        return all(_embeds(t[: max(len(t) - n + len(prefix), 0)], prefix) for t in texts)
+
+    runs, nodes, depth = [], [""], 0
+    while depth < n and nodes:
+        depth += 1
+        nodes = [p + b for p in nodes for b in "01"
+                 if fits(p + b) and any(c.startswith(p + b) for c in cands)]
+        ranges = [[c for c in cands if c.startswith(p)] for p in nodes]
+        stop = min((len(os.path.commonprefix([r[0], r[-1]])) for r in ranges), default=depth)
+        if depth < stop:
+            nodes, rows = [x for x in (r[0][:stop] for r in ranges) if fits(x)], len(nodes)
+            runs.append((rows, stop, rows - len(nodes)))
+            depth = stop
+    return runs, nodes
+
+
+def _embeds(text, s):
+    chars = iter(s)
+    return all(c in chars for c in text)
+
+
+@pytest.mark.parametrize("level_bytes", [None, 256], ids=["default-budget", "256B-budget"])
+def test_compressed_walk_is_the_brute_force_embedding_table(level_bytes, monkeypatch):
+    # Candidate lists with long shared runs, where most levels are forced.
+    if level_bytes is not None:
+        monkeypatch.setattr(string_recon, "_TRIE_LEVEL_BYTES", level_bytes)
+    seen = Counter()
+    for texts, n, cands in _run_cases():
+        listed = np.array([int(c, 2) for c in cands])
+        pieces = list(string_recon._trie_leaves(texts, n, listed))
+        want_codes, want_counts = _embedding_table(texts, n, cands)
+        got_codes = [int(c) for codes, _ in pieces for c in codes]
+        assert got_codes == want_codes, (texts, n, cands)
+        assert all(codes.dtype == counts.dtype == np.int64 for codes, counts in pieces)
+        got_counts = np.concatenate([counts for _, counts in pieces]) if pieces else want_counts
+        assert got_counts.tolist() == want_counts.tolist(), (texts, n, cands)
+        runs, leaves = _forced_runs(texts, n, cands)
+        assert [int(c, 2) for c in leaves] == want_codes  # the rule the tally reads is the walk's
+        for rows, stop, died in runs:
+            seen["run with one row"] += rows == 1
+            seen["run with several rows"] += rows > 1
+            seen["run to depth n"] += stop == n
+            seen["row dies inside a run"] += died > 0
+        seen["split walk"] += len(pieces) > 1
+    if level_bytes is None:  # the default budget splits nothing this small
+        assert seen.pop("split walk") == 0, seen
+    assert min(seen.values()) >= 10, seen
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_ml_is_the_exhaustive_sweep_on_drawn_sources(data):
@@ -529,6 +608,10 @@ def test_candidates_are_checked(reconstruct):
     for bad in (["101"], ["10", "1"], ["10", "12"], ["10", "1x"], []):
         with pytest.raises(ValueError):
             reconstruct(["1"], 2, 0.3, candidates=bad)
+    # Items that are not strings once raised a TypeError from len, sorted or join.
+    for bad in ([1, 2], ["10", None], [b"10"]):
+        with pytest.raises(ValueError, match="^candidates must be binary strings$"):
+            reconstruct(["1"], 2, 0.3, candidates=bad)
     with pytest.raises(ValueError):
         reconstruct(["1"], FULL_SWEEP_CAP + 1, 0.3)
     assert reconstruct([""], 0, 0.3) == ""
@@ -551,6 +634,8 @@ def test_candidates_are_checked(reconstruct):
         (["12"], 2, "traces must be binary"),
         (["0", "1x"], 2, "traces must be binary"),
         (["1"], -1, "n must be nonnegative"),
+        ([1], 2, "traces must be binary"),  # a TypeError from len or "".join before
+        (["0", None], 2, "traces must be binary"),
     ],
 )
 def test_reconstructors_reject_nonbinary_traces_and_negative_n(call, traces, n, message):

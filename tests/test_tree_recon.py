@@ -11,6 +11,7 @@ from treetrace.tree_recon import (
     _dual_width,
     _fuzzy_candidates,
     _fuzzy_to_binary,
+    check_fuzzy_decodable,
     dual_strings,
     dual_strings_with_owners,
     merge_dual_strings,
@@ -127,6 +128,28 @@ def test_reconstruct_fuzzy_q0():
             assert got == truth
     with pytest.raises(ValueError, match="no fuzzy tree with n=3, m=3"):
         reconstruct_fuzzy([instances.path_tree(2)], 3, 3, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # q = 1 raised ZeroDivisionError at the leaf estimate, and the others TypeError.
+        (lambda traces: reconstruct_fuzzy(traces, 30, 5, 1.0), r"q must lie in \[0, 1\), got 1.0"),
+        (lambda traces: reconstruct_fuzzy(traces, 30, 5, "0.2"),
+         "q must be a real number, got '0.2'"),
+        (lambda traces: reconstruct_fuzzy(traces, 30.0, 5, 0.2), "n must be an int, got 30.0"),
+        (lambda traces: reconstruct_fuzzy(traces, 30, 5.0, 0.2), "m must be an int, got 5.0"),
+        (lambda traces: instances.random_fuzzy_tree(30.0, 5, make_rng("fuzzy-bad")),
+         "n must be an int, got 30.0"),
+        (lambda traces: check_fuzzy_decodable(30, 5.0), "m must be an int, got 5.0"),
+    ],
+    ids=["q=1", "q=str", "float n", "float m", "random_fuzzy_tree", "check_fuzzy_decodable"],
+)
+def test_fuzzy_decoder_refuses_bad_input_in_one_line(call, message):
+    rng = make_rng("fuzzy-bad-input")
+    traces = channels.ted_traces(instances.random_fuzzy_tree(30, 5, rng), 0.2, 4, rng)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(traces)
 
 
 def fuzzy_classes(sizes):
