@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trees import Tree, _dyck_links
+from .trees import Tree, _check_int, _check_real, _dyck_links
 
 MODELS = ("string", "ted", "lp")
 
@@ -52,38 +51,15 @@ class InvalidDeletionError(ValueError):
     """Deletion set targets the root or an unknown node."""
 
 
-def _check_ints(**fields) -> None:
-    """Raise ValueError naming the first field that is not an int.
-
-    A bool is not one, nor is a numpy integer, whose arithmetic wraps at 64
-    bits where an int grows.
-    """
-    for name, value in fields.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a real number; a bool is not one.
-
-    numbers.Real is an ABC, whose check is several times slower than a type
-    test, the more so on its first call; so callers let a float skip it.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_q(q: float) -> None:
-    if not isinstance(q, float):
-        _check_real("q", q)
+    _check_real("q", q)
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
 def _check_draws(q: float, count: int) -> None:
     _check_q(q)
-    if type(count) is not int:  # every draw checks its count; an int skips the call
-        _check_ints(count=count)
+    _check_int("count", count)
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
 
@@ -307,7 +283,7 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     The LP rule on the C(n-1, k) rows of `_keep_rows` with k marks, so the
     support of `lp_traces` with k marks; the tests check it against `lp_apply`.
     """
-    _check_ints(k=k)
+    _check_int("k", k)
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
     keep = _keep_rows(t.n)
@@ -332,8 +308,7 @@ def string_trace_prob(s: str, trace: str, q: float) -> float:
 
     For binary strings and q in [0, 1]; zero when trace is not a subsequence of s.
     """
-    if not isinstance(q, float):
-        _check_real("q", q)
+    _check_real("q", q)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     n, m = len(_binary(s, "s")), len(_binary(trace))

@@ -21,8 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import channels, instances, string_recon, tree_recon
-from .channels import _check_ints
-from .trees import Tree
+from .trees import Tree, _check_int, _check_real
 
 CSV_HEADER = "experiment,family,n,q,model,traces,trials,successes,rate,wall_time_ms,seed"
 SEARCH_BUDGET_CAP = 2**20
@@ -156,12 +155,9 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        try:
-            grid = tuple(self.trace_grid)
-        except TypeError:
-            raise ValueError(
-                f"trace_grid must be an iterable of ints, got {self.trace_grid!r}") from None
-        _check_ints(trials=self.trials, master_seed=self.master_seed)
+        grid = _grid(self.trace_grid)
+        _check_int("trials", self.trials)
+        _check_int("master_seed", self.master_seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # validate refuses a count that is not an int, so the order test can compare them.
@@ -343,8 +339,15 @@ FAMILIES = {
 SAMPLERS = {"string": channels.string_traces, "ted": channels.ted_traces, "lp": channels.lp_traces}
 
 
+def _grid(trace_counts) -> tuple:
+    try:
+        return tuple(trace_counts)
+    except TypeError:
+        raise ValueError(f"trace_grid must be an iterable of ints, got {trace_counts!r}") from None
+
+
 def _entry(family: str, model: str) -> Family:
-    entry = FAMILIES.get(family)
+    entry = FAMILIES.get(family) if isinstance(family, str) else None  # a list is unhashable
     if entry is None or model not in entry.models:
         raise UnknownFamilyError(f"no experiment for family={family!r}, model={model!r}")
     return entry
@@ -360,13 +363,13 @@ def validate(family: str, model: str, n: int, q: float, delta: float,
     entry = _entry(family, model)
     channels._check_q(q)
     instances._check_delta(delta)
-    _check_ints(n=n)
+    _check_int("n", n)
     if n < entry.min_n:
         raise ValueError(f"family {family} needs n >= {entry.min_n}, got n={n}")
     if entry.max_n is not None and n > entry.max_n:
         raise ValueError(f"n={n} exceeds the {family} decoder's cap of {entry.max_n}")
-    for count in trace_counts:
-        _check_ints(trace_count=count)
+    for count in _grid(trace_counts):
+        _check_int("trace_count", count)
         if count < 1:
             raise ValueError(f"trace counts must be >= 1, got {count}")
         if entry.check is not None:
@@ -449,11 +452,12 @@ def doubling_search(
     Grid index k seeds the trials of the 2^k point, so the result is a pure
     function of the arguments.  Raises BudgetExceededError past the cap.
     """
-    if not isinstance(target_rate, float):
-        channels._check_real("target_rate", target_rate)
+    _check_real("target_rate", target_rate)
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
-    _check_ints(trials=trials, master_seed=master_seed, budget_cap=budget_cap)
+    _check_int("trials", trials)
+    _check_int("master_seed", master_seed)
+    _check_int("budget_cap", budget_cap)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if budget_cap < 1:

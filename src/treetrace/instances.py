@@ -14,20 +14,18 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import _binary, _check_ints, _check_q, _check_real
-from .trees import Tree, _walk, tree_from_dyck
+from .channels import _binary, _check_q
+from .trees import Tree, _check_int, _check_real, _walk, tree_from_dyck
 
 
 def _check_delta(delta: float) -> None:
-    if not isinstance(delta, float):
-        _check_real("delta", delta)
+    _check_real("delta", delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def _check_planned(planned_traces: int) -> None:
-    if type(planned_traces) is not int:
-        _check_ints(planned_traces=planned_traces)
+    _check_int("planned_traces", planned_traces)
     if planned_traces < 1:
         raise ValueError("planned trace count must be >= 1")
 
@@ -82,6 +80,7 @@ def encode_string_as_tree(source: str, ell: int) -> EncodedInstance:
     s = _binary(source, "source")
     if len(s) < 1:
         raise ValueError("source string must be nonempty")
+    _check_int("ell", ell)
     if ell < 1:
         raise ValueError("buffer length must be >= 1")
     s_len = len(s)
@@ -114,6 +113,7 @@ def read_encoded_string(inst: EncodedInstance) -> str:
 
 def path_tree(n: int) -> Tree:
     """A_n: the root plus a chain of n nodes (n non-root nodes)."""
+    _check_int("n", n)
     if n < 1:
         raise ValueError("need n >= 1")
     return tree_from_dyck("1" * n + "0" * n)
@@ -121,6 +121,7 @@ def path_tree(n: int) -> Tree:
 
 def forked_tree(n: int) -> Tree:
     """B_n: A_{n-1} with a sibling added to its single leaf (n non-root nodes)."""
+    _check_int("n", n)
     if n < 2:
         raise ValueError("need n >= 2")
     return tree_from_dyck("1" * (n - 1) + "01" + "0" * (n - 1))
@@ -134,7 +135,10 @@ def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
     if q == 0.0:
         return 2
     budget = n * planned_traces
-    m = max(1, math.ceil(math.log(budget / delta) / math.log(1.0 / q)))
+    # A start near the answer, which the loops then make exact; logs of q and
+    # delta themselves, since 1 / q rounds to 1 + 2^-52 for q within 2^-53 of 1
+    # and budget / delta overflows for a subnormal delta.
+    m = max(1, math.ceil((math.log(budget) - math.log(delta)) / -math.log(q)))
     while m > 1 and budget * q ** (m - 1) <= delta:
         m -= 1
     while budget * q ** m > delta:
@@ -144,17 +148,17 @@ def fuzzy_degree(n: int, planned_traces: int, delta: float, q: float) -> int:
 
 def check_fuzzy_size(n: int, m: int) -> None:
     """Raise ValueError unless a degree-m fuzzy tree on n nodes exists (n >= m + 1)."""
-    if type(n) is not int or type(m) is not int:
-        _check_ints(n=n, m=m)
+    _check_int("n", n)
+    _check_int("m", m)
     if m < 2:
         raise ValueError("fuzzy degree m must be >= 2")
     if n < m + 1:
         raise ValueError(f"no fuzzy tree with n={n}, m={m}: needs n >= m + 1")
 
 
-def _feasible_leaf_counts(n: int, m: int) -> list[int]:
+def _feasible_leaf_counts(n: int, m: int) -> range:
     """Skeleton leaf counts lam with a valid skeleton of n - m*lam nodes."""
-    return [1] if n == m + 1 else list(range(1, (n - 1) // (m + 1) + 1))
+    return range(1, 2 if n == m + 1 else (n - 1) // (m + 1) + 1)
 
 
 def _fuzzy_word(skeleton: str, m: int) -> str:
@@ -215,6 +219,7 @@ def random_tree(n: int, rng) -> Tree:
     whose partial sums stay positive; dropping its leading up gives a uniform
     Dyck word, hence a uniform tree.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
@@ -233,6 +238,8 @@ def random_dyck_words(n: int, count: int, rng) -> list[str]:
 
     A word depends only on where its ups sit, so the cycle lemma runs once per pattern.
     """
+    _check_int("n", n)
+    _check_int("count", count)
     if n < 1 or count < 0:
         raise ValueError(f"need n >= 1 and count >= 0, got n={n}, count={count}")
     k = 2 * n - 1

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _binary, _check_ints, _check_q
+from .channels import _binary, _check_q
+from .trees import _check_int
 
 ARC_GRID_POINTS = 1024
 FULL_SWEEP_CAP = 20  # all of {0,1}^n only up to here
@@ -66,8 +67,7 @@ def _bits(s: str) -> np.ndarray:
 
 
 def _check_n(n: int) -> None:
-    if type(n) is not int:  # every decode checks its n; an int skips the call
-        _check_ints(n=n)
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 

@@ -21,7 +21,7 @@ from .instances import (
     encoded_parent_id,
 )
 from .string_recon import _EMBED_LEN_CAP, ml_reconstruct
-from .trees import DyckStringError, Tree, _dyck_links, tree_from_dyck
+from .trees import DyckStringError, Tree, _check_int, _dyck_links, tree_from_dyck
 
 
 class MergeError(ValueError):
@@ -173,7 +173,7 @@ def check_fuzzy_decodable(n: int, m: int) -> None:
     the exact-count cap of ml_reconstruct.
     """
     check_fuzzy_size(n, m)
-    width = _dual_width(n, m, max(_feasible_leaf_counts(n, m)))
+    width = _dual_width(n, m, _feasible_leaf_counts(n, m)[-1])  # no list: n may be huge
     if width > _EMBED_LEN_CAP:
         raise ValueError(f"fuzzy n={n}, m={m}: candidate width {width} exceeds the "
                          f"exact-count cap of {_EMBED_LEN_CAP}")
@@ -221,6 +221,8 @@ def reconstruct_encoded(traces: Sequence[Tree], s_len: int, ell: int, q: float) 
     its backbone parent both survive and the path continuation below the
     parent is still visible; q plays no role in the vote itself.
     """
+    _check_int("s_len", s_len)
+    _check_int("ell", ell)
     if not traces:
         raise ValueError("empty trace list")
     tables = [tr.children() for tr in traces]

@@ -6,11 +6,37 @@ ids are arbitrary ints and stay stable when a tree passes through a
 deletion channel, so deletions can be tracked; equality and hashing look
 only at the word and the labels.  One parse (`_dyck_links`) reads a Dyck
 word's child lists, and one walk (`_walk`) turns child lists into a word.
+
+The package's number rule lives here too, in the module every other one
+imports: `_check_int` takes only a Python int as a count or size, and
+`_check_real` any real number but a bool as a rate.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterator, Sequence
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int.
+
+    A bool is not one, nor is a numpy integer, whose arithmetic wraps at 64
+    bits where an int grows.
+    """
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a real number; a bool is not one.
+
+    numbers.Real is an ABC, whose check is several times slower than a type
+    test, the more so on its first call; so a float passes before it runs.
+    """
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class TreeTextError(ValueError):
@@ -215,6 +241,7 @@ def dyck_words(pairs: int) -> Iterator[str]:
     One stack of (prefix, 1s left, open nodes): the 0-branch goes on first,
     so the 1-branch comes off first.
     """
+    _check_int("pairs", pairs)
     if pairs < 0:
         raise ValueError("need pairs >= 0")
     stack = [("", pairs, 0)]
@@ -230,6 +257,7 @@ def dyck_words(pairs: int) -> Iterator[str]:
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """All ordered rooted trees with n nodes (Catalan(n-1) many), labels zero."""
+    _check_int("n", n)
     if n < 1:
         raise ValueError("need n >= 1")
     for word in dyck_words(n - 1):

@@ -6,15 +6,19 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treetrace
-from treetrace import verify
+from treetrace import harness, verify
 from treetrace.cli import main
 from treetrace.harness import (
     CSV_HEADER,
+    FAMILIES,
     BudgetExceededError,
     ExperimentSpec,
     ResultRow,
@@ -29,6 +33,7 @@ from treetrace.harness import (
     trial_rng,
     trial_rngs,
     trial_seed,
+    validate,
 )
 from conftest import make_rng
 import oracles
@@ -230,6 +235,81 @@ def test_spec_stores_q_and_delta_as_float(q):
     assert spec.experiment_id == f"random-ted-n6-q{float(q)!r}"
     plain = ExperimentSpec(**{**SPEC, "q": float(q), "delta": 0.05, "trials": 1})
     assert rows_to_csv(run_experiment(spec)) == rows_to_csv(run_experiment(plain))
+
+
+# What a caller might pass for any field: ints of any size, bools, floats
+# with nan and inf, numpy scalars, fractions, strings, None, lists, tuples.
+_SMALL = st.integers(-2, 40)
+_ANYTHING = st.one_of(
+    st.integers(), st.booleans(), st.floats(),
+    _SMALL.map(np.int64), st.floats(0, 1).map(np.float64), st.floats(0, 1, width=32).map(np.float32),
+    st.fractions(-2, 2, max_denominator=100), st.text(max_size=3), st.none(),
+    st.lists(_SMALL, max_size=3), st.tuples(_SMALL),
+)
+# Each field also draws from its plausible values, so that the later checks run.
+_FIELDS = st.fixed_dictionaries({
+    "family": st.sampled_from(sorted(FAMILIES)) | _ANYTHING,
+    "model": st.sampled_from(["string", "ted", "lp"]) | _ANYTHING,
+    "n": _SMALL | _ANYTHING,
+    "q": st.floats(0, 1) | _ANYTHING,
+    "delta": st.floats(0, 1) | _ANYTHING,
+    "trace_grid": st.lists(st.integers(-1, 64), max_size=4) | _ANYTHING,
+    "trials": st.integers(0, 4) | _ANYTHING,
+    "master_seed": st.integers(0, 9) | _ANYTHING,
+    "target_rate": st.floats(0, 1) | _ANYTHING,
+    "budget_cap": st.integers(0, 8) | _ANYTHING,
+})
+
+
+class _FirstGridPoint(Exception):
+    pass
+
+
+def _builds_or_refuses(call) -> None:
+    try:
+        call()
+    except _FirstGridPoint:
+        pass
+    except ValueError as err:
+        assert "\n" not in str(err)
+
+
+@given(_FIELDS)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_input_builds_or_raises_one_value_error(f):
+    # A grid point seeds all of its trials before the first one runs, so the
+    # search stops where its first point begins.
+    with mock.patch.object(harness, "_successes", side_effect=_FirstGridPoint):
+        _builds_or_refuses(lambda: ExperimentSpec(
+            f["family"], f["n"], f["q"], f["model"], f["trace_grid"], f["trials"],
+            f["delta"], f["master_seed"]))
+        _builds_or_refuses(lambda: validate(
+            f["family"], f["model"], f["n"], f["q"], f["delta"], f["trace_grid"]))
+        _builds_or_refuses(lambda: doubling_search(
+            f["family"], f["n"], f["q"], f["model"], f["target_rate"], f["trials"], f["delta"],
+            f["master_seed"], f["budget_cap"]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExperimentSpec(**{**SPEC, "family": ["random"]}),
+     r"no experiment for family=\['random'\], model='ted'"),
+    (lambda: doubling_search(["forked"], 6, 0.1, "lp", 0.9),
+     r"no experiment for family=\['forked'\], model='lp'"),
+    (lambda: validate("random", "ted", 6, 0.1, 0.05, trace_counts=5),
+     r"trace_grid must be an iterable of ints, got 5"),
+    (lambda: validate("fuzzy", "ted", 30, 1 - 2**-53, 0.05, (4,)),
+     r"no fuzzy tree with n=30, m=\d+: needs n >= m \+ 1"),
+    (lambda: validate("fuzzy", "ted", 30, 0.1, 5e-324, (4,)),
+     r"no fuzzy tree with n=30, m=324: needs n >= m \+ 1"),
+    (lambda: validate("fuzzy", "ted", 2**40, 0.1, 0.05, (4,)),
+     r"fuzzy n=1099511627776, m=14: candidate width \d+ exceeds the exact-count cap of 62"),
+], ids=["spec-family-list", "search-family-list", "validate-counts-int", "fuzzy-q-near-1",
+        "fuzzy-delta-subnormal", "fuzzy-n-2**40"])
+def test_inputs_that_raised_other_errors_raise_one_value_error(call, message, no_trials):
+    # In order: TypeError (unhashable list) twice, TypeError (int not
+    # iterable), a loop of about 3.5e16 steps, OverflowError, MemoryError.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_result_row_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from treetrace.instances import (
     random_tree,
     read_encoded_string,
 )
+from treetrace.tree_recon import reconstruct_encoded
 from treetrace.trees import Tree, format_tree, is_fuzzy, tree_from_dyck
 from conftest import make_rng
 from oracles import form, fuzzy_words, tree_of_table
@@ -321,6 +323,33 @@ def test_random_dyck_words_match_across_draw_blocks(seed):
 def test_random_dyck_words_rejects_bad_sizes(n, count):
     with pytest.raises(ValueError):
         random_dyck_words(n, count, np.random.default_rng(0))
+
+
+def _encoded_traces():
+    return [encode_string_as_tree("101", 2).tree]
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (path_tree, "n", True),
+    (path_tree, "n", 2.5),
+    (forked_tree, "n", 3.0),
+    (lambda v: random_tree(v, make_rng("sizes")), "n", 2.5),
+    (lambda v: random_tree(v, make_rng("sizes")), "n", np.int64(3)),
+    (lambda v: random_dyck_words(v, 3, make_rng("sizes")), "n", True),
+    (lambda v: random_dyck_words(3, v, make_rng("sizes")), "count", 2.0),
+    (lambda v: encode_string_as_tree("101", v), "ell", True),
+    (lambda v: reconstruct_encoded(_encoded_traces(), 3, v, 0.1), "ell", 2.5),
+    (lambda v: reconstruct_encoded(_encoded_traces(), v, 2, 0.1), "s_len", 3.0),
+], ids=["path-bool", "path-float", "forked-float", "random-float", "random-np.int64",
+        "dyck-words-bool", "dyck-words-count-float", "encode-bool", "encoded-ell-float",
+        "encoded-s_len-float"])
+def test_constructors_refuse_a_non_int_size_in_one_line(build, name, value):
+    # Each failed its own way: path_tree(True) built A_1, forked_tree(3.0) and
+    # random_tree(2.5, rng) raised from deep inside, random_dyck_words(True, 3,
+    # rng) gave three empty words, and reconstruct_encoded with ell=2.5 left
+    # every position undecided.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an int, got {value!r}')}$"):
+        build(value)
 
 
 def test_random_labels_are_fair_bits():

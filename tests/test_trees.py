@@ -1,5 +1,11 @@
+import enum
 import math
+import numbers
+import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +14,8 @@ from treetrace.trees import (
     DyckStringError,
     Tree,
     TreeTextError,
+    _check_int,
+    _check_real,
     dyck_words,
     enumerate_trees,
     format_tree,
@@ -111,6 +119,64 @@ def test_dyck_words_keep_the_recursive_order():
     words = dyck_words(-1)  # a generator: the count is checked on the first next
     with pytest.raises(ValueError, match=r"need pairs >= 0"):
         next(words)
+
+
+@pytest.mark.parametrize("enumerate_, name, value", [
+    (dyck_words, "pairs", 2.5),
+    (dyck_words, "pairs", True),
+    (dyck_words, "pairs", np.int64(2)),
+    (enumerate_trees, "n", 2.5),
+    (enumerate_trees, "n", True),
+], ids=["dyck-float", "dyck-bool", "dyck-np.int64", "trees-float", "trees-bool"])
+def test_enumerators_refuse_a_non_int_size(enumerate_, name, value):
+    # dyck_words(2.5) never reached 0 ones left and grew its stack until
+    # memory ran out; dyck_words(True) listed the words of one pair.
+    words = enumerate_(value)  # a generator: the size is checked on the first next
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an int, got {value!r}')}$"):
+        next(words)
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+# value, taken as an int, taken as a real number: the rule before the fast
+# paths moved inside the checks, which each value must still follow.
+NUMBER_RULE = [
+    (2, True, True),
+    (2**70, True, True),
+    (_Colour.RED, True, True),
+    (True, False, False),
+    (np.int64(2), False, True),
+    (0.3, False, True),
+    (math.nan, False, True),
+    (np.float64(0.3), False, True),
+    (np.float32(0.3), False, True),
+    (Fraction(1, 3), False, True),
+    (Decimal("0.3"), False, False),  # not registered as numbers.Real
+    (complex(0.3, 0.0), False, False),
+    ("0.3", False, False),
+    (None, False, False),
+]
+
+
+def _refusal(check) -> str | None:
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("value, is_int, is_real", NUMBER_RULE,
+                         ids=[type(v).__name__ for v, _, _ in NUMBER_RULE])
+def test_number_rule_accepts_and_refuses_as_its_isinstance_form(value, is_int, is_real):
+    assert is_int == (isinstance(value, int) and not isinstance(value, bool))
+    assert is_real == (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    assert _refusal(lambda: _check_int("x", value)) == (
+        None if is_int else f"x must be an int, got {value!r}")
+    assert _refusal(lambda: _check_real("x", value)) == (
+        None if is_real else f"x must be a real number, got {value!r}")
 
 
 def test_trees_equal_spec_examples():
