@@ -42,7 +42,7 @@ def make_instance(args, planned_traces: int):
     """
     entry = harness.validate(args.family, args.model, args.n, args.q, args.delta,
                              (planned_traces,))
-    rng = harness.trial_rng(args.seed, 0, 0)
+    rng = next(harness.trial_rngs(args.seed, 0, 1))
     return entry.build(args.n, args.q, args.delta, planned_traces, args.model, rng), rng
 
 

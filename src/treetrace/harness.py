@@ -5,9 +5,10 @@ Seed discipline: every trial draws from its own generator, seeded by the
 The generator is numpy's PCG64, so any run of the same spec reproduces the
 same streams regardless of execution order or parallelism.  A grid point
 hashes its "master:grid:" prefix once (FNV-1a is a left fold), and its
-generators are seeded in one pass: _seed_words runs numpy's
-SeedSequence hash over all their seeds at once, and each generator starts
-bitwise in the state of PCG64(seed).
+seeds are hashed in blocks of _SEED_BLOCK as the trials reach them:
+_seed_words runs numpy's SeedSequence hash over a block's seeds at once, and
+each generator starts bitwise in the state of PCG64(seed).  trial_rngs is
+the one place a trial's generator is made; the CLI replays trial 0 from it.
 """
 
 from __future__ import annotations
@@ -120,24 +121,21 @@ def _words_seed_class():
     return WordsSeed
 
 
-def _generators(seeds: Sequence[int]):
-    """A new, independent PCG64 generator per seed, each bitwise PCG64(seed)."""
-    words_seed = _words_seed_class()
-    return (np.random.Generator(np.random.PCG64(words_seed(row))) for row in _seed_words(seeds))
+_SEED_BLOCK = 4096  # seeds _seed_words hashes at once: a point's seeding memory bound
 
 
 def trial_rngs(master_seed: int, grid_index: int, trials: int):
     """The generators of trials 0, 1, ..., trials - 1 at one grid point, in order.
 
-    The seeds are trial_seed's: the shared "master:grid:" prefix is hashed once.
+    The seeds are trial_seed's: the shared "master:grid:" prefix is hashed
+    once, and a block's seeds only when its first trial is reached.
     """
     prefix = fnv1a64(f"{master_seed}:{grid_index}:")
-    return _generators([fnv1a64(str(i), prefix) for i in range(trials)])
-
-
-def trial_rng(master_seed: int, grid_index: int, trial_index: int):
-    # One seed: numpy's own seeding is faster than _seed_words' fixed cost.
-    return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
+    words_seed = _words_seed_class()
+    for start in range(0, trials, _SEED_BLOCK):
+        block = range(start, min(start + _SEED_BLOCK, trials))
+        for row in _seed_words([fnv1a64(str(i), prefix) for i in block]):
+            yield np.random.Generator(np.random.PCG64(words_seed(row)))
 
 
 @dataclass(frozen=True)
@@ -207,10 +205,6 @@ class Instance(NamedTuple):
     source: object
 
 
-def _random_bits(n: int, rng) -> str:
-    return "".join(str(int(b)) for b in rng.integers(0, 2, size=n))
-
-
 def _labelled(topology: Tree, rng) -> Instance:
     truth = instances.random_labels(topology, rng)
     return Instance({"topology": topology}, truth, truth)
@@ -218,7 +212,7 @@ def _labelled(topology: Tree, rng) -> Instance:
 
 def _build_random(n, q, delta, planned_traces, model, rng) -> Instance:
     if model == "string":
-        s = _random_bits(n, rng)
+        s = instances._random_bits(n, rng)
         return Instance({}, s, s)
     return _labelled(instances.random_tree(n, rng), rng)
 
@@ -246,7 +240,7 @@ def _build_fuzzy(n, q, delta, planned_traces, model, rng) -> Instance:
 
 
 def _build_encoded(n, q, delta, planned_traces, model, rng) -> Instance:
-    s = _random_bits(n, rng)
+    s = instances._random_bits(n, rng)
     ell = instances.buffer_length(delta, planned_traces, q)
     return Instance({"ell": ell}, s, instances.encode_string_as_tree(s, ell).tree)
 

@@ -255,6 +255,11 @@ def random_dyck_words(n: int, count: int, rng) -> list[str]:
     return words
 
 
+def _random_bits(n: int, rng) -> str:
+    """n independent fair bits, as a string of 0s and 1s."""
+    return "".join(map(str, rng.integers(0, 2, size=n).tolist()))
+
+
 def random_labels(t: Tree, rng) -> Tree:
     """Copy of t with independent fair-bit labels."""
-    return t.with_labels("".join(map(str, rng.integers(0, 2, size=t.n).tolist())))
+    return t.with_labels(_random_bits(t.n, rng))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from treetrace import harness
 from treetrace.harness import fnv1a64
+
+# Every hypothesis test draws the same examples on every run, so tier-1 is
+# deterministic; a test's own @settings keep this unless they say otherwise.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

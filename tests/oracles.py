@@ -31,6 +31,9 @@ same bytes.
 distinct subsequences and their exact laws: the references of
 `channels.count_embeddings` and `verify.enumeration_mean_vector`.
 
+`trial_rng` is trial (master, grid, trial)'s generator by numpy's own
+seeding, the reference for `harness.trial_rngs`' blocked seeding.
+
 Also two statistics the tests measure: `distinguish_pair`, the
 single-coordinate test between two candidate strings, and
 `encoded_removal_stats`, leaf survival counts in encoded-family traces.
@@ -50,11 +53,17 @@ from treetrace.channels import (
     distinct_subsequences,
     string_trace_prob,
 )
+from treetrace.harness import trial_seed
 from treetrace.instances import _fuzzy_word, encoded_leaf_id, encoded_parent_id
 from treetrace.string_recon import empirical_mean_vector, exact_mean_vector, find_separation
 from treetrace.trees import Tree, _walk
 
 Table = dict[int, tuple[int, tuple[int, ...]]]
+
+
+def trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
+    """One trial's generator, seeded by numpy itself: PCG64(trial_seed(...))."""
+    return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
 
 
 def table_of(t: Tree) -> Table:

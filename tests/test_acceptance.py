@@ -20,7 +20,6 @@ from treetrace.harness import (
     rows_to_csv,
     run_experiment,
     run_trial,
-    trial_rng,
 )
 import oracles
 
@@ -219,7 +218,7 @@ def test_criterion_7_known_topology_pipeline():
     trials, n_traces = 200, 64
     ok = 0
     for ti in range(trials):
-        rng = trial_rng(MASTER, 7, ti)
+        rng = oracles.trial_rng(MASTER, 7, ti)
         ok += run_trial("random", "ted", 10, 0.1, 0.05, n_traces, rng)
     rate = ok / trials
     report("7 (known-topology pipeline)", rate >= 0.95,
@@ -237,7 +236,7 @@ def test_criterion_8_fuzzy_pipeline():
     m = instances.fuzzy_degree(n, n_traces, 0.01, q)
     ok = 0
     for ti in range(trials):
-        rng = trial_rng(MASTER, 8, ti)
+        rng = oracles.trial_rng(MASTER, 8, ti)
         truth = instances.random_fuzzy_tree(n, m, rng)
         traces = channels.ted_traces(truth, q, n_traces, rng)
         try:
@@ -257,7 +256,7 @@ def test_criterion_8_fuzzy_pipeline():
 def test_criterion_9_removal_rate_and_recovery():
     q, s_len = 0.3, 8
     n_traces = 100_000
-    rng = trial_rng(MASTER, 90, 0)
+    rng = oracles.trial_rng(MASTER, 90, 0)
     s = "".join(str(int(b)) for b in rng.integers(0, 2, size=s_len))
     ell = instances.buffer_length(0.01, n_traces, q)
     inst = instances.encode_string_as_tree(s, ell)
@@ -274,7 +273,7 @@ def test_criterion_9_removal_rate_and_recovery():
                              trials=200, delta=0.05, master_seed=MASTER)
     ok = 0
     for ti in range(200):
-        rng = trial_rng(MASTER, 91, ti)
+        rng = oracles.trial_rng(MASTER, 91, ti)
         ok += run_trial("encoded", "ted", s_len, q, 0.05, budget, rng)
     rate = ok / 200
     report("9 (removal rate + recovery)", rate >= 0.95,
@@ -367,7 +366,7 @@ def test_criterion_10_lp_budget_exceeded():
 def test_criterion_10_clean_trace_fraction():
     q, n = 0.5, 12
     n_samples = 100_000
-    rng = trial_rng(MASTER, 10, 0)
+    rng = oracles.trial_rng(MASTER, 10, 0)
     b_n = instances.forked_tree(n)
     # One batched call reads the same stream as n_samples lp_trace calls.
     clean = sum(tr == b_n for tr in channels.lp_traces(b_n, q, n_samples, rng))

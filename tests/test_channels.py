@@ -751,7 +751,7 @@ def test_memo_keys_every_row_apart_at_its_bound(sample, oracle, build):
 def test_forked_trials_share_one_tree_per_side(built_rows):
     sides = {True: [], False: []}
     for i in range(64):
-        inst = harness._build_forked(7, 0.5, 0.05, 16, "lp", harness.trial_rng(0, 0, i))
+        inst = harness._build_forked(7, 0.5, 0.05, 16, "lp", oracles.trial_rng(0, 0, i))
         sides[inst.truth].append(inst.source)
     assert sides[True][0] == forked_tree(7) and sides[False][0] == path_tree(7)
     assert all(t is trees[0] for trees in sides.values() for t in trees)

@@ -5,9 +5,10 @@ import pytest
 
 from treetrace import harness
 from treetrace.cli import load_spec_file, main
-from treetrace.harness import CSV_HEADER, trial_rng
+from treetrace.harness import CSV_HEADER
 from treetrace.instances import forked_tree, path_tree, random_labels
 from treetrace.trees import format_tree, parse_tree
+from oracles import trial_rng
 
 
 def run(capsys, *argv):
