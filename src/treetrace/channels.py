@@ -3,13 +3,13 @@
 Sampling functions take an explicit numpy Generator.  The batched samplers
 (`string_traces`, `ted_traces`, `lp_traces`) draw all of a trial's traces in
 one call and return a tree trace as a `Tree` whose ids are the source ids of
-the surviving nodes.  Equal draws share one immutable `Tree`, also across
-calls on the same small source tree object (see `_sampled`).  The node-table
-samplers that build one tree per trace from the same random stream live in
-tests/oracles.py, as the batched samplers' oracles.  Exact-analysis
-functions have hard size caps: `string_trace_prob` is pure enumeration, and
-`trace_law` sends every TED or LP deletion mask through the samplers' rule,
-and `lp_trace_set` sends the LP rule only the masks with k marks.
+the surviving nodes.  Equal draws on one source tree object with at most 12
+non-root nodes share one immutable `Tree`, also across calls (see `_sample`).
+The node-table samplers that build one tree per trace from the same random
+stream live in tests/oracles.py, as the batched samplers' oracles.
+Exact-analysis functions have hard size caps: `string_trace_prob` is pure
+enumeration, `trace_law` sends every TED or LP deletion mask through the
+samplers' rule, and `lp_trace_set` sends the LP rule only the masks with k marks.
 `verify.ted_subset_law` (`ted_apply` on every subset) and `lp_apply`
 (tests/oracles.py) are their oracles.
 
@@ -171,36 +171,32 @@ _MEMO_MARKS = 12
 _KEY_BITS = 1 << np.arange(_MEMO_MARKS)
 
 
-def _sampled(t: Tree) -> tuple[_Layout, dict | None]:
-    """t's layout and, if t is small enough to keep them, its built rows per builder."""
-    kept = getattr(t, "_sampled", None)  # unset until t is first sampled
-    if kept is None:
-        kept = t._sampled = (_layout(t), {} if t.n - 1 <= _MEMO_MARKS else None)
-    return kept
+def _rooted(marks: np.ndarray) -> np.ndarray:
+    """Keep rows from rows of non-root keep marks: the root is always kept."""
+    keep = np.ones((len(marks), marks.shape[1] + 1), dtype=bool)
+    keep[:, 1:] = marks
+    return keep
 
 
 def _sample(t: Tree, q: float, count: int, rng, build) -> list[Tree]:
-    """Draw count rows of keep marks, then build only the rows not built before.
+    """Draw count rows of keep marks and build their traces.
 
-    Equal rows share one trace, which is immutable.  A tree too large to keep
-    its rows gets a fresh dict, which dedups within one call.
+    A tree with at most _MEMO_MARKS non-root nodes keeps its layout and each
+    row's trace in `_sampled`, so equal rows share one immutable trace, also
+    across calls; a larger tree builds every row it draws and keeps nothing.
     """
     _check_draws(q, count)
     marks = rng.random((count, t.n - 1)) >= q
-    lay, kept = _sampled(t)
-    if kept is None:
-        packed = np.packbits(marks, axis=1)
-        # Fixed-width bytes: numpy drops trailing NULs, which keeps equal-width keys distinct.
-        keys, built = packed.view(f"S{packed.shape[1]}").ravel().tolist(), {}
-    else:
-        keys, built = (marks @ _KEY_BITS[:t.n - 1]).tolist(), kept.setdefault(build, {})
+    if t.n - 1 > _MEMO_MARKS:
+        return build(_layout(t), _rooted(marks))
+    lay, kept = t._sampled = getattr(t, "_sampled", None) or (_layout(t), {})
+    built = kept.setdefault(build, {})
+    keys = (marks @ _KEY_BITS[:t.n - 1]).tolist()
     try:  # a kept tree has usually built every row already
         return [built[key] for key in keys]
     except KeyError:
         new = {key: r for r, key in enumerate(keys) if key not in built}
-    keep = np.ones((len(new), t.n), dtype=bool)  # the root is always kept
-    keep[:, 1:] = marks[list(new.values())]
-    built.update(zip(new, build(lay, keep)))
+    built.update(zip(new, build(lay, _rooted(marks[list(new.values())]))))
     return [built[key] for key in keys]
 
 
@@ -270,7 +266,7 @@ def trace_law(t: Tree, q: float, model: str) -> dict[Tree, float]:
     keep = _keep_rows(t.n)
     k, p = t.n - 1, 1.0 - q
     law: dict[Tree, float] = {}
-    for trace, d in zip(build(_sampled(t)[0], keep), (t.n - keep.sum(axis=1)).tolist()):
+    for trace, d in zip(build(_layout(t), keep), (t.n - keep.sum(axis=1)).tolist()):
         prob = (q ** d) * (p ** (k - d))
         if prob:
             law[trace] = law.get(trace, 0.0) + prob
@@ -287,7 +283,7 @@ def lp_trace_set(t: Tree, k: int) -> set[Tree]:
     if not 0 <= k < t.n:
         raise ValueError(f"k={k} must lie in [0, {t.n - 1}], the number of non-root nodes")
     keep = _keep_rows(t.n)
-    return set(_lp_traces(_sampled(t)[0], keep[keep.sum(axis=1) == t.n - k]))
+    return set(_lp_traces(_layout(t), keep[keep.sum(axis=1) == t.n - k]))
 
 
 def count_embeddings(s: str, trace: str) -> int:

@@ -154,10 +154,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         grid = _grid(self.trace_grid)
-        _check_int("trials", self.trials)
-        _check_int("master_seed", self.master_seed)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_trials(self.trials, self.master_seed)
         # validate refuses a count that is not an int, so the order test can compare them.
         validate(self.family, self.model, self.n, self.q, self.delta, grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -347,6 +344,14 @@ def _entry(family: str, model: str) -> Family:
     return entry
 
 
+def _check_trials(trials: int, master_seed: int) -> None:
+    """The checks a sweep and a search share on their trials and master seed."""
+    _check_int("trials", trials)
+    _check_int("master_seed", master_seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def validate(family: str, model: str, n: int, q: float, delta: float,
              trace_counts: Sequence[int] = ()) -> Family:
     """Raise ValueError unless the family builds and decodes every grid point.
@@ -444,21 +449,19 @@ def doubling_search(
     """Double the trace count from 1 until the empirical rate reaches the target.
 
     Grid index k seeds the trials of the 2^k point, so the result is a pure
-    function of the arguments.  Raises BudgetExceededError past the cap.
+    function of the arguments.  Each point is validated as a sweep's grid
+    point is, before its trials.  Raises BudgetExceededError past the cap.
     """
     _check_real("target_rate", target_rate)
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
-    _check_int("trials", trials)
-    _check_int("master_seed", master_seed)
+    _check_trials(trials, master_seed)
     _check_int("budget_cap", budget_cap)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if budget_cap < 1:
         raise ValueError("budget cap must be >= 1")
-    validate(family, model, n, q, delta)
     k = 0
     while (n_traces := 2**k) <= budget_cap:
+        validate(family, model, n, q, delta, (n_traces,))
         successes = _successes(family, model, n, q, delta, n_traces, trials, master_seed, k)
         if successes / trials >= target_rate:
             return n_traces

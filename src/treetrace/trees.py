@@ -58,8 +58,8 @@ class Tree:
     a 0 per ascent out of it; length 2(n-1)), ``labels`` the n label bits in
     preorder, and ``ids`` the n node ids in preorder, 0..n-1 unless given.
     An unlabeled tree is one whose labels are all zero.  Instances are
-    immutable after construction; the batched samplers keep what they derive
-    from one in ``_sampled`` (channels._sampled).
+    immutable after construction; on one with at most 12 non-root nodes, the
+    batched samplers keep the traces they build in ``_sampled`` (channels._sample).
     """
 
     __slots__ = ("word", "labels", "ids", "_sampled")

@@ -648,8 +648,9 @@ def built_rows(monkeypatch):
 
 
 def kept_rows(t):
-    """The rows a sampled tree keeps, by builder; None past the bound."""
-    return t._sampled[1]
+    """The rows a sampled tree keeps, by builder; None if it keeps none."""
+    sampled = getattr(t, "_sampled", None)
+    return None if sampled is None else sampled[1]
 
 
 def test_memo_second_call_on_the_same_tree_builds_no_rows(built_rows):
@@ -711,15 +712,21 @@ def test_memo_keeps_ted_and_lp_apart(built_rows):
 
 
 def test_memo_skips_trees_past_its_bound(built_rows):
-    big = path_tree(channels._MEMO_MARKS + 1)
+    big, small = path_tree(channels._MEMO_MARKS + 1), path_tree(channels._MEMO_MARKS)
+    for t in (big, small):  # the exact laws keep nothing on the tree they read
+        for model in ("ted", "lp"):
+            trace_law(t, 0.5, model)
+        lp_trace_set(t, 2)
+        assert kept_rows(t) is None
+    built_rows.clear()
     for sample in (ted_traces, lp_traces):
         for _ in range(2):  # nothing kept, so the second call builds its rows again
             got = sample(big, 0.9, 256, make_rng("memo-big"))
-            # Rows still dedup within the call: one build and one trace per distinct row.
-            assert sum(built_rows) == len({id(tr) for tr in got}) < 256
+            # At q = 0.9 most rows repeat, yet every draw builds its own trace.
+            assert sum(built_rows) == len({id(tr) for tr in got}) == 256
+            assert len(set(got)) < 256
             built_rows.clear()
         assert kept_rows(big) is None
-    small = path_tree(channels._MEMO_MARKS)
     lp_traces(small, 0.5, 4, make_rng("memo-big"))
     assert list(kept_rows(small)) == [channels._lp_traces]
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import treetrace
@@ -194,6 +194,7 @@ def test_fuzzy_spec_accepted_where_a_tree_exists():
     pytest.param("path", 20, "lp", {}, id="path-20-lp"),
     pytest.param("forked", 1, "lp", {}, id="forked-1-lp"),
     pytest.param("fuzzy", 6, "lp", {}, id="fuzzy-6-lp"),
+    pytest.param("fuzzy", 40, "ted", {}, id="fuzzy-40-ted"),
     pytest.param("random", 6, "ted", {"trials": 0}, id="trials-0"),
     pytest.param("random", 6, "ted", {"trials": -2}, id="trials-neg"),
     pytest.param("random", 6, "ted", {"budget_cap": 0}, id="budget-cap-0"),
@@ -201,6 +202,21 @@ def test_fuzzy_spec_accepted_where_a_tree_exists():
 def test_doubling_search_rejects_before_first_trial(family, n, model, kw, no_trials):
     with pytest.raises(ValueError, match=">= 1" if kw else None):
         doubling_search(family, n, 0.1, model, target_rate=0.9, **kw)
+
+
+def test_doubling_search_checks_each_point_before_its_trials():
+    # Fuzzy's degree m grows with the trace count: at n = 9 and q = 0.5 the
+    # 1-trace point has a tree, and the 2-trace point has none.
+    counts = []
+
+    def failed(family, model, n, q, delta, n_traces, rng):
+        counts.append(n_traces)
+        return False
+
+    with mock.patch.object(harness, "run_trial", failed):
+        with pytest.raises(ValueError, match=r"^no fuzzy tree with n=9, m=9: needs n >= m \+ 1$"):
+            doubling_search("fuzzy", 9, 0.5, "ted", 0.9, trials=2)
+    assert counts == [1, 1]
 
 
 SPEC = dict(family="random", n=6, q=0.1, model="ted", trace_grid=(2, 4), trials=2)
@@ -428,6 +444,44 @@ def test_doubling_search_reproducible():
     kwargs = dict(family="random", n=8, q=0.2, model="ted",
                   target_rate=0.9, trials=20, master_seed=9)
     assert doubling_search(**kwargs) == doubling_search(**kwargs)
+
+
+@st.composite
+def _q0_points(draw):
+    """A family, a model and an n: up to 20 for fuzzy, 12 for the exhaustive ML decoders."""
+    family, model = draw(st.sampled_from(
+        [(f, m) for f in sorted(FAMILIES) for m in FAMILIES[f].models]))
+    return family, model, draw(st.integers(0, 20 if family == "fuzzy" else 12))
+
+
+@given(point=_q0_points(), count=st.integers(1, 3), seed=st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_every_family_decodes_the_truth_at_q0(point, count, seed):
+    family, model, n = point
+    try:
+        validate(family, model, n, 0.0, 0.05, (count,))
+    except ValueError:
+        reject()
+    assert run_trial(family, model, n, 0.0, 0.05, count, make_rng(f"q0:{seed}"))
+
+
+# One n per family and model that every trace count of the grid builds at q = 0.5.
+_TYPED_SIZES = {("random", "ted"): 8, ("random", "string"): 8, ("forked", "lp"): 7,
+                ("fuzzy", "ted"): 12, ("encoded", "ted"): 6}
+
+
+@given(pair=st.sampled_from(sorted(_TYPED_SIZES)),
+       q=st.sampled_from([0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)]),
+       delta=st.sampled_from([0.05, np.float64(0.05), Fraction(1, 20)]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_csv_bytes_depend_on_the_values_of_q_and_delta_not_their_types(pair, q, delta):
+    family, model = pair
+
+    def csv(q, delta):
+        spec = ExperimentSpec(family, _TYPED_SIZES[pair], q, model, (1, 4), 6, delta, 3)
+        return rows_to_csv(run_experiment(spec))
+
+    assert csv(q, delta) == csv(0.5, 0.05)
 
 
 def test_forked_distinguisher_needs_branch_evidence():
